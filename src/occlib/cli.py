@@ -17,8 +17,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from ._parallel import worker_count
-from .cutstats import builtin_table, cut_distribution_blocks
+from .cutstats import builtin_table, cut_distribution_blocks, cut_stats
 from .exact import frac_str
 from .families import (
     Family,
@@ -30,14 +29,12 @@ from .families import (
     umvirate,
     verify_family_claims,
 )
-from .graph import Graph, Graph6Error, parse_graph6, write_graph6
+from .graph import Graph, parse_graph6, write_graph6
 from .schur import verify_oldc_claims
 from .spectra import (
     TAU,
+    Spectrum,
     combined_lambda_by_mask,
-    eval_lambda1_uniform,
-    eval_lambda2_uniform,
-    eval_lambda_combined,
     hoffman_bound,
     verify_skew_cases,
     verify_smallp,
@@ -52,6 +49,16 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -137,15 +144,16 @@ def _cutstat_rows(args) -> list[dict]:
 
 
 def _cutstat_row(name: str, g: Graph, dist) -> dict:
+    stats = cut_stats(g)
     return {
         "name": name,
         "graph6": write_graph6(g),
         "vertices": g.v,
         "edges": g.edge_count,
         "q": [frac_str(p) for p in dist.probs],
-        "lambda1": frac_str(eval_lambda1_uniform(g)),
-        "lambda2": frac_str(eval_lambda2_uniform(g)),
-        "combined": frac_str(eval_lambda_combined(g)),
+        "lambda1": frac_str(Spectrum.uniform1().value(stats)),
+        "lambda2": frac_str(Spectrum.uniform2().value(stats)),
+        "combined": frac_str(Spectrum.combined().value(stats)),
     }
 
 
@@ -176,7 +184,7 @@ def cmd_cutstat(args, argv) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify / schur
+# verify
 # ---------------------------------------------------------------------------
 
 
@@ -184,7 +192,7 @@ def cmd_verify(args, argv) -> int:
     started = time.perf_counter()
     seed = args.seed
     if args.claims == "uniform":
-        report = verify_uniform_claims(workers=worker_count(args.workers))
+        report = verify_uniform_claims()
         seed = None
     elif args.claims == "skew":
         report = verify_skew_cases(args.plo, args.phi)
@@ -197,12 +205,6 @@ def cmd_verify(args, argv) -> int:
     else:
         report = verify_family_claims(seed=seed, campaign_size=args.campaign_size)
     return _finish_campaign(args, argv, report, seed, started)
-
-
-def cmd_schur(args, argv) -> int:
-    started = time.perf_counter()
-    report = verify_oldc_claims(seed=args.seed)
-    return _finish_campaign(args, argv, report, args.seed, started)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +274,7 @@ def cmd_families(args, argv) -> int:
 
 
 def cmd_hoffman(args, argv) -> int:
-    try:
-        bound = hoffman_bound(args.lambda_min, args.gap)
-    except ValueError as exc:
-        print(f"occ: {exc}", file=sys.stderr)
-        return 2
-    payload = bound.to_json_dict()
+    payload = hoffman_bound(args.lambda_min, args.gap).to_json_dict()
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
@@ -329,9 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=parse_rational, default=Fraction(1, 2),
                    help="upper endpoint for the skew campaign")
     p.add_argument("--seed", type=int, default=20260815)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: OCC_WORKERS or 1)")
-    p.add_argument("--campaign-size", type=int, default=1000,
+    p.add_argument("--campaign-size", type=positive_int, default=1000,
                    help="random-family sample size for the families campaign")
     p.set_defaults(func=cmd_verify)
 
@@ -343,12 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, choices=(4, 5), default=4,
                    help="vertex count for bound-check")
     p.set_defaults(func=cmd_families)
-
-    p = sub.add_parser("schur", parents=[common],
-                       help="exhaustive vector-set campaign (alias of "
-                            "'verify schur')")
-    p.add_argument("--seed", type=int, default=20260815)
-    p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("hoffman", parents=[common],
                        help="measure bound nu = -lambda/(1 - lambda)")
@@ -364,9 +353,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.command == "verify" and args.claims == "skew"
+            and not 0 < args.plo < args.phi <= Fraction(1, 2)):
+        parser.error("the skew interval needs 0 < --plo < --phi <= 1/2")
     try:
         return args.func(args, argv)
-    except (Graph6Error, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
+        # malformed graph6 is a ValueError, a missing file an OSError
         print(f"occ: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,8 @@ Two independent routes compute the size distribution: direct enumeration of
 all colorings, and the bridge/block product formula
     Q_G(X) = (1/2 + X/2)^m * prod_blocks Q_block(X)
 where m counts bridge edges.  Both are exact and are cross-checked in tests.
+One enumeration yields a CutStats record, the integer counts every spectrum
+is evaluated from; the class catalogue keeps one record per small class.
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Polynomial, frac_str
-from .graph import Graph, block_decomposition, canonical_key, write_graph6
+from .graph import Graph, block_decomposition, canonical_key, enumerate_unlabeled, write_graph6
 
 __all__ = [
     "CutDistribution",
+    "CutStats",
+    "ClassEntry",
     "CutLemmaViolation",
     "cut_profile",
+    "cut_stats",
+    "class_catalogue",
     "cut_distribution_bruteforce",
     "cut_distribution_blocks",
     "q_iso",
@@ -129,13 +135,50 @@ def cut_profile(g: Graph) -> tuple[Graph, dict[int, int], int]:
     return core, counts, len(table)
 
 
+@dataclass(frozen=True)
+class CutStats:
+    """Integer cut statistics of a graph (or of a GF(2) vector set).
+
+    Of total equally likely cuts, counts[k] have exactly k edges, for k up to
+    the edge count; forest4 of them are 4-edge forests and cycle4 are
+    4-cycles (for vector sets: independent 4-sets and boxes).
+    """
+
+    counts: tuple[int, ...]
+    forest4: int
+    cycle4: int
+    total: int
+
+    @property
+    def size(self) -> int:
+        """Edge count of the graph the statistics describe."""
+        return len(self.counts) - 1
+
+    def distribution(self) -> CutDistribution:
+        return CutDistribution(tuple(Fraction(c, self.total) for c in self.counts))
+
+
+def cut_stats(g: Graph) -> CutStats:
+    """The cut statistics of g, from one cut profile."""
+    core, profile, total = cut_profile(g)
+    counts = [0] * (g.edge_count + 1)
+    forest4 = cycle4 = 0
+    for mask, c in profile.items():
+        k = mask.bit_count()
+        counts[k] += c
+        if k == 4:
+            # a cut is bipartite: 4 of its edges on 4 vertices form a 4-cycle,
+            # 4 edges on 5 or more vertices a forest
+            if Graph(core.n, mask).v == 4:
+                cycle4 += c
+            else:
+                forest4 += c
+    return CutStats(tuple(counts), forest4, cycle4, total)
+
+
 def cut_distribution_bruteforce(g: Graph) -> CutDistribution:
     """Cut-size law by direct enumeration of all colorings."""
-    _, counts, total = cut_profile(g)
-    probs = [Fraction(0)] * (g.edge_count + 1)
-    for mask, c in counts.items():
-        probs[mask.bit_count()] += Fraction(c, total)
-    return CutDistribution(tuple(probs))
+    return cut_stats(g).distribution()
 
 
 def cut_distribution_blocks(g: Graph) -> CutDistribution:
@@ -146,6 +189,23 @@ def cut_distribution_blocks(g: Graph) -> CutDistribution:
         pgf = pgf * cut_distribution_bruteforce(block).pgf()
     probs = list(pgf.coeffs) + [Fraction(0)] * (g.edge_count + 1 - len(pgf.coeffs))
     return CutDistribution(tuple(probs))
+
+
+@dataclass(frozen=True)
+class ClassEntry:
+    """One isomorphism class: its representative, key and cut statistics."""
+
+    graph: Graph
+    key: tuple[int, int]
+    stats: CutStats
+
+
+@lru_cache(maxsize=None)
+def class_catalogue(max_vertices: int = 7) -> dict[tuple[int, int], ClassEntry]:
+    """Every class with at most max_vertices non-isolated vertices, by key, in
+    the order of enumerate_unlabeled; built once per process and size."""
+    return {e.key: e for e in (ClassEntry(g, canonical_key(g), cut_stats(g))
+                               for g in enumerate_unlabeled(max_vertices))}
 
 
 def q_iso(g: Graph, r: Graph) -> Fraction:

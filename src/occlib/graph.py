@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-import numpy as np
-
 __all__ = [
     "Graph",
     "BlockDecomposition",
@@ -323,28 +321,56 @@ _CANON_MAX_N = 8
 
 
 @lru_cache(maxsize=None)
-def _perm_weight_matrix(n: int) -> np.ndarray:
-    """Row per vertex permutation: weight 2^(new index) at each old edge index."""
-    pairs = edge_pairs(n)
-    e = len(pairs)
-    perms = list(itertools.permutations(range(n)))
-    w = np.zeros((len(perms), e), dtype=np.int64)
-    for r, sigma in enumerate(perms):
-        for k, (i, j) in enumerate(pairs):
-            w[r, k] = 1 << edge_index(sigma[i], sigma[j], n)
-    return w
-
-
-@lru_cache(maxsize=None)
 def canonical_form(g: Graph) -> int:
-    """Lexicographically minimal edge bitmask over all vertex relabelings."""
-    if g.n > _CANON_MAX_N:
-        raise ValueError(f"canonical form by full scan needs n <= {_CANON_MAX_N}")
+    """Lexicographically minimal edge bitmask over all vertex relabelings.
+
+    The edges among the new labels k..n-1 are exactly the top C(n-k, 2) bits,
+    and placing label k adds the block of bits (k, k+1) .. (k, n-1) right
+    below them.  So labels are assigned from n-1 downward, keeping every
+    partial labelling whose blocks tie with the smallest so far.  Twins
+    (equal neighbourhoods apart from each other) are placed in index order,
+    since swapping two twins is an automorphism, and partial labellings that
+    leave the same state behind are merged.
+    """
+    n = g.n
+    if n > _CANON_MAX_N:
+        raise ValueError(f"canonical form search needs n <= {_CANON_MAX_N}")
     if g.mask == 0:
         return 0
-    e = len(edge_pairs(g.n))
-    bits = np.fromiter(((g.mask >> k) & 1 for k in range(e)), dtype=np.int64, count=e)
-    return int((_perm_weight_matrix(g.n) @ bits).min())
+    adj = g.adjacency()
+    # a vertex becomes placeable once its lower-index twins are placed
+    needs = [sum(1 << w for w in range(u)
+                 if adj[u] & ~(1 << w) == adj[w] & ~(1 << u)) for u in range(n)]
+    # state: (placed vertices, per unplaced vertex the labels of its placed
+    # neighbours as a bitmask; 0 for placed vertices)
+    states = [(0, (0,) * n)]
+    value = 0
+    for k in range(n - 1, -1, -1):
+        best = 1 << n
+        ties = []
+        for placed, labels in states:
+            free = ~placed
+            for u in range(n):
+                if free >> u & 1 and not needs[u] & free:
+                    block = labels[u] >> (k + 1)
+                    if block < best:
+                        best, ties = block, [(placed, labels, u)]
+                    elif block == best:
+                        ties.append((placed, labels, u))
+        if k < n - 1:
+            value |= best << edge_index(k, k + 1, n)
+        grown = set()
+        for placed, labels, u in ties:
+            nxt = list(labels)
+            nxt[u] = 0
+            nb = adj[u] & ~placed
+            while nb:
+                w = (nb & -nb).bit_length() - 1
+                nb &= nb - 1
+                nxt[w] |= 1 << k
+            grown.add((placed | 1 << u, tuple(nxt)))
+        states = grown
+    return value
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:

@@ -17,20 +17,17 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
-from .cutstats import CutDistribution, cut_distribution_bruteforce
+from .cutstats import CutDistribution, CutStats, cut_stats
 from .graph import Graph, edge_pairs, enumerate_unlabeled
 from .spectra import (
-    COMBINE_WEIGHT,
     GAP_COMBINED,
     GAP_UNIFORM,
     LAMBDA_MIN_UNIFORM,
     UNIFORM_COEFFS,
+    Spectrum,
     VerificationReport,
-    eval_lambda1_uniform,
-    eval_lambda2_uniform,
     eval_lambda1_skew,
     lambda_min_skew,
-    skew_coefficients,
 )
 
 __all__ = [
@@ -156,13 +153,25 @@ class VectorSet:
             raise ValueError("w outside the dual space")
         return VectorSet(self.n, self.mask & _parity_masks(self.n)[w])
 
-    def cut_distribution(self) -> CutDistribution:
-        pm = _parity_masks(self.n)
-        total = 1 << self.n
+    def cut_stats(self) -> CutStats:
+        """Hyperplane cut statistics; independent 4-sets take the place of
+        4-edge forests and boxes that of 4-cycles."""
         counts = [0] * (self.size + 1)
-        for w in range(total):
-            counts[(self.mask & pm[w]).bit_count()] += 1
-        return CutDistribution(tuple(F(c, total) for c in counts))
+        indep = box = 0
+        for w_mask in _parity_masks(self.n):
+            cut = self.mask & w_mask
+            k = cut.bit_count()
+            counts[k] += 1
+            if k == 4:
+                four = VectorSet(self.n, cut)
+                if is_box(four):
+                    box += 1
+                elif is_independent_four(four):
+                    indep += 1
+        return CutStats(tuple(counts), indep, box, 1 << self.n)
+
+    def cut_distribution(self) -> CutDistribution:
+        return self.cut_stats().distribution()
 
 
 @lru_cache(maxsize=8)
@@ -202,44 +211,19 @@ def lift_graph(g: Graph) -> VectorSet:
 
 
 def eval_lambda1_vectors(vs: VectorSet) -> Fraction:
-    d = vs.cut_distribution()
-    s = sum(c * d[k] for k, c in enumerate(UNIFORM_COEFFS))
-    return s if vs.size % 2 == 0 else -s
-
-
-def _lambda2_parts_vectors(vs: VectorSet) -> tuple[Fraction, Fraction]:
-    pm = _parity_masks(vs.n)
-    total = 1 << vs.n
-    indep = box = 0
-    for w in range(total):
-        cut = VectorSet(vs.n, vs.mask & pm[w])
-        if cut.size != 4:
-            continue
-        if cut.xor_sum() == 0:
-            box += 1
-        elif cut.rank() == 4:
-            indep += 1
-    return F(indep, total), F(box, total)
+    return Spectrum.uniform1().value(vs.cut_stats())
 
 
 def eval_lambda2_vectors(vs: VectorSet) -> Fraction:
-    pf, pc = _lambda2_parts_vectors(vs)
-    s = pf - pc
-    return s if vs.size % 2 == 0 else -s
+    return Spectrum.uniform2().value(vs.cut_stats())
 
 
 def eval_lambda_combined_vectors(vs: VectorSet) -> Fraction:
-    return eval_lambda1_vectors(vs) + COMBINE_WEIGHT * eval_lambda2_vectors(vs)
+    return Spectrum.combined().value(vs.cut_stats())
 
 
 def eval_lambda1_skew_vectors(vs: VectorSet, p) -> Fraction:
-    p = F(p)
-    if not 0 < p <= F(1, 2):
-        raise ValueError("skew spectrum defined for 0 < p <= 1/2")
-    c1, c2, c3 = skew_coefficients(p)
-    d = vs.cut_distribution()
-    s = d[0] + c1 * d[1] + c2 * d[2] + c3 * d[3]
-    return (-p / (1 - p)) ** vs.size * s
+    return Spectrum.skew1(p).value(vs.cut_stats())
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +257,14 @@ def _dense_tables(n: int):
     return pc, xs, rank
 
 
+# the lambda1 weights times 28, their common denominator: (28, -20, -4, 3)
+_L1_WEIGHTS_28 = tuple(int(28 * w) for w in UNIFORM_COEFFS)
+
+
 def _scaled_spectra(mask: int, pm, pc, xs, rank):
     """One pass over the 16 hyperplanes: small-cut counts c_0..c_3 plus
     448*lambda1 and 16*lambda2 as exact signed integers (every cut
-    probability has denominator 16, and 448 clears the coefficients)."""
+    probability has denominator 16, and 448 = 16 * 28 clears the weights)."""
     c = [0, 0, 0, 0]
     i4 = bx = 0
     for w_mask in pm:
@@ -290,7 +278,8 @@ def _scaled_spectra(mask: int, pm, pc, xs, rank):
             elif rank[cut] == 4:
                 i4 += 1
     sign = 1 if pc[mask] % 2 == 0 else -1
-    l1 = sign * (28 * c[0] - 20 * c[1] - 4 * c[2] + 3 * c[3])
+    w0, w1, w2, w3 = _L1_WEIGHTS_28
+    l1 = sign * (w0 * c[0] + w1 * c[1] + w2 * c[2] + w3 * c[3])
     l2 = sign * (i4 - bx)
     return c, l1, l2
 
@@ -402,13 +391,15 @@ def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
 
     # graph lifts: cut law, spectra and cycle parity all transfer
     ok_dist = ok_l1 = ok_l2 = ok_odd = True
+    s1, s2 = Spectrum.uniform1(), Spectrum.uniform2()
     graphs = [Graph(4, m) for m in range(1, 64)]
     graphs += [g for g in enumerate_unlabeled(5) if g.edge_count]
     for g in graphs:
         lifted = lift_graph(g)
-        ok_dist &= cut_distribution_bruteforce(g) == lifted.cut_distribution()
-        ok_l1 &= eval_lambda1_uniform(g) == eval_lambda1_vectors(lifted)
-        ok_l2 &= eval_lambda2_uniform(g) == eval_lambda2_vectors(lifted)
+        stats, lstats = cut_stats(g), lifted.cut_stats()
+        ok_dist &= stats.distribution() == lstats.distribution()
+        ok_l1 &= s1.value(stats) == s1.value(lstats)
+        ok_l2 &= s2.value(stats) == s2.value(lstats)
         ok_odd &= g.has_odd_cycle() == has_odd_dependency(lifted)
     rep.add("lift:cut-distributions-match", ok_dist)
     rep.add("lift:lambda1-matches", ok_l1)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .exact import (
     Polynomial,
@@ -29,8 +29,8 @@ from .exact import (
     count_roots_above,
     frac_str,
 )
-from .cutstats import cut_distribution_bruteforce, cut_profile
-from .graph import Graph, canonical_key, enumerate_unlabeled, write_graph6
+from .cutstats import CutStats, class_catalogue, cut_distribution_bruteforce, cut_stats
+from .graph import Graph, canonical_key, write_graph6
 
 __all__ = [
     "TAU",
@@ -74,56 +74,41 @@ GAP_COMBINED = F(1, 952)
 UNIFORM_COEFFS = (F(1), F(-5, 7), F(-1, 7), F(3, 28))
 
 
-def _cut_q(g: Graph, upto: int = 3) -> tuple[Fraction, ...]:
-    d = cut_distribution_bruteforce(g)
-    return tuple(d[k] for k in range(upto + 1))
-
-
-def _lambda2_parts(g: Graph) -> tuple[Fraction, Fraction]:
-    """(probability the cut is a 4-edge forest, probability it is a 4-cycle)."""
-    core, counts, total = cut_profile(g)
-    forest_hits = 0
-    cycle_hits = 0
-    for mask, c in counts.items():
-        if mask.bit_count() != 4:
-            continue
-        h = Graph(core.n, mask)
-        if h.is_forest():
-            forest_hits += c
-        elif h.v == 4 and all(h.degree(u) in (0, 2) for u in range(h.n)):
-            cycle_hits += c
-    return F(forest_hits, total), F(cycle_hits, total)
+@lru_cache(maxsize=1)
+def _rf_coefficients() -> tuple[RationalFunction, ...]:
+    """(c1, c2, c3, T, ratio) of the p-biased first spectrum as exact rational
+    functions of p, with T = -lambda_min and ratio = p/(1-p)."""
+    p = RationalFunction.x()
+    den = p * p + p + 1
+    c1 = (p * p - p - 1) / den
+    c2 = (p * p - 3 * p + 1) / den
+    c3 = (5 * p * p - 27 * p + 45 - 28 / p + 6 / (p * p)) / (4 * den)
+    t = p ** 3 / (1 - p ** 3)
+    ratio = p / (1 - p)
+    return c1, c2, c3, t, ratio
 
 
 def eval_lambda1_uniform(g: Graph) -> Fraction:
     """First-spectrum eigenvalue: (-1)^|G| (q0 - 5/7 q1 - 1/7 q2 + 3/28 q3)."""
-    q = _cut_q(g)
-    s = sum(c * qk for c, qk in zip(UNIFORM_COEFFS, q))
-    return s if g.edge_count % 2 == 0 else -s
+    return Spectrum.uniform1().value(g)
 
 
 def eval_lambda2_uniform(g: Graph) -> Fraction:
     """Second-spectrum eigenvalue: (-1)^|G| (Pr[4-forest cut] - Pr[4-cycle cut])."""
-    pf, pc = _lambda2_parts(g)
-    s = pf - pc
-    return s if g.edge_count % 2 == 0 else -s
+    return Spectrum.uniform2().value(g)
 
 
 def eval_lambda_combined(g: Graph) -> Fraction:
     """Combined spectrum lambda1 + (16/17)(1/56) lambda2."""
-    return eval_lambda1_uniform(g) + COMBINE_WEIGHT * eval_lambda2_uniform(g)
+    return Spectrum.combined().value(g)
 
 
 def skew_coefficients(p: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Closed-form (c1, c2, c3) of the p-biased first spectrum."""
+    """(c1, c2, c3) of the p-biased first spectrum, evaluated at p."""
     p = F(p)
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")
-    den = p * p + p + 1
-    c1 = (p * p - p - 1) / den
-    c2 = (p * p - 3 * p + 1) / den
-    c3 = (5 * p * p - 27 * p + 45 - F(28) / p + F(6) / (p * p)) / (4 * den)
-    return c1, c2, c3
+    return tuple(c(p) for c in _rf_coefficients()[:3])
 
 
 def lambda_min_skew(p: Fraction) -> Fraction:
@@ -133,23 +118,11 @@ def lambda_min_skew(p: Fraction) -> Fraction:
 
 def eval_lambda1_skew(g: Graph, p: Fraction) -> Fraction:
     """p-biased first-spectrum eigenvalue (-p/(1-p))^|G| (q0 + c1 q1 + c2 q2 + c3 q3)."""
-    p = F(p)
-    if not 0 < p <= F(1, 2):
-        raise ValueError("skew spectrum defined for 0 < p <= 1/2")
-    c1, c2, c3 = skew_coefficients(p)
-    q = _cut_q(g)
-    s = q[0] + c1 * q[1] + c2 * q[2] + c3 * q[3]
-    base = -p / (1 - p)
-    return base ** g.edge_count * s
+    return Spectrum.skew1(p).value(g)
 
 
 def eval_lambda2_skew(g: Graph, p: Fraction) -> Fraction:
-    p = F(p)
-    if not 0 < p <= F(1, 2):
-        raise ValueError("skew spectrum defined for 0 < p <= 1/2")
-    pf, pc = _lambda2_parts(g)
-    base = -p / (1 - p)
-    return base ** g.edge_count * (pf - pc)
+    return Spectrum.skew2(p).value(g)
 
 
 def eval_lambda_smallp(size: int, p: Fraction) -> Fraction:
@@ -169,8 +142,14 @@ def case_constant(m: int) -> Fraction:
     """r(m) = 2^-m (1 - 5/7 m - 1/7 C(m,2) + 3/28 C(m,3))."""
     if m < 0:
         raise ValueError("negative bridge count")
-    s = 1 - F(5, 7) * m - F(1, 7) * comb(m, 2) + F(3, 28) * comb(m, 3)
-    return s / 2 ** m
+    return sum(c * comb(m, k) for k, c in enumerate(UNIFORM_COEFFS)) / 2 ** m
+
+
+def _skew_bias(p: Fraction) -> Fraction:
+    p = F(p)
+    if not 0 < p <= F(1, 2):
+        raise ValueError("skew spectrum defined for 0 < p <= 1/2")
+    return p
 
 
 @dataclass(frozen=True)
@@ -181,28 +160,29 @@ class Spectrum:
     weights; supported statistics are "q0".."q9" (cut-size probabilities),
     "forest4" and "cycle4" (isomorphism-typed 4-edge cut probabilities).
     p = None means the uniform sign base (-1)^|G|, otherwise (-p/(1-p))^|G|.
+    This is the one evaluator: every eigenvalue of a graph or a vector set
+    is a Spectrum applied to its CutStats.
     """
 
     kind: str
     coeffs: tuple[tuple[str, Fraction], ...]
     p: Fraction | None = None
 
-    def value(self, g: Graph) -> Fraction:
-        d = cut_distribution_bruteforce(g)
-        pf = pc = None
-        total = F(0)
+    def value(self, x: Graph | CutStats) -> Fraction:
+        """Eigenvalue of a graph, or of whatever the given statistics describe."""
+        stats = x if isinstance(x, CutStats) else cut_stats(x)
+        hits = F(0)
         for name, w in self.coeffs:
-            if name.startswith("q"):
-                stat = d[int(name[1:])]
-            elif name in ("forest4", "cycle4"):
-                if pf is None:
-                    pf, pc = _lambda2_parts(g)
-                stat = pf if name == "forest4" else pc
+            if name in ("forest4", "cycle4"):
+                count = getattr(stats, name)
+            elif name[:1] == "q" and name[1:].isdigit():
+                k = int(name[1:])
+                count = stats.counts[k] if k < len(stats.counts) else 0
             else:
                 raise ValueError(f"unknown statistic {name!r}")
-            total += w * stat
+            hits += w * count
         base = F(-1) if self.p is None else -self.p / (1 - self.p)
-        return base ** g.edge_count * total
+        return base ** stats.size * hits / stats.total
 
     def scaled(self, factor: Fraction) -> "Spectrum":
         return Spectrum(self.kind, tuple((n, factor * w) for n, w in self.coeffs), self.p)
@@ -229,8 +209,12 @@ class Spectrum:
 
     @staticmethod
     def skew1(p: Fraction) -> "Spectrum":
-        c1, c2, c3 = skew_coefficients(p)
+        c1, c2, c3 = skew_coefficients(_skew_bias(p))
         return Spectrum("skew-1", (("q0", F(1)), ("q1", c1), ("q2", c2), ("q3", c3)), F(p))
+
+    @staticmethod
+    def skew2(p: Fraction) -> "Spectrum":
+        return Spectrum("skew-2", Spectrum.uniform2().coeffs, _skew_bias(p))
 
 
 @dataclass(frozen=True)
@@ -363,8 +347,8 @@ def _four_matching() -> Graph:
 def _four_forest_keys() -> frozenset:
     """All 8 isomorphism classes of 4-edge forests; the 4-matching spans
     8 vertices and sits outside the 7-vertex enumeration."""
-    keys = {canonical_key(g) for g in enumerate_unlabeled(7)
-            if g.edge_count == 4 and g.is_forest()}
+    keys = {key for key, e in class_catalogue().items()
+            if e.stats.size == 4 and e.graph.is_forest()}
     keys.add(canonical_key(_four_matching()))
     return frozenset(keys)
 
@@ -389,16 +373,10 @@ def combined_lambda_by_mask(n: int) -> dict:
     """Combined-spectrum eigenvalue for every edge mask of K_n (n <= 5)."""
     if not 1 <= n <= 5:
         raise ValueError("dense eigenvalue tables supported for n <= 5")
-    by_class: dict = {}
-    out = {}
-    e = n * (n - 1) // 2
-    for mask in range(1 << e):
-        g = Graph(n, mask)
-        key = canonical_key(g)
-        if key not in by_class:
-            by_class[key] = eval_lambda_combined(g)
-        out[mask] = by_class[key]
-    return out
+    spec = Spectrum.combined()
+    by_class = {key: spec.value(e.stats) for key, e in class_catalogue(n).items()}
+    return {mask: by_class[canonical_key(Graph(n, mask))]
+            for mask in range(1 << (n * (n - 1) // 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -406,37 +384,36 @@ def combined_lambda_by_mask(n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_graph_check(args) -> tuple[Fraction, Fraction, Fraction, bool, bool]:
-    """Worker for the exhaustive scan; returns eigenvalues and bound booleans."""
-    g, is_tight1, is_tight_comb = args
-    l1 = eval_lambda1_uniform(g)
-    l2 = eval_lambda2_uniform(g)
-    lc = l1 + COMBINE_WEIGHT * l2
-    ok1 = l1 == LAMBDA_MIN_UNIFORM if is_tight1 else l1 >= LAMBDA_MIN_UNIFORM + GAP_UNIFORM
-    okc = lc == LAMBDA_MIN_UNIFORM if is_tight_comb else lc >= LAMBDA_MIN_UNIFORM + GAP_COMBINED
-    return l1, l2, lc, ok1, okc
-
-
-def verify_uniform_claims(workers: int = 1) -> VerificationReport:
+def verify_uniform_claims() -> VerificationReport:
     """Exhaustive verification of the uniform spectra over all isomorphism
     classes with at most 7 non-isolated vertices."""
     rep = VerificationReport("uniform-claims")
-    reps = enumerate_unlabeled(7)
+    catalogue = class_catalogue()
     refs = _ref_graphs()
     t1 = tight_uniform_keys()
     tc = tight_combined_keys()
     ffk = _four_forest_keys()
     k4m_key = canonical_key(refs["K4minus"])
 
-    jobs = [(g, canonical_key(g) in t1, canonical_key(g) in tc) for g in reps]
-    if workers > 1:
-        from ._parallel import parallel_map
-        results = parallel_map(_uniform_graph_check, jobs, workers)
-    else:
-        results = [_uniform_graph_check(j) for j in jobs]
-
-    bad1 = [write_graph6(g) for (g, _, _), (_, _, _, ok1, _) in zip(jobs, results) if not ok1]
-    badc = [write_graph6(g) for (g, _, _), (_, _, _, _, okc) in zip(jobs, results) if not okc]
+    s1, s2 = Spectrum.uniform1(), Spectrum.uniform2()
+    bad1, badc = [], []
+    l2_by_key = {}
+    ok_small = ok_bound = True
+    for key, e in catalogue.items():
+        l1 = s1.value(e.stats)
+        l2 = l2_by_key[key] = s2.value(e.stats)
+        lc = l1 + COMBINE_WEIGHT * l2
+        if not (l1 == LAMBDA_MIN_UNIFORM if key in t1
+                else l1 >= LAMBDA_MIN_UNIFORM + GAP_UNIFORM):
+            bad1.append(write_graph6(e.graph))
+        if not (lc == LAMBDA_MIN_UNIFORM if key in tc
+                else lc >= LAMBDA_MIN_UNIFORM + GAP_COMBINED):
+            badc.append(write_graph6(e.graph))
+        # second spectrum: vanishes below 4 edges, bounded by 1
+        if e.stats.size < 4 and l2 != 0:
+            ok_small = False
+        if not -1 <= l2 <= 1:
+            ok_bound = False
     rep.add("lambda1:min=-1/7:tight-set-exact", not bad1, ",".join(bad1[:5]))
     rep.add("combined:min=-1/7:gap=1/952", not badc, ",".join(badc[:5]))
     rep.add("lambda1:tight-set-size", len(t1) == 13,
@@ -447,15 +424,6 @@ def verify_uniform_claims(workers: int = 1) -> VerificationReport:
     rep.add("lambda1:empty=1", eval_lambda1_uniform(empty) == 1)
     rep.add("combined:empty=1", eval_lambda_combined(empty) == 1)
 
-    # second spectrum: vanishes below 4 edges, bounded by 1, known values
-    l2_by_key = {}
-    ok_small = ok_bound = True
-    for (g, _, _), (_, l2, _, _, _) in zip(jobs, results):
-        l2_by_key[canonical_key(g)] = l2
-        if g.edge_count < 4 and l2 != 0:
-            ok_small = False
-        if not -1 <= l2 <= 1:
-            ok_bound = False
     rep.add("lambda2:zero-below-4-edges", ok_small)
     rep.add("lambda2:absolute-bound-1", ok_bound)
     rep.add("lambda2:four-forests=1/16",
@@ -468,7 +436,7 @@ def verify_uniform_claims(workers: int = 1) -> VerificationReport:
             eval_lambda_combined(_four_matching()) == LAMBDA_MIN_UNIFORM + GAP_COMBINED)
 
     # combined values on the near-tight classes
-    lc_ff = eval_lambda_combined(next(g for g in reps if canonical_key(g) in ffk))
+    lc_ff = Spectrum.combined().value(next(e.stats for key, e in catalogue.items() if key in ffk))
     rep.add("combined:four-forest=-1/7+1/952", lc_ff == LAMBDA_MIN_UNIFORM + GAP_COMBINED)
     rep.add("combined:K4minus=-1/7+1/476",
             eval_lambda_combined(refs["K4minus"]) == LAMBDA_MIN_UNIFORM + F(1, 476))
@@ -478,10 +446,13 @@ def verify_uniform_claims(workers: int = 1) -> VerificationReport:
     rep.add("case-constants:r(6)=-23/448", case_constant(6) == F(-23, 448))
     rep.add("case-constants:r(7)=-13/512", case_constant(7) == F(-13, 512))
 
-    # r numerator strictly increasing beyond 7: derivative positive on [7, inf)
+    # r numerator sum_k w_k C(m, k) strictly increasing beyond 7: derivative
+    # positive on [7, inf)
     x = Polynomial.x()
-    numer = (Polynomial.one() - F(5, 7) * x - F(1, 14) * (x * x - x)
-             + F(1, 56) * (x * (x - 1) * (x - 2)))
+    numer, falling = Polynomial.zero(), Polynomial.one()
+    for k, c in enumerate(UNIFORM_COEFFS):
+        numer = numer + falling * (c / factorial(k))
+        falling = falling * (x - k)
     dn = numer.derivative()
     rep.add("case-constants:numerator-increasing-m>=7",
             dn(7) > 0 and count_roots_above(dn, 7) == 0)
@@ -489,7 +460,7 @@ def verify_uniform_claims(workers: int = 1) -> VerificationReport:
             all(case_constant(m) >= case_constant(7) for m in range(7, 65)))
 
     # displayed exceptional values
-    q2 = lambda g: cut_distribution_bruteforce(g)[2]
+    q2 = lambda g: catalogue[canonical_key(g)].stats.distribution()[2]
     rep.add("exceptional:f(triangle)=1/7", -eval_lambda1_uniform(refs["triangle"]) == F(1, 7))
     rep.add("exceptional:f(K4minus)=1/7", -eval_lambda1_uniform(refs["K4minus"]) == F(1, 7))
     rep.add("exceptional:q2(triangle)=3/4", q2(refs["triangle"]) == F(3, 4))
@@ -498,18 +469,16 @@ def verify_uniform_claims(workers: int = 1) -> VerificationReport:
     rep.add("exceptional:q2(K4minus)=1/4", q2(refs["K4minus"]) == F(1, 4))
 
     # structure facts the size-based analysis relies on, at desk scale
+    reps = [e.graph for e in catalogue.values()]
     bridgeless_small = {canonical_key(g) for g in reps
                         if g.edge_count and block_decomposition_m(g) == 0 and g.edge_count <= 5}
     expected_bridgeless = {canonical_key(refs[n]) for n in ("triangle", "C4", "C5", "K4minus")}
     rep.add("structure:bridgeless-with-<=5-edges", bridgeless_small == expected_bridgeless)
-    ok_q0 = True
-    for g in reps:
-        if g.edge_count % 2 and block_decomposition_m(g) == 0 and g.edge_count:
-            key = canonical_key(g)
-            if key not in (canonical_key(refs["triangle"]), k4m_key):
-                if cut_distribution_bruteforce(g)[0] > F(1, 16):
-                    ok_q0 = False
-    rep.add("structure:odd-bridgeless-q0<=1/16", ok_q0)
+    exempt = (canonical_key(refs["triangle"]), k4m_key)
+    rep.add("structure:odd-bridgeless-q0<=1/16",
+            all(e.stats.distribution()[0] <= F(1, 16) for key, e in catalogue.items()
+                if e.stats.size % 2 and block_decomposition_m(e.graph) == 0
+                and key not in exempt))
     rep.add("structure:one-bridge-size-gap",
             all(g.edge_count == 1 or g.edge_count >= 4
                 for g in reps if block_decomposition_m(g) == 1))
@@ -524,18 +493,6 @@ def block_decomposition_m(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # skew campaign: rational-function case analysis with Sturm certificates
 # ---------------------------------------------------------------------------
-
-
-def _rf_coefficients() -> tuple[RationalFunction, ...]:
-    """(c1, c2, c3, T, ratio) as exact rational functions of p."""
-    p = RationalFunction.x()
-    den = p * p + p + 1
-    c1 = (p * p - p - 1) / den
-    c2 = (p * p - 3 * p + 1) / den
-    c3 = (5 * p * p - 27 * p + 45 - 28 / p + 6 / (p * p)) / (4 * den)
-    t = p ** 3 / (1 - p ** 3)            # -lambda_min
-    ratio = p / (1 - p)
-    return c1, c2, c3, t, ratio
 
 
 def _d0(m: int, c1, c2, c3) -> RationalFunction:
@@ -661,10 +618,9 @@ def verify_skew_cases(p_lo: Fraction, p_hi: Fraction) -> VerificationReport:
             detail = f"sign change in [{frac_str(x1)}, {frac_str(x2)}]"
         rep.add(f"certificate:{case_id}", ok, detail)
 
-    # exhaustive spot checks at sampled biases
+    # exhaustive spot checks at sampled biases: arithmetic over the catalogue
     samples = sorted({p_lo, p_hi} | ({witness} if p_lo <= witness <= p_hi else set()))
-    reps = enumerate_unlabeled(7)
-    dists = [(g, canonical_key(g)) for g in reps]
+    catalogue = class_catalogue()
     tight_small = tight_combined_keys()          # edge, path2, 2-forest, triangle
     tight_half = tight_uniform_keys()            # adds 4-forests and K4minus at 1/2
     for p in samples:
@@ -672,14 +628,10 @@ def verify_skew_cases(p_lo: Fraction, p_hi: Fraction) -> VerificationReport:
             continue  # below tau the 3-forest genuinely violates the bound
         lam_min = lambda_min_skew(p)
         expect = tight_half if p == F(1, 2) else tight_small
-        ok_min = True
-        ok_tight = True
-        for g, key in dists:
-            lam = eval_lambda1_skew(g, p)
-            if lam < lam_min:
-                ok_min = False
-            if (lam == lam_min) != (key in expect):
-                ok_tight = False
+        spec = Spectrum.skew1(p)
+        lams = {key: spec.value(e.stats) for key, e in catalogue.items()}
+        ok_min = all(lam >= lam_min for lam in lams.values())
+        ok_tight = all((lam == lam_min) == (key in expect) for key, lam in lams.items())
         tag = frac_str(p)
         rep.add(f"sample:p={tag}:min", ok_min)
         rep.add(f"sample:p={tag}:tight-set", ok_tight)

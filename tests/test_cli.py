@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import occlib
 from occlib.cli import main, parse_rational
+from occlib.graph import Graph, write_graph6
 
 
 def run(capsys, *argv):
@@ -96,10 +102,45 @@ class TestVerify:
         assert payload["campaign"] == "oldc-claims"
         assert len(payload["report"]["checks"]) == 22
 
-    def test_uniform_with_workers(self, capsys):
-        rc, out, _ = run(capsys, "verify", "uniform", "--workers", "2")
-        assert rc == 0
-        assert "result: PASS (27 checks)" in out
+
+class TestExitCodes:
+    """A bad argument or input exits 2, never 1 (a falsified claim)."""
+
+    def usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_reversed_skew_interval(self, capsys):
+        self.usage_error(capsys, "verify", "skew", "--plo", "1/2", "--phi", "1/4")
+
+    def test_skew_interval_at_zero(self, capsys):
+        self.usage_error(capsys, "verify", "skew", "--plo", "0")
+
+    def test_negative_campaign_size(self, capsys):
+        self.usage_error(capsys, "verify", "families", "--campaign-size", "-5")
+
+    def test_graph_beyond_bruteforce_limit(self, capsys, monkeypatch):
+        cycle = Graph.from_edges(26, [(i, (i + 1) % 26) for i in range(26)])
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(cycle) + "\n"))
+        rc, out, err = run(capsys, "cutstat")
+        assert rc == 2
+        assert err.startswith("occ: ") and "v <= 24" in err
+
+    def test_directory_as_input(self, capsys, tmp_path):
+        rc, _, err = run(capsys, "cutstat", str(tmp_path))
+        assert rc == 2
+        assert err.startswith("occ: ")
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(occlib.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, occlib.cli; print('numpy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestFamiliesCommand:

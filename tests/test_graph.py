@@ -155,6 +155,30 @@ class TestCanonical:
         g = Graph.from_edges(6, [(2, 5), (4, 5), (2, 4)])
         assert canonical_key(g) == canonical_key(TRIANGLE)
 
+    @staticmethod
+    def full_scan(g):
+        """Minimum relabelled mask over every vertex permutation."""
+        pairs = edge_pairs(g.n)
+        edges = [pairs[k] for k in range(len(pairs)) if g.mask >> k & 1]
+        return min(sum(1 << edge_index(s[i], s[j], g.n) for i, j in edges)
+                   for s in itertools.permutations(range(g.n)))
+
+    def test_matches_full_scan_on_every_k5_mask(self):
+        for mask in range(1 << 10):
+            g = Graph(5, mask)
+            assert canonical_form(g) == self.full_scan(g), mask
+
+    def test_matches_full_scan_on_sampled_k6_k7_masks(self):
+        rng = random.Random(29)
+        for n, count in ((6, 150), (7, 12)):
+            for _ in range(count):
+                g = Graph(n, rng.getrandbits(len(edge_pairs(n))))
+                assert canonical_form(g) == self.full_scan(g), (n, g.mask)
+
+    def test_four_matching_key(self):
+        matching = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        assert canonical_key(matching) == (8, 297024)
+
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             canonical_form(Graph(9, 1))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from occlib.cutstats import class_catalogue, cut_profile
 from occlib.graph import Graph, canonical_key, enumerate_unlabeled
 from occlib.spectra import (
     COMBINE_WEIGHT,
@@ -258,17 +259,53 @@ class TestSpectrumAlgebra:
             combined_lambda_by_mask(6)
 
 
+class TestCatalogue:
+    @staticmethod
+    def direct(g, weights, base):
+        """(lambda1, lambda2) straight from one cut profile: weights are the
+        coefficients of q0..q3, base the sign base."""
+        core, profile, total = cut_profile(g)
+        q = [F(0)] * 4
+        forest = cycle = F(0)
+        for mask, c in profile.items():
+            k = mask.bit_count()
+            if k < 4:
+                q[k] += F(c, total)
+            elif k == 4 and Graph(core.n, mask).is_forest():
+                forest += F(c, total)
+            elif k == 4:
+                cycle += F(c, total)
+        sign = base ** g.edge_count
+        return sign * sum(w * qk for w, qk in zip(weights, q)), sign * (forest - cycle)
+
+    def test_matches_direct_recomputation_up_to_six_vertices(self):
+        entries = [e for e in class_catalogue().values() if e.graph.v <= 6]
+        assert len(entries) == 156
+        uniform = (1, F(-5, 7), F(-1, 7), F(3, 28))
+        p = F(3, 8)
+        skew = (1, F(-79, 97), F(1, 97), F(229, 388))
+        s1, s2, sc = Spectrum.uniform1(), Spectrum.uniform2(), Spectrum.combined()
+        sk = Spectrum.skew1(p)
+        for e in entries:
+            l1, l2 = self.direct(e.graph, uniform, -1)
+            assert s1.value(e.stats) == l1
+            assert s2.value(e.stats) == l2
+            assert sc.value(e.stats) == l1 + COMBINE_WEIGHT * l2
+            assert sk.value(e.stats) == self.direct(e.graph, skew, -p / (1 - p))[0]
+
+    def test_keys_and_order_follow_the_enumeration(self):
+        reps = enumerate_unlabeled(7)
+        catalogue = class_catalogue()
+        assert [e.graph for e in catalogue.values()] == list(reps)
+        assert list(catalogue) == [canonical_key(g) for g in reps]
+
+
 class TestCampaigns:
     def test_uniform_claims(self):
         rep = verify_uniform_claims()
         assert rep.ok, rep.failing()
         assert len(tight_uniform_keys()) == 13
         assert len(tight_combined_keys()) == 4
-
-    def test_uniform_claims_parallel_is_identical(self):
-        a = verify_uniform_claims()
-        b = verify_uniform_claims(workers=2)
-        assert [(c.claim_id, c.ok) for c in a.checks] == [(c.claim_id, c.ok) for c in b.checks]
 
     def test_skew_cases_on_full_interval(self):
         rep = verify_skew_cases(TAU, F(1, 2))
