@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("max-independent", "bound-check"))
     p.add_argument("--seed", type=int, default=None,
                    help="shuffle the branching order of the search")
-    p.add_argument("--n", type=int, choices=(4, 5), default=4,
+    p.add_argument("--n", type=int, choices=(4, 5, 6), default=4,
                    help="vertex count for bound-check")
     p.set_defaults(func=cmd_families)
 

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graph import Graph, all_masks, edge_index
-from .hypercube import FunctionOnCube, quadratic_form
+from .hypercube import FunctionOnCube, quadratic_form, walsh_squares
 from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, combined_lambda_by_mask
 from .spectra import VerificationReport, hoffman_bound
 
@@ -88,7 +88,7 @@ class Family:
         for m in self.masks:
             k = m.bit_count()
             by_count[k] = by_count.get(k, 0) + 1
-        return sum(c * p ** k * (1 - p) ** (self.dim - k) for k, c in by_count.items())
+        return sum((c * p ** k * (1 - p) ** (self.dim - k) for k, c in by_count.items()), F(0))
 
     def indicator(self, p: Fraction) -> FunctionOnCube:
         return FunctionOnCube.indicator(self.n, p, self.masks)
@@ -97,8 +97,8 @@ class Family:
 @lru_cache(maxsize=8)
 def triangle_table(n: int) -> tuple[bool, ...]:
     """mask -> does the graph contain a triangle, densely for all of K_n."""
-    if not 3 <= n <= 5:
-        raise ValueError("dense triangle tables supported for 3 <= n <= 5")
+    if not 3 <= n <= 6:
+        raise ValueError("dense triangle tables supported for 3 <= n <= 6")
     return tuple(Graph(n, m).contains_triangle() for m in all_masks(n))
 
 
@@ -257,17 +257,16 @@ def maximum_independent_sets(adj: Sequence[int], seed: int | None = None) -> tup
     return best_size, sorted(out, key=sorted)
 
 
-def fourier_weight_off_tight(fam: Family, lambda_by_mask: dict) -> tuple[Fraction, Fraction]:
-    """(mu, fourier mass on non-minimal characters) at p = 1/2."""
-    f = fam.indicator(F(1, 2))
-    fhat = f.walsh()
+def fourier_weight_off_tight(fam: Family, lambda_by_mask: dict,
+                             squares: Sequence[Fraction] | None = None) -> tuple[Fraction, Fraction]:
+    """(mu, fourier mass on non-minimal characters) at p = 1/2; squares is
+    walsh_squares of the indicator when it is already at hand."""
+    if squares is None:
+        squares = walsh_squares(fam.indicator(F(1, 2)))
     lam_min = min(lambda_by_mask.values())
-    mu = fhat.values[0].to_fraction()
-    w = F(0)
-    for mask, v in enumerate(fhat.values):
-        if mask and lambda_by_mask[mask] != lam_min:
-            w += v.to_fraction() ** 2
-    return mu, w
+    w = sum(sq for mask, sq in enumerate(squares)
+            if mask and sq and lambda_by_mask[mask] != lam_min)
+    return fam.measure(F(1, 2)), F(w)
 
 
 def hoffman_audit(fam: Family) -> dict:
@@ -278,8 +277,9 @@ def hoffman_audit(fam: Family) -> dict:
     """
     lam = combined_lambda_by_mask(fam.n)
     f = fam.indicator(F(1, 2))
-    qf = quadratic_form(f, lam)
-    mu, w = fourier_weight_off_tight(fam, lam)
+    squares = walsh_squares(f)
+    qf = quadratic_form(f, lam, squares)
+    mu, w = fourier_weight_off_tight(fam, lam, squares)
     nu = hoffman_bound(LAMBDA_MIN_UNIFORM).nu
     lhs = mu * mu - mu * nu + w * GAP_COMBINED * (1 - nu)
     return {

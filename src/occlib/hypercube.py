@@ -1,16 +1,23 @@
 """Exact p-biased Fourier analysis on the cube of graphs on n labelled
 vertices, and the shift-averaging tensor operators acting there.
 
-Values live in the quadratic extension Q[sqrt(p(1-p))], so every transform,
-inner product and quadratic form is exact.  When sqrt(p(1-p)) is itself
-rational (p = 1/2 gives 1/2) elements fold to plain rationals.
+Every transform runs one integer butterfly.  With p = a/b the analysis row
+of an edge in S is r*(1, -1), r = sqrt(p(1-p)), so fhat(S) = r^|S| * ghat(S)
+where ghat uses the integer rows (b-a, a) and (1, -1) over values put on one
+common denominator; each output is an integer times a rational scale that
+depends only on |S|.  At p = 1/2 this is the plain Walsh-Hadamard transform
+with fhat(S) = WHT(S)/2^e.  Squared coefficients, and with them quadratic
+forms, are rational for every p.  Values handed to and returned by the
+transforms live in the quadratic extension Q[sqrt(p(1-p))] (QuadExt), built
+only at that boundary; when sqrt(p(1-p)) is itself rational (p = 1/2 gives
+1/2) elements fold to plain rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
 from .graph import Graph, all_masks
@@ -26,6 +33,7 @@ __all__ = [
     "apply_shift_averaged",
     "quadratic_form",
     "walk_step",
+    "walsh_squares",
 ]
 
 F = Fraction
@@ -146,6 +154,9 @@ def _as_quad(v) -> QuadExt:
     return QuadExt(F(v))
 
 
+_ZERO, _ONE = QuadExt(0), QuadExt(1)
+
+
 def walsh_matrix(p: Fraction) -> tuple[tuple[QuadExt, ...], ...]:
     """Per-coordinate analysis butterfly; rows = (e not in S, e in S),
     columns = (edge absent, edge present)."""
@@ -158,6 +169,77 @@ def inverse_walsh_matrix(p: Fraction) -> tuple[tuple[QuadExt, ...], ...]:
     p = F(p)
     root = QuadExt.sqrt(p * (1 - p))
     return ((QuadExt(1), root / (1 - p)), (QuadExt(1), -(root / p)))
+
+
+def _ghat_matrix(p: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    """walsh_matrix(p) with its second row divided by sqrt(p(1-p))."""
+    return ((1 - p, p), (F(1), F(-1)))
+
+
+def _butterfly(vals: Sequence[int], rows, coords: int) -> list[int]:
+    """The integer kernel: on every coordinate i in coords, each pair
+    (lo, hi) = (v[m], v[m | 2^i]) with bit i clear in m becomes
+    (rows[0] . (lo, hi), rows[1] . (lo, hi))."""
+    (r00, r01), (r10, r11) = rows
+    vals = list(vals)
+    size = len(vals)
+    for i in range(size.bit_length() - 1):
+        if not coords >> i & 1:
+            continue
+        h = 1 << i
+        step = 2 * h
+        # loop over whichever is fewer: offsets in a block or blocks
+        if 2 * h * h <= size:
+            halves = [(slice(j, size, step), slice(j + h, size, step)) for j in range(h)]
+        else:
+            halves = [(slice(k, k + h), slice(k + h, k + step)) for k in range(0, size, step)]
+        for lo_at, hi_at in halves:
+            lo, hi = vals[lo_at], vals[hi_at]
+            vals[lo_at] = [r00 * x + r01 * y for x, y in zip(lo, hi)]
+            vals[hi_at] = [r10 * x + r11 * y for x, y in zip(lo, hi)]
+    return vals
+
+
+def _integer_rows(matrix) -> tuple[tuple[tuple[int, int], ...], tuple[int, int]]:
+    """Clear each row of a rational 2x2 matrix by its own denominator:
+    (integer rows, (m0, m1)) with matrix[k] = rows[k] / m_k."""
+    rows, scales = [], []
+    for row in matrix:
+        m = lcm(*(F(x).denominator for x in row))
+        rows.append(tuple(int(F(x) * m) for x in row))
+        scales.append(m)
+    return tuple(rows), tuple(scales)
+
+
+def _integer_parts(values: Sequence[QuadExt]) -> tuple[int, list[list[int]], Fraction]:
+    """Values a + b*sqrt(rad) as integer vectors over one common denominator:
+    (den, [a-part] or [a-part, b-part], rad), rad = 0 for rational values."""
+    rads = {v.d for v in values if v.b}
+    if len(rads) > 1:
+        raise ValueError("mixed radicands")
+    rad = rads.pop() if rads else F(0)
+    comps = [[v.a for v in values]]
+    if rad:
+        comps.append([v.b for v in values])
+    den = lcm(*{x.denominator for comp in comps for x in comp})
+    return den, [[x.numerator * (den // x.denominator) for x in comp] for comp in comps], rad
+
+
+def _apply_rational(values: Sequence[QuadExt], matrix, coords: int) -> list[QuadExt]:
+    """A rational 2x2 matrix on every coordinate in coords, through the
+    integer kernel on the rational and sqrt parts separately.  An output whose
+    index has j of the c coordinates set carries the scale 1/(den m0^(c-j) m1^j)."""
+    rows, (m0, m1) = _integer_rows(matrix)
+    den, parts, rad = _integer_parts(values)
+    outs = [_butterfly(part, rows, coords) for part in parts]
+    c = coords.bit_count()
+    scale = [F(1, den * m0 ** (c - j) * m1 ** j) for j in range(c + 1)]
+    irr = outs[1] if rad else [0] * len(values)
+    out = []
+    for mask, (x, y) in enumerate(zip(outs[0], irr)):
+        k = scale[(mask & coords).bit_count()]
+        out.append(QuadExt(x * k, y * k, rad))
+    return out
 
 
 class FunctionOnCube:
@@ -181,9 +263,9 @@ class FunctionOnCube:
     @staticmethod
     def indicator(n: int, p: Fraction, members: Iterable[int]) -> "FunctionOnCube":
         e = n * (n - 1) // 2
-        vals = [F(0)] * (1 << e)
+        vals = [_ZERO] * (1 << e)
         for mask in members:
-            vals[mask] = F(1)
+            vals[mask] = _ONE
         return FunctionOnCube(n, p, vals)
 
     @staticmethod
@@ -208,30 +290,35 @@ class FunctionOnCube:
             total = total + u * v * self.measure_of_mask(mask)
         return total
 
-    def _butterfly(self, matrix, coords: int) -> "FunctionOnCube":
-        vals = list(self.values)
-        for i in range(self._dim):
-            if not (coords >> i) & 1:
-                continue
-            bit = 1 << i
-            for mask in range(1 << self._dim):
-                if mask & bit:
-                    continue
-                lo, hi = vals[mask], vals[mask | bit]
-                vals[mask] = matrix[0][0] * lo + matrix[0][1] * hi
-                vals[mask | bit] = matrix[1][0] * lo + matrix[1][1] * hi
+    def _like(self, vals: list) -> "FunctionOnCube":
         out = FunctionOnCube.__new__(FunctionOnCube)
         out.n, out.p, out.values, out._dim = self.n, self.p, vals, self._dim
         return out
 
+    def _root_powers(self) -> list[QuadExt]:
+        """sqrt(p(1-p))^k for k = 0..dim."""
+        root = QuadExt.sqrt(self.p * (1 - self.p))
+        out = [QuadExt(1)]
+        for _ in range(self._dim):
+            out.append(out[-1] * root)
+        return out
+
     def walsh(self) -> "FunctionOnCube":
-        """Fourier coefficients indexed by the character's edge set."""
+        """Fourier coefficients indexed by the character's edge set:
+        fhat(S) = sqrt(p(1-p))^|S| * ghat(S)."""
         full = (1 << self._dim) - 1
-        return self._butterfly(walsh_matrix(self.p), full)
+        ghat = _apply_rational(self.values, _ghat_matrix(self.p), full)
+        rp = self._root_powers()
+        return self._like([v * rp[mask.bit_count()] for mask, v in enumerate(ghat)])
 
     def inverse_walsh(self) -> "FunctionOnCube":
+        """f(G) = sum_S fhat(S) sqrt(p(1-p))^|S| prod_{e in S} c(G_e), with
+        c(absent) = 1/(1-p) and c(present) = -1/p."""
         full = (1 << self._dim) - 1
-        return self._butterfly(inverse_walsh_matrix(self.p), full)
+        rp = self._root_powers()
+        scaled = [v * rp[mask.bit_count()] for mask, v in enumerate(self.values)]
+        p = self.p
+        return self._like(_apply_rational(scaled, ((F(1), 1 / (1 - p)), (F(1), -1 / p)), full))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FunctionOnCube):
@@ -309,14 +396,12 @@ class TensorOperator:
     def apply(self, f: FunctionOnCube) -> FunctionOnCube:
         if (f.n, f.p) != (self.n, self.p):
             raise ValueError("mismatched cube")
-        m = self.matrix
-        quad = ((QuadExt(m[0][0]), QuadExt(m[0][1])), (QuadExt(m[1][0]), QuadExt(m[1][1])))
-        return f._butterfly(quad, self._active())
+        return f._like(_apply_rational(f.values, self.matrix, self._active()))
 
     def apply_transpose(self, f: FunctionOnCube) -> FunctionOnCube:
         m = self.matrix
-        quad = ((QuadExt(m[0][0]), QuadExt(m[1][0])), (QuadExt(m[0][1]), QuadExt(m[1][1])))
-        return f._butterfly(quad, self._active())
+        transposed = ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
+        return f._like(_apply_rational(f.values, transposed, self._active()))
 
     def entry(self, g_mask: int, h_mask: int) -> Fraction:
         """Matrix entry between two graphs: product of per-edge entries."""
@@ -337,13 +422,38 @@ class TensorOperator:
         return (-self.p / (1 - self.p)) ** k
 
 
-def quadratic_form(f: FunctionOnCube, lambda_by_mask: dict) -> QuadExt:
-    """Sum over characters of lambda(S) * fhat(S)^2."""
-    fhat = f.walsh()
-    total = QuadExt(0)
-    for mask, v in enumerate(fhat.values):
-        total = total + v * v * lambda_by_mask[mask]
-    return total
+def walsh_squares(f: FunctionOnCube) -> list[Fraction]:
+    """fhat(S)^2 = (p(1-p))^|S| * ghat(S)^2 for every edge set S, exactly.
+
+    Only the integer kernel runs, so f must be rational-valued.
+    """
+    den, parts, rad = _integer_parts(f.values)
+    if rad:
+        raise ValueError("walsh_squares needs a rational-valued function")
+    rows, (m0, m1) = _integer_rows(_ghat_matrix(f.p))
+    e = f._dim
+    ints = _butterfly(parts[0], rows, (1 << e) - 1)
+    # ghat(S) = ints[S] / (den m0^(e-k) m1^k) with k = |S|
+    scales = [(f.p * (1 - f.p)) ** k / (den * m0 ** (e - k) * m1 ** k) ** 2
+              for k in range(e + 1)]
+    zero = F(0)
+    out = []
+    for mask, x in enumerate(ints):
+        if x:
+            k = scales[mask.bit_count()]
+            out.append(F(x * x * k.numerator, k.denominator))
+        else:
+            out.append(zero)
+    return out
+
+
+def quadratic_form(f: FunctionOnCube, lambda_by_mask: dict,
+                   squares: Optional[Sequence[Fraction]] = None) -> QuadExt:
+    """Sum over characters of lambda(S) * fhat(S)^2, for rational-valued f;
+    pass squares = walsh_squares(f) when it is already at hand."""
+    if squares is None:
+        squares = walsh_squares(f)
+    return QuadExt(sum(lambda_by_mask[mask] * sq for mask, sq in enumerate(squares) if sq))
 
 
 def walk_step(g: Graph, b_mask: int, p: Fraction, rng) -> Graph:

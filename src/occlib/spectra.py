@@ -370,9 +370,9 @@ def tight_combined_keys() -> frozenset:
 
 @lru_cache(maxsize=8)
 def combined_lambda_by_mask(n: int) -> dict:
-    """Combined-spectrum eigenvalue for every edge mask of K_n (n <= 5)."""
-    if not 1 <= n <= 5:
-        raise ValueError("dense eigenvalue tables supported for n <= 5")
+    """Combined-spectrum eigenvalue for every edge mask of K_n (n <= 6)."""
+    if not 1 <= n <= 6:
+        raise ValueError("dense eigenvalue tables supported for n <= 6")
     spec = Spectrum.combined()
     by_class = {key: spec.value(e.stats) for key, e in class_catalogue(n).items()}
     return {mask: by_class[canonical_key(Graph(n, mask))]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,22 @@ class TestFamiliesCommand:
         assert payload["family_size_bound"] == "128"
         assert len(payload["umvirate_audits"]) == 10
         assert all(a["mu"] == "1/8" for a in payload["umvirate_audits"])
+
+    def test_bound_check_k6(self, capsys):
+        # a 2^15 cube, the largest the dense tables take
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, "families", "bound-check", "--n", "6",
+                         "--format", "json")
+        elapsed = time.perf_counter() - start
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["lambda_min"] == "-1/7"
+        assert payload["family_size_bound"] == "4096"
+        audits = payload["umvirate_audits"]
+        assert len(audits) == 20
+        assert all(a["ok"] and a["quadratic_form"] == "0" and a["w"] == "0"
+                   and a["mu"] == a["nu"] == "1/8" for a in audits)
+        assert elapsed < 10.0, f"bound-check --n 6 took {elapsed:.2f} s"
 
 
 class TestHoffman:

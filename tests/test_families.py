@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,7 @@ from occlib.families import (
     verify_family_claims,
 )
 from occlib.graph import Graph
+from occlib.spectra import combined_lambda_by_mask
 
 T012 = triangle_masks(4)[0]
 
@@ -202,6 +204,24 @@ class TestHoffmanAudit:
     def test_non_agreeing_family_fails(self):
         a = hoffman_audit(Family(4, [0, 63]))
         assert a["quadratic_form"] != 0 and not a["ok"]
+
+    def test_n5_umvirate_audits_within_budget(self):
+        # the ten audits of bound-check --n 5, eigenvalue table included
+        combined_lambda_by_mask.cache_clear()
+        start = time.perf_counter()
+        audits = [hoffman_audit(umvirate(5, t)) for t in triangle_masks(5)]
+        elapsed = time.perf_counter() - start
+        assert len(audits) == 10
+        assert all(a["ok"] and a["quadratic_form"] == 0 and a["mu"] == F(1, 8)
+                   for a in audits)
+        assert elapsed < 2.0, f"ten n = 5 umvirate audits took {elapsed:.2f} s"
+
+    def test_triangle_table_up_to_six_vertices(self):
+        # labelled triangle-free graphs on 4, 5, 6 vertices (OEIS A006785)
+        for n, free in ((4, 41), (5, 388), (6, 5789)):
+            assert triangle_table(n).count(False) == free
+        with pytest.raises(ValueError):
+            triangle_table(7)
 
 
 class TestCampaign:

@@ -17,6 +17,7 @@ from occlib.hypercube import (
     quadratic_form,
     walk_step,
     walsh_matrix,
+    walsh_squares,
 )
 from occlib.spectra import combined_lambda_by_mask
 
@@ -130,6 +131,108 @@ class TestWalsh:
             FunctionOnCube(3, F(1, 2), [F(0)] * 7)
         with pytest.raises(ValueError):
             FunctionOnCube(3, F(3, 2), [F(0)] * 8)
+
+
+def reference_butterfly(values, matrix, coords):
+    """The per-coordinate QuadExt butterfly, kept here as an oracle for the
+    integer kernel: matrix acts on (v[m], v[m | bit]) for every bit in coords."""
+    vals = list(values)
+    for i in range(len(vals).bit_length() - 1):
+        if not coords >> i & 1:
+            continue
+        bit = 1 << i
+        for mask in range(len(vals)):
+            if mask & bit:
+                continue
+            lo, hi = vals[mask], vals[mask | bit]
+            vals[mask] = matrix[0][0] * lo + matrix[0][1] * hi
+            vals[mask | bit] = matrix[1][0] * lo + matrix[1][1] * hi
+    return vals
+
+
+def random_function(n, p, seed, radicand=None):
+    """Seeded random rational values, or a + b*sqrt(radicand) when given."""
+    rng = random.Random(seed)
+    size = 1 << (n * (n - 1) // 2)
+
+    def q():
+        return F(rng.randint(-6, 6), rng.randint(1, 7))
+
+    if radicand is None:
+        return FunctionOnCube(n, p, [q() for _ in range(size)])
+    return FunctionOnCube(n, p, [QuadExt(q(), q(), radicand) for _ in range(size)])
+
+
+KERNEL_CASES = [(n, p, seed) for n in (3, 4) for p in (F(1, 2), F(1, 3), F(2, 5))
+                for seed in (1, 2)]
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("n,p,seed", KERNEL_CASES)
+    def test_transforms_match_reference(self, n, p, seed):
+        f = random_function(n, p, seed)
+        full = len(f.values) - 1
+        fhat = f.walsh()
+        assert fhat.values == reference_butterfly(f.values, walsh_matrix(p), full)
+        assert f.inverse_walsh().values == \
+            reference_butterfly(f.values, inverse_walsh_matrix(p), full)
+        assert fhat.inverse_walsh() == f
+
+    @pytest.mark.parametrize("n,p,seed", KERNEL_CASES)
+    def test_irrational_values_match_reference(self, n, p, seed):
+        # at p = 1/2 the root is rational, so any radicand may ride along
+        rad = F(3) if p == F(1, 2) else p * (1 - p)
+        f = random_function(n, p, seed, radicand=rad)
+        full = len(f.values) - 1
+        assert f.walsh().values == reference_butterfly(f.values, walsh_matrix(p), full)
+        assert f.inverse_walsh().values == \
+            reference_butterfly(f.values, inverse_walsh_matrix(p), full)
+        assert f.walsh().inverse_walsh() == f
+
+    @pytest.mark.parametrize("n,p,seed", KERNEL_CASES)
+    def test_squares_parseval_and_quadratic_form(self, n, p, seed):
+        f = random_function(n, p, seed)
+        ref = reference_butterfly(f.values, walsh_matrix(p), len(f.values) - 1)
+        squares = walsh_squares(f)
+        assert squares == [(v * v).to_fraction() for v in ref]
+        assert sum(squares) == f.inner(f)
+        lam = combined_lambda_by_mask(n)
+        want = sum((v * v * lam[m] for m, v in enumerate(ref)), QuadExt(0))
+        assert quadratic_form(f, lam) == want
+        assert quadratic_form(f, lam, squares) == want
+
+    def test_half_is_plain_hadamard(self):
+        # at p = 1/2, fhat(S) is the integer Walsh-Hadamard transform over 2^e
+        rng = random.Random(11)
+        ints = [rng.randint(-9, 9) for _ in range(64)]
+        fhat = FunctionOnCube(4, F(1, 2), [F(x) for x in ints]).walsh()
+        for s in range(64):
+            wht = sum(x * (-1) ** (s & m).bit_count() for m, x in enumerate(ints))
+            assert fhat.values[s] == F(wht, 64)
+
+    def test_squares_need_rational_values(self):
+        f = random_function(3, F(1, 3), 4, radicand=F(2, 9))
+        with pytest.raises(ValueError):
+            walsh_squares(f)
+
+    def test_mixed_radicands_rejected(self):
+        vals = [QuadExt(0, 1, F(2, 9))] + [QuadExt(0, 1, F(3))] * 7
+        with pytest.raises(ValueError):
+            FunctionOnCube(3, F(1, 3), vals).walsh()
+
+    @pytest.mark.parametrize("p", [F(1, 3), F(2, 5), F(1, 2)])
+    @pytest.mark.parametrize("b_mask", [0, 0b000101, 0b110000])
+    def test_tensor_apply_matches_dense_matrix(self, p, b_mask):
+        op = TensorOperator(4, p, b_mask)
+        entries = [(g, h, op.entry(g, h)) for g in range(64) for h in range(64)]
+        entries = [t for t in entries if t[2]]
+        for f in (random_function(4, p, 5), character(4, p, 0b011010)):
+            dense, dense_t = [QuadExt(0)] * 64, [QuadExt(0)] * 64
+            for g, h, x in entries:
+                dense[g] += x * f.values[h]
+                dense_t[h] += x * f.values[g]
+            assert op.apply(f).values == dense
+            assert op.apply_transpose(f).values == dense_t
 
 
 class TestShiftOperators:

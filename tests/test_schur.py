@@ -72,6 +72,27 @@ class TestRankAndDeciders:
         vs = VectorSet(4, mask)
         assert has_odd_dependency(vs) == has_odd_dependency_search(vs)
 
+    def test_decider_exhaustive_dimension_four(self):
+        # upward closure over all 2^15 subsets of the 15 nonzero vectors:
+        # reach[m] has bit (parity << 4 | xor) set when some nonempty subset
+        # of m has that size parity and that xor-sum
+        size = 1 << 16
+        reach = [0] * size
+        for m in range(2, size, 2):
+            low = m & -m
+            step = 16 | (low.bit_length() - 1)  # one more vector: flip parity, xor v
+            rest = reach[m ^ low]
+            grown = 1 << step
+            for pair in range(32):
+                if rest >> pair & 1:
+                    grown |= 1 << (pair ^ step)
+            reach[m] = rest | grown
+        odd_zero = 1 << 16  # odd size, xor-sum zero
+        assert reach[VectorSet.from_vectors(4, [1, 2, 3]).mask] & odd_zero
+        assert not reach[INDEP4.mask] & odd_zero
+        assert all(has_odd_dependency(VectorSet(4, m)) == bool(reach[m] & odd_zero)
+                   for m in range(0, size, 2))
+
     def test_search_decider_guard(self):
         with pytest.raises(ValueError):
             has_odd_dependency_search(VectorSet(5, (1 << 32) - 2))

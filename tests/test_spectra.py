@@ -256,7 +256,7 @@ class TestSpectrumAlgebra:
         assert table[_g(4, [(0, 1), (0, 2), (1, 2)]).mask] == F(-1, 7)
         assert min(table.values()) == LAMBDA_MIN_UNIFORM
         with pytest.raises(ValueError):
-            combined_lambda_by_mask(6)
+            combined_lambda_by_mask(7)
 
 
 class TestCatalogue:
