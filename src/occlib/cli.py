@@ -17,7 +17,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .cutstats import builtin_table, cut_distribution_blocks, cut_stats
+from .cutstats import builtin_table, cut_stats
 from .exact import frac_str
 from .families import (
     Family,
@@ -125,11 +125,8 @@ def _finish_campaign(args, argv, report, seed, started) -> int:
 
 
 def _cutstat_rows(args) -> list[dict]:
-    rows = []
     if args.builtin:
-        for name, g, dist in builtin_table():
-            rows.append(_cutstat_row(name, g, dist))
-        return rows
+        return [_cutstat_row(name, g) for name, g, _ in builtin_table()]
     lines: list[str] = []
     if args.files:
         for path in args.files:
@@ -137,20 +134,17 @@ def _cutstat_rows(args) -> list[dict]:
                 lines.extend(fh.read().split())
     else:
         lines.extend(sys.stdin.read().split())
-    for token in lines:
-        g = parse_graph6(token)
-        rows.append(_cutstat_row(token, g, cut_distribution_blocks(g)))
-    return rows
+    return [_cutstat_row(token, parse_graph6(token)) for token in lines]
 
 
-def _cutstat_row(name: str, g: Graph, dist) -> dict:
+def _cutstat_row(name: str, g: Graph) -> dict:
     stats = cut_stats(g)
     return {
         "name": name,
         "graph6": write_graph6(g),
         "vertices": g.v,
         "edges": g.edge_count,
-        "q": [frac_str(p) for p in dist.probs],
+        "q": [frac_str(p) for p in stats.distribution().probs],
         "lambda1": frac_str(Spectrum.uniform1().value(stats)),
         "lambda2": frac_str(Spectrum.uniform2().value(stats)),
         "combined": frac_str(Spectrum.combined().value(stats)),

@@ -21,7 +21,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import Polynomial, frac_str
-from .graph import Graph, block_decomposition, canonical_key, enumerate_unlabeled, write_graph6
+from .graph import (
+    Graph,
+    block_decomposition,
+    canonical_key,
+    edge_pairs,
+    enumerate_unlabeled,
+    write_graph6,
+)
 
 __all__ = [
     "CutDistribution",
@@ -36,6 +43,7 @@ __all__ = [
     "q_iso",
     "check_cut_lemmas",
     "builtin_table",
+    "xor_span",
 ]
 
 _MAX_BRUTE_V = 24
@@ -93,24 +101,24 @@ class CutDistribution:
         return "CutDistribution(" + ", ".join(self.as_strings()) + ")"
 
 
+def xor_span(gens: list[int]) -> tuple[int, ...]:
+    """The xor of every subset of gens, at the index whose bit i selects gens[i]."""
+    out = [0]
+    for g in gens:
+        out += [m ^ g for m in out]
+    return tuple(out)
+
+
 @lru_cache(maxsize=32)
 def _cut_mask_table(v: int) -> tuple[int, ...]:
-    """Cut edge-masks of K_v for every coloring with vertex 0 on side 0."""
-    pairs_idx = []
-    k = 0
-    for i in range(v):
-        for j in range(i + 1, v):
-            pairs_idx.append((i, j, k))
-            k += 1
-    out = []
-    for s_high in range(1 << max(v - 1, 0)):
-        s = s_high << 1
-        m = 0
-        for i, j, idx in pairs_idx:
-            if ((s >> i) ^ (s >> j)) & 1:
-                m |= 1 << idx
-        out.append(m)
-    return tuple(out)
+    """Cut edge-masks of K_v for every coloring with vertex 0 on side 0, at
+    the index whose bit u-1 puts vertex u on side 1.  The cut of a vertex set
+    is the xor of its vertices' stars."""
+    stars = [0] * v
+    for k, (i, j) in enumerate(edge_pairs(v)):
+        stars[i] |= 1 << k
+        stars[j] |= 1 << k
+    return xor_span(stars[1:])
 
 
 def cut_profile(g: Graph) -> tuple[Graph, dict[int, int], int]:

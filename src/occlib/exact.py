@@ -11,13 +11,11 @@ strings.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
-    "Rational",
     "Polynomial",
     "RationalFunction",
     "CertificateError",
@@ -29,8 +27,6 @@ __all__ = [
     "frac_str",
     "parse_frac",
 ]
-
-Rational = Fraction
 
 Coeffable = Union[int, Fraction]
 

@@ -133,9 +133,6 @@ class Graph:
         self._check_same_n(other)
         return self.mask & ~other.mask == 0
 
-    def with_edge(self, i: int, j: int) -> "Graph":
-        return Graph(self.n, self.mask | 1 << edge_index(i, j, self.n))
-
     # structure
 
     def adjacency(self) -> list[int]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, all_masks
+from .graph import Graph
 
 __all__ = [
     "QuadExt",
@@ -267,10 +267,6 @@ class FunctionOnCube:
         for mask in members:
             vals[mask] = _ONE
         return FunctionOnCube(n, p, vals)
-
-    @staticmethod
-    def from_graph_values(n: int, p: Fraction, fn) -> "FunctionOnCube":
-        return FunctionOnCube(n, p, [fn(m) for m in all_masks(n)])
 
     def measure_of_mask(self, mask: int) -> Fraction:
         k = mask.bit_count()

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
-from .cutstats import CutDistribution, CutStats, cut_stats
+from .cutstats import CutDistribution, CutStats, cut_stats, xor_span
 from .graph import Graph, edge_pairs, enumerate_unlabeled
 from .spectra import (
     GAP_COMBINED,
@@ -176,14 +176,9 @@ class VectorSet:
 
 @lru_cache(maxsize=8)
 def _parity_masks(n: int) -> tuple[int, ...]:
-    out = []
-    for w in range(1 << n):
-        m = 0
-        for v in range(1, 1 << n):
-            if (v & w).bit_count() & 1:
-                m |= 1 << v
-        out.append(m)
-    return tuple(out)
+    """Entry w has bit v set when <v, w> is odd.  That parity is linear in w,
+    so the table is the xor span of the masks of the coordinate functionals."""
+    return xor_span([sum(1 << v for v in range(1, 1 << n) if v >> b & 1) for b in range(n)])
 
 
 def is_schur_triple(vs: VectorSet) -> bool:

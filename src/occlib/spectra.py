@@ -29,8 +29,8 @@ from .exact import (
     count_roots_above,
     frac_str,
 )
-from .cutstats import CutStats, class_catalogue, cut_distribution_bruteforce, cut_stats
-from .graph import Graph, canonical_key, write_graph6
+from .cutstats import CutStats, class_catalogue, cut_stats
+from .graph import Graph, block_decomposition, canonical_key, write_graph6
 
 __all__ = [
     "TAU",
@@ -74,18 +74,60 @@ GAP_COMBINED = F(1, 952)
 UNIFORM_COEFFS = (F(1), F(-5, 7), F(-1, 7), F(3, 28))
 
 
-@lru_cache(maxsize=1)
-def _rf_coefficients() -> tuple[RationalFunction, ...]:
-    """(c1, c2, c3, T, ratio) of the p-biased first spectrum as exact rational
-    functions of p, with T = -lambda_min and ratio = p/(1-p)."""
-    p = RationalFunction.x()
+# closed forms in p: plain field arithmetic, so one definition gives exact
+# values at a Fraction bias (validated by the public entry points) and, at the
+# symbol RationalFunction.x(), the rational functions the certificates use
+
+
+def _ratio(p):
+    """p/(1-p): the p-biased sign base is -p/(1-p)."""
+    return p / (1 - p)
+
+
+def _threshold(p):
+    """T = p^3/(1-p^3) = -lambda_min, for which the Hoffman bound gives mu <= p^3."""
+    return p ** 3 / (1 - p ** 3)
+
+
+def _coefficients(p) -> tuple:
+    """(c1, c2, c3) of the p-biased first spectrum."""
     den = p * p + p + 1
     c1 = (p * p - p - 1) / den
     c2 = (p * p - 3 * p + 1) / den
     c3 = (5 * p * p - 27 * p + 45 - 28 / p + 6 / (p * p)) / (4 * den)
-    t = p ** 3 / (1 - p ** 3)
-    ratio = p / (1 - p)
-    return c1, c2, c3, t, ratio
+    return c1, c2, c3
+
+
+def _pinned(p) -> tuple:
+    """(c1, c2, lower, upper) of solve_coefficients: pinning the edge, the
+    2-edge path and the triangle at -T, and bounding 4 c3 + c4 by the 4-edge
+    forest (lower) and K4 minus an edge (upper)."""
+    t, r = _threshold(p), _ratio(p)
+    c1 = 2 * t / r - 1
+    c2 = -4 * t / r ** 2 - 1 - 2 * c1
+    # triangle: -(r^3)(1/4 + 3/4 c2) must equal -t
+    if -(r ** 3) * (F(1, 4) + F(3, 4) * c2) != -t:
+        raise AssertionError("triangle equation inconsistent with edge and path")
+    lower = -16 * t / r ** 4 - 1 - 4 * c1 - 6 * c2
+    upper = 8 * t / r ** 5 - 1 - 2 * c2
+    return c1, c2, lower, upper
+
+
+def _d0(m: int, coeffs):
+    """2^-m sum_k coeffs[k] C(m, k): the first-spectrum bracket of m bridges,
+    whose cut size is Binomial(m, 1/2); coeffs weigh q0..q3."""
+    return sum(c * comb(m, k) for k, c in enumerate(coeffs)) / 2 ** m
+
+
+def _smallp_bracket(k: int, p):
+    """The small-bias eigenvalue of a graph with k edges over its sign base."""
+    den = 1 + p + p * p
+    return 1 - k * (1 + p) / den + comb(k, 2) / den
+
+
+def _lambda_smallp(k: int, p):
+    """Small-bias eigenvalue of a graph with k edges."""
+    return (-_ratio(p)) ** k * _smallp_bracket(k, p)
 
 
 def eval_lambda1_uniform(g: Graph) -> Fraction:
@@ -108,12 +150,11 @@ def skew_coefficients(p: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     p = F(p)
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")
-    return tuple(c(p) for c in _rf_coefficients()[:3])
+    return _coefficients(p)
 
 
 def lambda_min_skew(p: Fraction) -> Fraction:
-    p = F(p)
-    return -p ** 3 / (1 - p ** 3)
+    return -_threshold(F(p))
 
 
 def eval_lambda1_skew(g: Graph, p: Fraction) -> Fraction:
@@ -133,16 +174,14 @@ def eval_lambda_smallp(size: int, p: Fraction) -> Fraction:
         raise ValueError("small-bias spectrum defined for 0 < p <= 31/125")
     if size < 0:
         raise ValueError("negative edge count")
-    den = 1 + p + p * p
-    bracket = 1 - F(size) * (1 + p) / den + F(comb(size, 2)) / den
-    return (-p / (1 - p)) ** size * bracket
+    return _lambda_smallp(size, p)
 
 
 def case_constant(m: int) -> Fraction:
     """r(m) = 2^-m (1 - 5/7 m - 1/7 C(m,2) + 3/28 C(m,3))."""
     if m < 0:
         raise ValueError("negative bridge count")
-    return sum(c * comb(m, k) for k, c in enumerate(UNIFORM_COEFFS)) / 2 ** m
+    return _d0(m, UNIFORM_COEFFS)
 
 
 def _skew_bias(p: Fraction) -> Fraction:
@@ -159,8 +198,9 @@ class Spectrum:
     kind is descriptive only.  coeffs maps statistic names to rational
     weights; supported statistics are "q0".."q9" (cut-size probabilities),
     "forest4" and "cycle4" (isomorphism-typed 4-edge cut probabilities).
-    p = None means the uniform sign base (-1)^|G|, otherwise (-p/(1-p))^|G|.
-    This is the one evaluator: every eigenvalue of a graph or a vector set
+    p = None means the uniform sign base (-1)^|G|, otherwise (-p/(1-p))^|G|;
+    at p = RationalFunction.x() the weights and values are rational functions
+    of p.  This is the one evaluator: every eigenvalue of a graph or a vector set
     is a Spectrum applied to its CutStats.
     """
 
@@ -181,7 +221,7 @@ class Spectrum:
             else:
                 raise ValueError(f"unknown statistic {name!r}")
             hits += w * count
-        base = F(-1) if self.p is None else -self.p / (1 - self.p)
+        base = F(-1) if self.p is None else -_ratio(self.p)
         return base ** stats.size * hits / stats.total
 
     def scaled(self, factor: Fraction) -> "Spectrum":
@@ -209,12 +249,16 @@ class Spectrum:
 
     @staticmethod
     def skew1(p: Fraction) -> "Spectrum":
-        c1, c2, c3 = skew_coefficients(_skew_bias(p))
-        return Spectrum("skew-1", (("q0", F(1)), ("q1", c1), ("q2", c2), ("q3", c3)), F(p))
+        return _skew1(_skew_bias(p))
 
     @staticmethod
     def skew2(p: Fraction) -> "Spectrum":
         return Spectrum("skew-2", Spectrum.uniform2().coeffs, _skew_bias(p))
+
+
+def _skew1(p) -> Spectrum:
+    c1, c2, c3 = _coefficients(p)
+    return Spectrum("skew-1", (("q0", F(1)), ("q1", c1), ("q2", c2), ("q3", c3)), p)
 
 
 @dataclass(frozen=True)
@@ -242,16 +286,7 @@ def solve_coefficients(p: Fraction) -> SolvedCoefficients:
     p = F(p)
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")
-    t = p ** 3 / (1 - p ** 3)
-    r = p / (1 - p)
-    c1 = 2 * t / r - 1
-    c2 = -4 * t / r ** 2 - 1 - 2 * c1
-    # triangle: -(r^3)(1/4 + 3/4 c2) must equal -t
-    if -(r ** 3) * (F(1, 4) + F(3, 4) * c2) != -t:
-        raise AssertionError("triangle equation inconsistent with edge and path")
-    lower = -16 * t / r ** 4 - 1 - 4 * c1 - 6 * c2
-    upper = 8 * t / r ** 5 - 1 - 2 * c2
-    return SolvedCoefficients(p, c1, c2, lower, upper)
+    return SolvedCoefficients(p, *_pinned(p))
 
 
 @dataclass(frozen=True)
@@ -331,6 +366,7 @@ def _ref_graphs() -> dict[str, Graph]:
     return {
         "edge": Graph.from_edges(2, [(0, 1)]),
         "path2": Graph.from_edges(3, [(0, 1), (1, 2)]),
+        "path3": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
         "forest2": Graph.from_edges(4, [(0, 1), (2, 3)]),
         "triangle": Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]),
         "K4minus": Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
@@ -471,23 +507,18 @@ def verify_uniform_claims() -> VerificationReport:
     # structure facts the size-based analysis relies on, at desk scale
     reps = [e.graph for e in catalogue.values()]
     bridgeless_small = {canonical_key(g) for g in reps
-                        if g.edge_count and block_decomposition_m(g) == 0 and g.edge_count <= 5}
+                        if g.edge_count and block_decomposition(g).m == 0 and g.edge_count <= 5}
     expected_bridgeless = {canonical_key(refs[n]) for n in ("triangle", "C4", "C5", "K4minus")}
     rep.add("structure:bridgeless-with-<=5-edges", bridgeless_small == expected_bridgeless)
     exempt = (canonical_key(refs["triangle"]), k4m_key)
     rep.add("structure:odd-bridgeless-q0<=1/16",
             all(e.stats.distribution()[0] <= F(1, 16) for key, e in catalogue.items()
-                if e.stats.size % 2 and block_decomposition_m(e.graph) == 0
+                if e.stats.size % 2 and block_decomposition(e.graph).m == 0
                 and key not in exempt))
     rep.add("structure:one-bridge-size-gap",
             all(g.edge_count == 1 or g.edge_count >= 4
-                for g in reps if block_decomposition_m(g) == 1))
+                for g in reps if block_decomposition(g).m == 1))
     return rep
-
-
-def block_decomposition_m(g: Graph) -> int:
-    from .graph import block_decomposition
-    return block_decomposition(g).m
 
 
 # ---------------------------------------------------------------------------
@@ -495,35 +526,15 @@ def block_decomposition_m(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _d0(m: int, c1, c2, c3) -> RationalFunction:
-    return (1 + m * c1 + comb(m, 2) * c2 + comb(m, 3) * c3) * F(1, 2 ** m)
-
-
-def _d2(m: int, c2, c3) -> RationalFunction:
-    return (c2 + m * c3) * F(1, 2 ** m)
-
-
-def _lambda_skew_rf(dist: tuple[Fraction, ...], size: int) -> RationalFunction:
-    """Symbolic skew eigenvalue of a graph with the given cut-size law."""
-    c1, c2, c3, _, ratio = _rf_coefficients()
-    coeffs = (RationalFunction.constant(1), c1, c2, c3)
-    bracket = RationalFunction.constant(0)
-    for k, qk in enumerate(dist):
-        if qk == 0 or k > 3:
-            continue
-        bracket = bracket + coeffs[k] * qk
-    signed = ratio ** size * bracket
-    return signed if size % 2 == 0 else -signed
-
-
-def _skew_cases() -> list[tuple[str, RationalFunction, bool]]:
+def _skew_cases(spec: Spectrum, t: RationalFunction) -> list[tuple[str, RationalFunction, bool]]:
     """(case id, rational function required positive on [p_lo, p_hi],
-    whether a zero exactly at p = 1/2 is the expected equality)."""
-    c1, c2, c3, t, ratio = _rf_coefficients()
-    binom = lambda k: tuple(F(comb(k, i), 2 ** k) for i in range(k + 1))
+    whether a zero exactly at p = 1/2 is the expected equality), from the
+    first skew spectrum and T at the symbol p."""
+    coeffs = tuple(w for _, w in spec.coeffs)
+    _, c1, c2, c3 = coeffs
+    ratio = _ratio(spec.p)
+    _, _, lower, upper = _pinned(spec.p)
     refs = _ref_graphs()
-    c5_dist = tuple(cut_distribution_bruteforce(refs["C5"]).probs)
-    k4m_dist = tuple(cut_distribution_bruteforce(refs["K4minus"]).probs)
 
     cases: list[tuple[str, RationalFunction, bool]] = [
         ("coef:c3>0", c3, False),
@@ -532,45 +543,33 @@ def _skew_cases() -> list[tuple[str, RationalFunction, bool]]:
         ("coef:1+2c1<0", -(1 + 2 * c1), False),
         ("coef:c2+2c3>0", c2 + 2 * c3, False),
         ("coef:c1+7c3>0", c1 + 7 * c3, False),
-        ("coef:d0(10)>0", _d0(10, c1, c2, c3), False),
-        ("coef:4c3>=forest4-lower", 4 * c3 - _forest4_lower(), True),
-        ("coef:4c3<=K4minus-upper", _k4minus_upper() - 4 * c3, True),
-        ("odd:3-forest", _lambda_skew_rf(binom(3), 3) + t, False),
+        ("coef:d0(10)>0", _d0(10, coeffs), False),
+        ("coef:4c3>=forest4-lower", 4 * c3 - lower, True),
+        ("coef:4c3<=K4minus-upper", upper - 4 * c3, True),
+        ("odd:3-forest", spec.value(refs["path3"]) + t, False),
         ("odd:m>=2,size>=5,c2-term", t - ratio ** 5 * (F(3, 4) * c2 + c3 * F(1, 2)), False),
         ("odd:m>=2,size>=5,no-c2", t - ratio ** 5 * (c3 * F(1, 2)), False),
         ("odd:m=1,size>=5,c2-term",
          t - ratio ** 5 * ((1 + c1) * F(1, 4) + F(3, 4) * c2 + c3 * F(1, 2)), False),
         ("odd:m=1,size>=5,no-c2",
          t - ratio ** 5 * ((1 + c1) * F(1, 4) + c3 * F(1, 2)), False),
-        ("odd:m=0,C5", _lambda_skew_rf(c5_dist, 5) + t, False),
-        ("odd:m=0,K4minus", _lambda_skew_rf(k4m_dist, 5) + t, True),
+        ("odd:m=0,C5", spec.value(refs["C5"]) + t, False),
+        ("odd:m=0,K4minus", spec.value(refs["K4minus"]) + t, True),
         ("odd:m=0,size>=7,c2-term",
          t - ratio ** 7 * (F(1, 16) + F(3, 4) * c2 + c3 * F(1, 2)), False),
         ("odd:m=0,size>=7,no-c2", t - ratio ** 7 * (F(1, 16) + c3 * F(1, 2)), False),
-        ("even:forest4", ratio ** 4 * _d0(4, c1, c2, c3) + t, True),
-        ("even:forest6", ratio ** 6 * _d0(6, c1, c2, c3) + t, False),
-        ("even:forest8", ratio ** 8 * _d0(8, c1, c2, c3) + t, False),
+        ("even:forest4", ratio ** 4 * _d0(4, coeffs) + t, True),
+        ("even:forest6", ratio ** 6 * _d0(6, coeffs) + t, False),
+        ("even:forest8", ratio ** 8 * _d0(8, coeffs) + t, False),
     ]
     for m in range(10):
-        d0m = _d0(m, c1, c2, c3)
-        d2m = _d2(m, c2, c3)
+        d0m = _d0(m, coeffs)
+        d2m = (c2 + m * c3) / 2 ** m
         cases.append((f"even:m={m},d0-term", ratio ** 2 * d0m * F(1, 4) + t, False))
         cases.append((f"even:m={m},d2-term", ratio ** 2 * d2m * F(3, 4) + t, False))
         cases.append((f"even:m={m},both-terms",
                       ratio ** 2 * (d0m * F(1, 4) + d2m * F(3, 4)) + t, False))
     return cases
-
-
-def _forest4_lower() -> RationalFunction:
-    """Lower bound on 4c3 + c4 forced by the 4-edge forests."""
-    c1, c2, _, t, ratio = _rf_coefficients()
-    return -16 * t / ratio ** 4 - 1 - 4 * c1 - 6 * c2
-
-
-def _k4minus_upper() -> RationalFunction:
-    """Upper bound on 4c3 + c4 forced by K4 minus an edge."""
-    _, c2, _, t, ratio = _rf_coefficients()
-    return 8 * t / ratio ** 5 - 1 - 2 * c2
 
 
 def _certify_case(case_id: str, rf: RationalFunction, p_lo: Fraction, p_hi: Fraction,
@@ -601,15 +600,13 @@ def verify_skew_cases(p_lo: Fraction, p_hi: Fraction) -> VerificationReport:
     witness = F(3, 8) if p_lo <= F(3, 8) <= p_hi else (p_lo + p_hi) / 2
 
     # identities: the four tight classes sit exactly at -p^3/(1-p^3)
-    _, _, _, t, _ = _rf_coefficients()
-    binom = lambda k: tuple(F(comb(k, i), 2 ** k) for i in range(k + 1))
-    tri_dist = tuple(cut_distribution_bruteforce(_ref_graphs()["triangle"]).probs)
-    for name, dist, size in [("edge", binom(1), 1), ("path2", binom(2), 2),
-                             ("forest2", binom(2), 2), ("triangle", tri_dist, 3)]:
-        rep.add(f"identity:lambda({name})=-p^3/(1-p^3)",
-                _lambda_skew_rf(dist, size) == -t)
+    spec = _skew1(RationalFunction.x())
+    t = _threshold(spec.p)
+    refs = _ref_graphs()
+    for name in ("edge", "path2", "forest2", "triangle"):
+        rep.add(f"identity:lambda({name})=-p^3/(1-p^3)", spec.value(refs[name]) == -t)
 
-    for case_id, rf, eq_half in _skew_cases():
+    for case_id, rf, eq_half in _skew_cases(spec, t):
         cert, ok = _certify_case(case_id, rf, p_lo, p_hi, witness, eq_half)
         rep.certificates.append(cert)
         detail = ""
@@ -643,21 +640,13 @@ def verify_skew_cases(p_lo: Fraction, p_hi: Fraction) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _smallp_bracket(k: int) -> RationalFunction:
-    p = RationalFunction.x()
-    den = 1 + p + p * p
-    return 1 - k * (1 + p) / den + comb(k, 2) / den
-
-
 def verify_smallp() -> VerificationReport:
     """Verify the small-bias spectrum facts on (0, 31/125]."""
     rep = VerificationReport("small-bias")
     p = RationalFunction.x()
-    one = RationalFunction.constant(1)
-    ratio = p / (1 - p)
-    t = p ** 3 / (1 - p ** 3)
+    ratio, t = _ratio(p), _threshold(p)
 
-    g_fn = one - p ** 2 * (6 - 4 * p + p ** 2) / (one - p) ** 4
+    g_fn = 1 - p ** 2 * (6 - 4 * p + p ** 2) / (1 - p) ** 4
     rep.add("g(0)=1", g_fn(F(0)) == 1)
     rep.add("g(1/4)=0", g_fn(F(1, 4)) == 0)
 
@@ -676,10 +665,10 @@ def verify_smallp() -> VerificationReport:
             certg.passed and certg.witness_sign > 0 and certg.zero_at_upper)
 
     # gap identity: -lambda_min - |lambda_5| = (-lambda_min) * g exactly
-    lam5 = -(ratio ** 5) * _smallp_bracket(5)
+    lam5 = _lambda_smallp(5, p)
     rep.add("identity:gap=T*g", (t - (-lam5)) == t * g_fn)
     rep.add("identity:lambda5-bracket",
-            _smallp_bracket(5) == (6 - 4 * p + p ** 2) / (1 + p + p * p))
+            _smallp_bracket(5, p) == (6 - 4 * p + p ** 2) / (1 + p + p * p))
 
     witness = F(1, 8)
     # lambda_5 < 0:  p^5 (6 - 4p + p^2) style numerator, zero only at p = 0
@@ -690,7 +679,7 @@ def verify_smallp() -> VerificationReport:
 
     # even sizes 4..100: eigenvalue nonnegative (bracket positive)
     for k in range(4, 101, 2):
-        ck = certify_sign(_smallp_bracket(k).sign_polynomial(), F(0), TAU, witness,
+        ck = certify_sign(_smallp_bracket(k, p).sign_polynomial(), F(0), TAU, witness,
                           f"smallp:even-bracket-{k}>0")
         rep.certificates.append(ck)
         rep.add(f"certificate:smallp:even-bracket-{k}>0",
@@ -698,7 +687,7 @@ def verify_smallp() -> VerificationReport:
 
     # odd sizes 5..97: magnitudes strictly decay two steps at a time
     for k in range(5, 98, 2):
-        decay = _smallp_bracket(k) - ratio ** 2 * _smallp_bracket(k + 2)
+        decay = _smallp_bracket(k, p) - ratio ** 2 * _smallp_bracket(k + 2, p)
         ck = certify_sign(decay.sign_polynomial(), F(0), TAU, witness,
                           f"smallp:odd-decay-{k}")
         rep.certificates.append(ck)

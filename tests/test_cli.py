@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -102,6 +103,28 @@ class TestVerify:
         assert payload["ok"] is True
         assert payload["campaign"] == "oldc-claims"
         assert len(payload["report"]["checks"]) == 22
+
+
+class TestReportDigests:
+    """sha256 of the JSON reports of the certificate campaigns with
+    runtime_seconds removed: pins every claim and certificate polynomial."""
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (("verify", "skew"), 0,
+         "5a08e84a05b3035167fa8462c794865ebc5d720860fe2a6d33bb809f161bbf75"),
+        (("verify", "skew", "--plo", "6/25", "--phi", "31/125"), 1,
+         "b60a09001ae8c837668efb0c3070cdd680fdb1c0babc2d8bcdb0e02ff5128b67"),
+        (("verify", "smallp"), 0,
+         "51aa8b24ce6e87ce449ce32b371f641c255bc4693e1f956a83fec0ff0b8196ae"),
+        (("verify", "uniform"), 0,
+         "e16f2f01fddbea2fbc3434b00a00092e49417dbe10a2fc1d260d266b6b6fa13f"),
+    ], ids=["skew", "skew-below-tau", "smallp", "uniform"])
+    def test_json_report_digest(self, capsys, argv, code, digest):
+        rc, out, _ = run(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        del payload["runtime_seconds"]
+        assert rc == code
+        assert hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest() == digest
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 """Tests for cut-size laws, the block product formula and isomorphism typing."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ import pytest
 from occlib.cutstats import (
     CutDistribution,
     CutLemmaViolation,
+    _cut_mask_table,
     builtin_table,
     check_cut_lemmas,
     cut_distribution_blocks,
@@ -77,6 +79,22 @@ class TestReferenceValues:
 def _choose(n, k):
     from math import comb
     return comb(n, k)
+
+
+def _cut_masks_by_pairs(v):
+    """Reference table: every pair of K_v tested against every coloring with
+    vertex 0 on side 0, bit u of the coloring putting vertex u on side 1."""
+    pairs = list(itertools.combinations(range(v), 2))
+    out = []
+    for s_high in range(1 << max(v - 1, 0)):
+        s = s_high << 1
+        out.append(sum(1 << k for k, (i, j) in enumerate(pairs) if (s >> i ^ s >> j) & 1))
+    return tuple(out)
+
+
+def test_cut_mask_table_matches_pairwise_definition():
+    for v in range(13):
+        assert _cut_mask_table(v) == _cut_masks_by_pairs(v), v
 
 
 class TestBlockFormula:

@@ -7,6 +7,7 @@ from occlib.cutstats import cut_distribution_bruteforce
 from occlib.graph import Graph, enumerate_unlabeled, random_graph
 from occlib.schur import (
     VectorSet,
+    _parity_masks,
     eval_lambda1_skew_vectors,
     eval_lambda1_vectors,
     eval_lambda2_vectors,
@@ -128,6 +129,12 @@ class TestVectorSetBasics:
         cut = TRIPLE.cut(0b01)
         assert cut.vectors() == [1, 3]  # vectors with odd inner product
         assert TRIPLE.cut(0).size == 0
+
+    def test_parity_masks_match_inner_product_definition(self):
+        for n in range(1, 6):
+            want = tuple(sum(1 << v for v in range(1, 1 << n) if (v & w).bit_count() % 2)
+                         for w in range(1 << n))
+            assert _parity_masks(n) == want, n
 
     def test_cut_out_of_range(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from occlib import spectra
 from occlib.cutstats import class_catalogue, cut_profile
-from occlib.graph import Graph, canonical_key, enumerate_unlabeled
+from occlib.exact import RationalFunction
+from occlib.graph import Graph, canonical_key, enumerate_unlabeled, write_graph6
 from occlib.spectra import (
     COMBINE_WEIGHT,
     GAP_COMBINED,
@@ -171,6 +173,42 @@ class TestSolveCoefficients:
         # the guard exists to catch regressions in the solve itself
         for den in range(3, 40):
             solve_coefficients(F(1, den))
+
+
+class TestSymbolicClosedForms:
+    """Each closed form in p is written once; at the symbol p it must give the
+    rational function whose values are the Fraction results."""
+
+    BIASES = (TAU, F(3, 8), F(1, 2))
+
+    def test_skew_spectrum_on_small_classes(self):
+        sym = spectra._skew1(RationalFunction.x())
+        for e in class_catalogue(5).values():
+            lam = sym.value(e.stats)
+            for p in self.BIASES:
+                assert lam(p) == Spectrum.skew1(p).value(e.stats), (write_graph6(e.graph), p)
+
+    def test_pinned_bounds(self):
+        x = RationalFunction.x()
+        c1, c2, lower, upper = spectra._pinned(x)
+        assert (c1, c2) == spectra._coefficients(x)[:2]
+        for p in self.BIASES:
+            sol = solve_coefficients(p)
+            assert (c1(p), c2(p), lower(p), upper(p)) == (sol.c1, sol.c2, sol.lower, sol.upper)
+
+    def test_small_bias_bracket(self):
+        x = RationalFunction.x()
+        for k in range(13):
+            bracket, lam = spectra._smallp_bracket(k, x), spectra._lambda_smallp(k, x)
+            for p in self.BIASES:
+                assert bracket(p) == spectra._smallp_bracket(k, p)
+                assert lam(p) == spectra._lambda_smallp(k, p)
+            assert lam(TAU) == eval_lambda_smallp(k, TAU)
+
+    def test_forest_bracket_at_half_is_case_constant(self):
+        coeffs = (F(1),) + spectra._coefficients(RationalFunction.x())
+        for m in range(13):
+            assert spectra._d0(m, coeffs)(F(1, 2)) == case_constant(m)
 
 
 class TestHoffman:
