@@ -211,8 +211,9 @@ class ClassEntry:
 @lru_cache(maxsize=None)
 def class_catalogue(max_vertices: int = 7) -> dict[tuple[int, int], ClassEntry]:
     """Every class with at most max_vertices non-isolated vertices, by key, in
-    the order of enumerate_unlabeled; built once per process and size."""
-    return {e.key: e for e in (ClassEntry(g, canonical_key(g), cut_stats(g))
+    the order of enumerate_unlabeled; built once per process and size.  The
+    representatives are canonical cores, so each key is (v, mask) as is."""
+    return {e.key: e for e in (ClassEntry(g, (g.v, g.mask), cut_stats(g))
                                for g in enumerate_unlabeled(max_vertices))}
 
 

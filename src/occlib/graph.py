@@ -329,12 +329,22 @@ def canonical_form(g: Graph) -> int:
     since swapping two twins is an automorphism, and partial labellings that
     leave the same state behind are merged.
     """
-    n = g.n
-    if n > _CANON_MAX_N:
+    if g.n > _CANON_MAX_N:
         raise ValueError(f"canonical form search needs n <= {_CANON_MAX_N}")
     if g.mask == 0:
         return 0
-    adj = g.adjacency()
+    return _least_relabelling(g.n, g.adjacency())
+
+
+def _least_relabelling(n: int, adj: list[int], bound: int | None = None) -> int | None:
+    """The search behind canonical_form, on neighbour bitmasks.
+
+    With a bound, return None as soon as some partial labelling has a block
+    strictly below the bound's block at the same label; the bound is then
+    not the minimum of its class.  A bound taken from the class itself is
+    never below the minimum, so if no block undercuts it the minimum is the
+    bound and the bound is returned.
+    """
     # a vertex becomes placeable once its lower-index twins are placed
     needs = [sum(1 << w for w in range(u)
                  if adj[u] & ~(1 << w) == adj[w] & ~(1 << u)) for u in range(n)]
@@ -343,7 +353,11 @@ def canonical_form(g: Graph) -> int:
     states = [(0, (0,) * n)]
     value = 0
     for k in range(n - 1, -1, -1):
-        best = 1 << n
+        shift = edge_index(k, k + 1, n) if k < n - 1 else 0
+        if bound is None:
+            best = 1 << n
+        else:
+            best = bound >> shift & ((1 << (n - 1 - k)) - 1)
         ties = []
         for placed, labels in states:
             free = ~placed
@@ -351,11 +365,12 @@ def canonical_form(g: Graph) -> int:
                 if free >> u & 1 and not needs[u] & free:
                     block = labels[u] >> (k + 1)
                     if block < best:
+                        if bound is not None:
+                            return None
                         best, ties = block, [(placed, labels, u)]
                     elif block == best:
                         ties.append((placed, labels, u))
-        if k < n - 1:
-            value |= best << edge_index(k, k + 1, n)
+        value |= best << shift
         grown = set()
         for placed, labels, u in ties:
             nxt = list(labels)
@@ -379,36 +394,38 @@ def canonical_key(g: Graph) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def enumerate_unlabeled(max_vertices: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of graphs without isolated
-    vertices on at most max_vertices vertices (the empty graph included)."""
+    vertices on at most max_vertices vertices (the empty graph included),
+    each with its canonical mask, sorted by (v, edge count, mask).
+
+    Orderly generation downward from K_n: setting the lowest zero bit of a
+    canonical mask gives another canonical mask, so every canonical mask but
+    K_n's has exactly one canonical parent.  A canonical mask's children are
+    therefore the canonical masks among it with one of the bits below its
+    lowest zero bit cleared, and each class is met exactly once.  Isolated
+    vertices take the top labels of a canonical mask, so stripping them
+    leaves the core's canonical mask.
+    """
     if not 1 <= max_vertices <= 7:
         raise ValueError("exhaustive enumeration supported for 1..7 vertices")
     n = max_vertices
-    e = len(edge_pairs(n))
-    canon_cache: dict[int, int] = {0: 0}
-
-    def canon(mask: int) -> int:
-        got = canon_cache.get(mask)
-        if got is None:
-            got = canonical_form(Graph(n, mask))
-            canon_cache[mask] = got
-        return got
-
-    level = {0}
-    seen = {0}
-    for _ in range(e):
-        nxt = set()
-        for mask in level:
-            free = ~mask & ((1 << e) - 1)
-            while free:
-                bit = free & -free
-                free ^= bit
-                c = canon(mask | bit)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.add(c)
-        level = nxt
-    reps = [Graph(n, m).strip_isolated() for m in seen]
-    reps.sort(key=lambda g: (g.v, g.edge_count, canonical_form(g)))
+    pairs = edge_pairs(n)
+    full = (1 << len(pairs)) - 1
+    found = [full]
+    todo = [(full, Graph(n, full).adjacency())]
+    while todo:
+        mask, adj = todo.pop()
+        lowest_zero = (~mask & (mask + 1)).bit_length() - 1
+        for b in range(lowest_zero):
+            i, j = pairs[b]
+            child = list(adj)
+            child[i] ^= 1 << j
+            child[j] ^= 1 << i
+            cmask = mask ^ (1 << b)
+            if _least_relabelling(n, child, cmask) is not None:
+                found.append(cmask)
+                todo.append((cmask, child))
+    reps = [Graph(n, m).strip_isolated() for m in found]
+    reps.sort(key=lambda g: (g.v, g.edge_count, g.mask))
     return tuple(reps)
 
 

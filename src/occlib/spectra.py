@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import comb, factorial
 
 from .exact import (
@@ -30,7 +31,14 @@ from .exact import (
     frac_str,
 )
 from .cutstats import CutStats, class_catalogue, cut_stats
-from .graph import Graph, block_decomposition, canonical_key, write_graph6
+from .graph import (
+    Graph,
+    block_decomposition,
+    canonical_key,
+    edge_index,
+    edge_pairs,
+    write_graph6,
+)
 
 __all__ = [
     "TAU",
@@ -406,13 +414,26 @@ def tight_combined_keys() -> frozenset:
 
 @lru_cache(maxsize=8)
 def combined_lambda_by_mask(n: int) -> dict:
-    """Combined-spectrum eigenvalue for every edge mask of K_n (n <= 6)."""
+    """Combined-spectrum eigenvalue for every edge mask of K_n (n <= 6).
+
+    Each class's value is written to every relabelling of its representative,
+    so no mask needs a canonical form of its own."""
     if not 1 <= n <= 6:
         raise ValueError("dense eigenvalue tables supported for n <= 6")
     spec = Spectrum.combined()
-    by_class = {key: spec.value(e.stats) for key, e in class_catalogue(n).items()}
-    return {mask: by_class[canonical_key(Graph(n, mask))]
-            for mask in range(1 << (n * (n - 1) // 2))}
+    pairs = edge_pairs(n)
+    # per vertex permutation, the image bit of every edge of K_n
+    images = [[1 << edge_index(s[i], s[j], n) for i, j in pairs]
+              for s in permutations(range(n))]
+    table = [None] * (1 << len(pairs))
+    for e in class_catalogue(n).values():
+        lam = spec.value(e.stats)
+        edges = [edge_index(i, j, n) for i, j in e.graph.edges()]
+        for image in images:
+            table[sum(image[k] for k in edges)] = lam
+    if None in table:
+        raise AssertionError(f"some mask of K_{n} is in no catalogued class")
+    return dict(enumerate(table))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +554,12 @@ def _skew_cases(spec: Spectrum, t: RationalFunction) -> list[tuple[str, Rational
     coeffs = tuple(w for _, w in spec.coeffs)
     _, c1, c2, c3 = coeffs
     ratio = _ratio(spec.p)
+    ratio2, ratio5, ratio7 = ratio ** 2, ratio ** 5, ratio ** 7
     _, _, lower, upper = _pinned(spec.p)
     refs = _ref_graphs()
+    c2_term = F(3, 4) * c2
+    c3_term = c3 * F(1, 2)
+    bridge_term = (1 + c1) * F(1, 4)
 
     cases: list[tuple[str, RationalFunction, bool]] = [
         ("coef:c3>0", c3, False),
@@ -547,28 +572,24 @@ def _skew_cases(spec: Spectrum, t: RationalFunction) -> list[tuple[str, Rational
         ("coef:4c3>=forest4-lower", 4 * c3 - lower, True),
         ("coef:4c3<=K4minus-upper", upper - 4 * c3, True),
         ("odd:3-forest", spec.value(refs["path3"]) + t, False),
-        ("odd:m>=2,size>=5,c2-term", t - ratio ** 5 * (F(3, 4) * c2 + c3 * F(1, 2)), False),
-        ("odd:m>=2,size>=5,no-c2", t - ratio ** 5 * (c3 * F(1, 2)), False),
-        ("odd:m=1,size>=5,c2-term",
-         t - ratio ** 5 * ((1 + c1) * F(1, 4) + F(3, 4) * c2 + c3 * F(1, 2)), False),
-        ("odd:m=1,size>=5,no-c2",
-         t - ratio ** 5 * ((1 + c1) * F(1, 4) + c3 * F(1, 2)), False),
+        ("odd:m>=2,size>=5,c2-term", t - ratio5 * (c2_term + c3_term), False),
+        ("odd:m>=2,size>=5,no-c2", t - ratio5 * c3_term, False),
+        ("odd:m=1,size>=5,c2-term", t - ratio5 * (bridge_term + c2_term + c3_term), False),
+        ("odd:m=1,size>=5,no-c2", t - ratio5 * (bridge_term + c3_term), False),
         ("odd:m=0,C5", spec.value(refs["C5"]) + t, False),
         ("odd:m=0,K4minus", spec.value(refs["K4minus"]) + t, True),
-        ("odd:m=0,size>=7,c2-term",
-         t - ratio ** 7 * (F(1, 16) + F(3, 4) * c2 + c3 * F(1, 2)), False),
-        ("odd:m=0,size>=7,no-c2", t - ratio ** 7 * (F(1, 16) + c3 * F(1, 2)), False),
+        ("odd:m=0,size>=7,c2-term", t - ratio7 * (F(1, 16) + c2_term + c3_term), False),
+        ("odd:m=0,size>=7,no-c2", t - ratio7 * (F(1, 16) + c3_term), False),
         ("even:forest4", ratio ** 4 * _d0(4, coeffs) + t, True),
         ("even:forest6", ratio ** 6 * _d0(6, coeffs) + t, False),
         ("even:forest8", ratio ** 8 * _d0(8, coeffs) + t, False),
     ]
     for m in range(10):
-        d0m = _d0(m, coeffs)
-        d2m = (c2 + m * c3) / 2 ** m
-        cases.append((f"even:m={m},d0-term", ratio ** 2 * d0m * F(1, 4) + t, False))
-        cases.append((f"even:m={m},d2-term", ratio ** 2 * d2m * F(3, 4) + t, False))
-        cases.append((f"even:m={m},both-terms",
-                      ratio ** 2 * (d0m * F(1, 4) + d2m * F(3, 4)) + t, False))
+        d0_term = ratio2 * _d0(m, coeffs) * F(1, 4)
+        d2_term = ratio2 * (c2 + m * c3) / 2 ** m * F(3, 4)
+        cases.append((f"even:m={m},d0-term", d0_term + t, False))
+        cases.append((f"even:m={m},d2-term", d2_term + t, False))
+        cases.append((f"even:m={m},both-terms", d0_term + d2_term + t, False))
     return cases
 
 

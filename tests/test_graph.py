@@ -1,11 +1,17 @@
 """Tests for bitmask graphs, blocks, canonical forms, enumeration and graph6."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import occlib
+from occlib.cutstats import class_catalogue
 from occlib.graph import (
     BlockDecomposition,
     Graph,
@@ -18,6 +24,7 @@ from occlib.graph import (
     enumerate_unlabeled,
     parse_graph6,
     write_graph6,
+    _least_relabelling,
 )
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -211,6 +218,72 @@ class TestEnumeration:
         reps = {canonical_key(g) for g in enumerate_unlabeled(4)}
         seen = {canonical_key(Graph(4, m)) for m in range(1 << 6)}
         assert seen == reps
+
+    @staticmethod
+    def augmentation_bfs(n):
+        """Reference enumeration: grow every class by one edge at a time,
+        deduplicating by canonical form, then sort the stripped cores."""
+        e = len(edge_pairs(n))
+        level = {0}
+        seen = {0}
+        for _ in range(e):
+            nxt = set()
+            for mask in level:
+                free = ~mask & ((1 << e) - 1)
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    c = canonical_form(Graph(n, mask | bit))
+                    if c not in seen:
+                        seen.add(c)
+                        nxt.add(c)
+            level = nxt
+        reps = [Graph(n, m).strip_isolated() for m in seen]
+        reps.sort(key=lambda g: (g.v, g.edge_count, canonical_form(g)))
+        return tuple(reps)
+
+    def test_orderly_generation_matches_augmentation_bfs(self):
+        for n in range(1, 8):
+            assert enumerate_unlabeled(n) == self.augmentation_bfs(n), n
+
+    def test_catalogue_keys_are_recomputed_canonical_keys(self):
+        canonical_form.cache_clear()
+        catalogue = class_catalogue()
+        assert len(catalogue) == 1044
+        for key, entry in catalogue.items():
+            assert key == canonical_key(entry.graph), entry.graph
+
+    @staticmethod
+    def bounded_agrees(g):
+        canonical = canonical_form(g) == g.mask
+        got = _least_relabelling(g.n, g.adjacency(), g.mask)
+        return got == (g.mask if canonical else None)
+
+    def test_bounded_search_decides_canonicity_on_every_k5_mask(self):
+        for mask in range(1 << 10):
+            assert self.bounded_agrees(Graph(5, mask)), mask
+
+    def test_bounded_search_decides_canonicity_on_sampled_k6_k7_masks(self):
+        # each sampled mask and its canonical form, so both answers occur
+        rng = random.Random(31)
+        for n, count in ((6, 300), (7, 150)):
+            for _ in range(count):
+                g = Graph(n, rng.getrandbits(len(edge_pairs(n))))
+                for h in (g, Graph(n, canonical_form(g))):
+                    assert self.bounded_agrees(h), (n, h.mask)
+
+    def test_seven_vertex_enumeration_within_budget(self):
+        # a fresh interpreter, so no canonical form is cached
+        src = Path(occlib.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import time\n"
+                "from occlib.graph import enumerate_unlabeled\n"
+                "start = time.perf_counter()\n"
+                "assert len(enumerate_unlabeled(7)) == 1044\n"
+                "print(time.perf_counter() - start)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 1.0
 
 
 class TestGraph6:

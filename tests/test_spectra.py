@@ -296,6 +296,23 @@ class TestSpectrumAlgebra:
         with pytest.raises(ValueError):
             combined_lambda_by_mask(7)
 
+    @staticmethod
+    def lambda_by_key(n, mask):
+        entry = class_catalogue(n)[canonical_key(Graph(n, mask))]
+        return Spectrum.combined().value(entry.stats)
+
+    def test_dense_table_matches_per_mask_keys(self):
+        for n in range(1, 6):
+            table = combined_lambda_by_mask(n)
+            assert list(table) == list(range(1 << (n * (n - 1) // 2)))
+            for mask, lam in table.items():
+                assert lam == self.lambda_by_key(n, mask), (n, mask)
+        table = combined_lambda_by_mask(6)
+        assert len(table) == 1 << 15
+        rng = random.Random(37)
+        for mask in rng.sample(range(1 << 15), 400):
+            assert table[mask] == self.lambda_by_key(6, mask), mask
+
 
 class TestCatalogue:
     @staticmethod
