@@ -35,6 +35,7 @@ from .spectra import (
     TAU,
     Spectrum,
     combined_lambda_by_mask,
+    combined_lambda_min,
     hoffman_bound,
     verify_skew_cases,
     verify_smallp,
@@ -222,7 +223,7 @@ def cmd_families(args, argv) -> int:
     else:  # bound-check
         n = args.n
         table = combined_lambda_by_mask(n)
-        lam_min = min(table.values())
+        lam_min = combined_lambda_min(n)
         bound = hoffman_bound(lam_min)
         audits = [hoffman_audit(umvirate(n, t)) for t in triangle_masks(n)]
         dim = (len(table) - 1).bit_length()

@@ -1,32 +1,27 @@
 """Exact univariate polynomial arithmetic over the rationals, Sturm chains,
 and machine-checkable sign certificates on closed intervals.
 
-Everything here is exact: coefficients, interval endpoints and witnesses are
-`fractions.Fraction` values and no floating point is ever consulted.  The
-certificate object produced by `certify_sign` records enough data (polynomial,
-interval, root count, witness, endpoint adjustments) to be re-checked
-independently, and serializes to JSON with rationals rendered as "num/den"
-strings.
+A `Polynomial` is a positive rational content times a primitive integer
+vector; arithmetic, evaluation and signs (homogeneous integer Horner) run on
+the integers, and `gcd`, `square_free_part` and `sturm_chain` are primitive
+pseudo-remainder sequences over Z (Collins 1967).  A `RationalFunction` only
+cross-multiplies; it is reduced to lowest terms once, where a value leaves
+the layer.  No floating point is ever consulted.  The certificate produced by
+`certify_sign` records enough data (polynomial, interval, root count,
+witness, endpoint adjustments) to be re-checked independently, and
+serializes to JSON with rationals rendered as "num/den" strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-__all__ = [
-    "Polynomial",
-    "RationalFunction",
-    "CertificateError",
-    "SignCertificate",
-    "sturm_chain",
-    "count_roots",
-    "count_roots_above",
-    "certify_sign",
-    "frac_str",
-    "parse_frac",
-]
+__all__ = ["Polynomial", "RationalFunction", "CertificateError", "SignCertificate",
+           "sturm_chain", "count_roots", "count_roots_above", "certify_sign",
+           "frac_str", "parse_frac"]
 
 Coeffable = Union[int, Fraction]
 
@@ -51,36 +46,33 @@ def parse_frac(text: str) -> Fraction:
 
 
 class Polynomial:
-    """Dense univariate polynomial over Q, coefficients stored lowest degree first.
+    """Dense univariate polynomial over Q, lowest degree first: content * prim,
+    content a positive Fraction and prim coprime integers with a nonzero last
+    entry.  The zero polynomial has content 0, prim () and degree -1."""
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "prim")
 
     def __init__(self, coeffs: Iterable[Coeffable] = ()):
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    # construction helpers
+        scale = lcm(*(c.denominator for c in cs))
+        p = _scaled(Fraction(1, scale), [c.numerator * (scale // c.denominator) for c in cs])
+        self.content, self.prim = p.content, p.prim
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return _ZERO
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial((1,))
+        return _ONE
 
     @staticmethod
     def constant(c: Coeffable) -> "Polynomial":
-        return Polynomial((c,))
+        return _scaled(_frac(c), [1])
 
     @staticmethod
     def x() -> "Polynomial":
-        return Polynomial((0, 1))
+        return _scaled(Fraction(1), [0, 1])
 
     @staticmethod
     def from_roots(roots: Sequence[Coeffable]) -> "Polynomial":
@@ -90,41 +82,45 @@ class Polynomial:
             p = p * Polynomial((-_frac(r), 1))
         return p
 
-    # basic queries
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(self.content * z for z in self.prim)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.prim:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.prim[-1]
 
     def __call__(self, x: Coeffable) -> Fraction:
         x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    # ring operations
+        acc, bk = _horner(self.prim, x.numerator, x.denominator)
+        return Fraction(self.content.numerator * acc, self.content.denominator * bk)
 
     def __add__(self, other: "Polynomial | Coeffable") -> "Polynomial":
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return Polynomial(a)
+        # both contents as integer multiples u, v of 1/l
+        c, d = self.content, other.content
+        l = lcm(c.denominator, d.denominator)
+        u, v = c.numerator * (l // c.denominator), d.numerator * (l // d.denominator)
+        a, b = self.prim, other.prim
+        if len(a) < len(b):
+            a, b, u, v = b, a, v, u
+        out = [u * z for z in a]
+        for i, z in enumerate(b):
+            out[i] += v * z
+        return _scaled(Fraction(1, l), out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _exact(self.content, tuple(-z for z in self.prim))
 
     def __sub__(self, other: "Polynomial | Coeffable") -> "Polynomial":
         return self + (-_as_poly(other))
@@ -134,49 +130,38 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | Coeffable") -> "Polynomial":
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        a, b = self.prim, other.prim
+        if not a or not b:
+            return _ZERO
+        if len(b) == 1:   # a primitive constant is 1 or -1
+            out = a if b[0] == 1 else tuple(-z for z in a)
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, s in enumerate(a):
+                if s:
+                    for j, t in enumerate(b):
+                        out[i + j] += s * t
+        # Gauss's lemma: a product of primitive vectors is primitive
+        return _exact(self.content * other.content, tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        out = _ONE
+        for bit in bin(k)[2:]:
+            out = out * out * self if bit == "1" else out * out
+        return out
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         other = _as_poly(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial.zero(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top == 0:
-                continue
-            q = top / lead
-            quot[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= q * b
-        return Polynomial(quot), Polynomial(rem)
+        # lead^e * prim = q * other.prim + r over Z
+        q, r, e = _pseudo_divmod(self.prim, other.prim)
+        scale = self.content / other.prim[-1] ** e
+        return _scaled(scale / other.content, q), _scaled(scale, r)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -185,20 +170,18 @@ class Polynomial:
         return divmod(self, other)[1]
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return _scaled(self.content, [i * z for i, z in enumerate(self.prim)][1:])
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return Polynomial(tuple(c / lead for c in self.coeffs))
+        p = self.prim
+        return _exact(Fraction(1, abs(p[-1])), p if p[-1] > 0 else tuple(-z for z in p)) if p else self
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        """Monic greatest common divisor."""
-        a, b = self, _as_poly(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """Monic greatest common divisor, by a primitive remainder sequence over Z."""
+        a, b = self.prim, _as_poly(other).prim
+        while b:
+            a, b = b, _scaled(Fraction(1), _pseudo_divmod(a, b)[1]).prim
+        return _scaled(Fraction(1), list(a)).monic()
 
     def square_free_part(self) -> "Polynomial":
         """Quotient by gcd(P, P'); same roots, all simple."""
@@ -210,12 +193,9 @@ class Polynomial:
 
     def cauchy_root_bound(self) -> Fraction:
         """B with every real root of the polynomial inside (-B, B)."""
-        if self.is_zero() or self.degree == 0:
+        if self.degree < 1:
             return Fraction(1)
-        lead = abs(self.leading())
-        return 1 + max(abs(c) for c in self.coeffs[:-1]) / lead
-
-    # misc
+        return 1 + Fraction(max(abs(z) for z in self.prim[:-1]), abs(self.prim[-1]))
 
     def coeff_strings(self) -> list[str]:
         return [frac_str(c) for c in self.coeffs]
@@ -225,55 +205,99 @@ class Polynomial:
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.prim == other.prim and self.content == other.content
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "Polynomial(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(frac_str(c))
-            elif i == 1:
-                parts.append(f"{frac_str(c)}*x")
-            else:
-                parts.append(f"{frac_str(c)}*x^{i}")
-        return "Polynomial(" + " + ".join(parts) + ")"
+        parts = [frac_str(c) + ("" if i == 0 else "*x" if i == 1 else f"*x^{i}")
+                 for i, c in enumerate(self.coeffs) if c]
+        return "Polynomial(" + (" + ".join(parts) or "0") + ")"
+
+
+# integer-vector kernels: vectors are lists or tuples of ints, lowest degree first
+
+
+def _exact(content: Fraction, prim: tuple) -> Polynomial:
+    """The polynomial content * prim, both already normalised."""
+    p = Polynomial.__new__(Polynomial)
+    p.content, p.prim = content, prim
+    return p
+
+
+def _scaled(scale: Fraction, ints: list) -> Polynomial:
+    """scale * sum ints[i] x^i for any rational scale; ints is consumed."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = gcd(*ints)
+    if not g or not scale:
+        return _ZERO
+    g = -g if scale < 0 else g
+    return _exact(scale * g, tuple(z // g for z in ints) if g != 1 else tuple(ints))
+
+
+def _horner(z: Sequence[int], a: int, b: int) -> tuple[int, int]:
+    """(b^d * P(a/b), b^d) for P = sum z[i] x^i of degree d, homogeneously."""
+    acc, bk = (z[-1], 1) if z else (0, 1)
+    for c in reversed(z[:-1]):
+        bk *= b
+        acc = acc * a + c * bk
+    return acc, bk
+
+
+def _sign(p: Polynomial, x: Fraction) -> int:
+    """Sign of p(x): content and b^d are positive, so the integer Horner sum decides."""
+    acc = _horner(p.prim, x.numerator, x.denominator)[0]
+    return (acc > 0) - (acc < 0)
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list, list, int]:
+    """(q, r, e) with lead(b)^e * a = q * b + r and deg r < deg b, over Z."""
+    lead, m = b[-1], len(b) - 1
+    r, q = list(a), [0] * max(len(a) - m, 0)
+    for k in range(len(q) - 1, -1, -1):
+        top = r.pop()
+        r, q = [lead * z for z in r], [lead * z for z in q]
+        q[k] = top
+        for j in range(m):
+            r[k + j] -= top * b[j]
+    return q, r, len(q)
 
 
 def _as_poly(v: "Polynomial | Coeffable") -> Polynomial:
-    if isinstance(v, Polynomial):
-        return v
-    return Polynomial.constant(v)
+    return v if isinstance(v, Polynomial) else Polynomial.constant(v)
 
 
-@dataclass(frozen=True)
+_ZERO = _exact(Fraction(0), ())
+_ONE = _exact(Fraction(1), (1,))
+
+
 class RationalFunction:
-    """Quotient of two polynomials, kept in lowest terms with a monic denominator."""
+    """Quotient of two polynomials.  Arithmetic only cross-multiplies; the
+    quotient is reduced to lowest terms with a monic denominator once, on the
+    first read of num, den, sign_polynomial() or the hash."""
 
-    num: Polynomial
-    den: Polynomial
+    __slots__ = ("_num", "_den", "_reduced")
 
     def __init__(self, num: Polynomial | Coeffable, den: Polynomial | Coeffable = 1):
         num, den = _as_poly(num), _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Polynomial.zero(), Polynomial.one()
-        else:
-            g = num.gcd(den)
+        self._num, self._den, self._reduced = num, den, False
+
+    num = property(lambda self: self._reduce()[0], doc="Numerator in lowest terms.")
+    den = property(lambda self: self._reduce()[1], doc="Monic denominator in lowest terms.")
+
+    def _reduce(self) -> tuple[Polynomial, Polynomial]:
+        if not self._reduced:
+            num, den = self._num, self._den
+            g = num.gcd(den)   # den.monic() when num is zero
             if g.degree > 0:
                 num, den = num // g, den // g
-            lead = den.leading()
-            num = num * (1 / lead)
-            den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            num, den = num * (1 / den.leading()), den.monic()
+            self._num, self._den, self._reduced = num, den, True
+        return self._num, self._den
 
     @staticmethod
     def x() -> "RationalFunction":
@@ -284,16 +308,18 @@ class RationalFunction:
         return RationalFunction(Polynomial.constant(c))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._num.is_zero()
 
     def __add__(self, other: "RationalFunction | Polynomial | Coeffable") -> "RationalFunction":
         other = _as_rf(other)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+        if self._den == other._den:
+            return _rf(self._num + other._num, self._den)
+        return _rf(self._num * other._den + other._num * self._den, self._den * other._den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return _rf(-self._num, self._den)
 
     def __sub__(self, other: "RationalFunction | Polynomial | Coeffable") -> "RationalFunction":
         return self + (-_as_rf(other))
@@ -303,7 +329,7 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction | Polynomial | Coeffable") -> "RationalFunction":
         other = _as_rf(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return _rf(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -311,41 +337,50 @@ class RationalFunction:
         other = _as_rf(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return _rf(self._num * other._den, self._den * other._num)
 
     def __rtruediv__(self, other: "Polynomial | Coeffable") -> "RationalFunction":
         return _as_rf(other) / self
 
     def __pow__(self, k: int) -> "RationalFunction":
         if k < 0:
-            return RationalFunction(self.den, self.num) ** (-k)
-        return RationalFunction(self.num ** k, self.den ** k)
+            return RationalFunction(self._den, self._num) ** (-k)
+        return _rf(self._num ** k, self._den ** k)
 
     def __call__(self, x: Coeffable) -> Fraction:
-        d = self.den(x)
+        x = _frac(x)
+        d = self._den(x) or self.den(x)   # a zero may cancel: reduce, then retry
         if d == 0:
             raise ZeroDivisionError(f"pole at {x}")
-        return self.num(x) / d
+        return self._num(x) / d
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, Polynomial)):
             other = _as_rf(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._num * other._den == other._num * self._den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"RationalFunction(num={self.num!r}, den={self.den!r})"
 
     def sign_polynomial(self) -> Polynomial:
         """num*den: shares the sign of the function wherever the function is defined."""
         return self.num * self.den
 
 
+def _rf(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """num/den, unreduced; den is nonzero by construction."""
+    f = RationalFunction.__new__(RationalFunction)
+    f._num, f._den, f._reduced = num, den, False
+    return f
+
+
 def _as_rf(v: "RationalFunction | Polynomial | Coeffable") -> RationalFunction:
-    if isinstance(v, RationalFunction):
-        return v
-    return RationalFunction(_as_poly(v))
+    return v if isinstance(v, RationalFunction) else _rf(_as_poly(v), _ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +393,18 @@ def sturm_chain(p: Polynomial) -> tuple[Polynomial, ...]:
 
     P0 is the square-free part, P1 its derivative, and each later entry is the
     negated polynomial remainder of the previous two.  The chain ends at a
-    nonzero constant (or earlier, for constant input).
+    nonzero constant (or earlier, for constant input).  Each remainder is a
+    primitive pseudo-remainder over Z whose positive rescaling factor is kept
+    as its content, so the entries equal those of the remainders over Q.
     """
     if p.is_zero():
         raise ValueError("Sturm chain of the zero polynomial")
-    p0 = p.square_free_part()
-    chain = [p0]
-    if p0.degree < 1:
-        return tuple(chain)
-    chain.append(p0.derivative())
+    chain = [p.square_free_part()]
+    if chain[0].degree > 0:
+        chain.append(chain[0].derivative())
     while chain[-1].degree > 0:
         nxt = -(chain[-2] % chain[-1])
-        if nxt.is_zero():
-            # cannot happen for a square-free P0; guard against misuse
+        if nxt.is_zero():  # cannot happen for a square-free P0; guard against misuse
             break
         chain.append(nxt)
     return tuple(chain)
@@ -383,11 +417,7 @@ def _variations(chain: Sequence[Polynomial], x: Fraction) -> int:
     distinct roots in the half-open interval (a, b] even when an endpoint is
     itself a root.
     """
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (_sign(q, x) for q in chain) if s]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -401,8 +431,7 @@ def count_roots(p: Polynomial, a: Coeffable, b: Coeffable,
         raise ValueError("root counting on the zero polynomial")
     if p.degree == 0:
         return 0
-    if chain is None:
-        chain = sturm_chain(p)
+    chain = sturm_chain(p) if chain is None else chain
     return _variations(chain, a) - _variations(chain, b)
 
 
@@ -411,12 +440,8 @@ def count_roots_above(p: Polynomial, a: Coeffable) -> int:
     a = _frac(a)
     if p.is_zero():
         raise ValueError("root counting on the zero polynomial")
-    if p.degree == 0:
-        return 0
     bound = p.cauchy_root_bound()
-    if bound <= a:
-        return 0
-    return count_roots(p, a, bound)
+    return count_roots(p, a, bound) if p.degree > 0 and a < bound else 0
 
 
 class CertificateError(ValueError):
@@ -470,10 +495,7 @@ class SignCertificate:
         }
         if self.failure_bracket is not None:
             x1, x2, s1, s2 = self.failure_bracket
-            out["failure_bracket"] = {
-                "interval": [frac_str(x1), frac_str(x2)],
-                "signs": [s1, s2],
-            }
+            out["failure_bracket"] = {"interval": [frac_str(x1), frac_str(x2)], "signs": [s1, s2]}
         if self.root_hit is not None:
             out["root_hit"] = frac_str(self.root_hit)
         return out
@@ -482,32 +504,19 @@ class SignCertificate:
 _MAX_ENDPOINT_SHIFT = 64
 
 
-def _shrink_from_lower(sf: Polynomial, chain: Sequence[Polynomial],
-                       a: Fraction, b: Fraction) -> Fraction:
-    """Smallest-k shift a + 2^-k past an endpoint root, skipping no roots."""
+def _shrink(sf: Polynomial, chain: Sequence[Polynomial], a: Fraction, b: Fraction,
+            upper: bool) -> Fraction:
+    """Smallest-k shift of the lower (or upper) endpoint by 2^-k past its root,
+    skipping no roots: the discarded segment holds exactly that endpoint root,
+    which the half-open count (a, cand] misses and (cand, b] includes."""
     for k in range(_MAX_ENDPOINT_SHIFT + 1):
-        cand = a + Fraction(1, 2 ** k)
-        if cand >= b:
-            continue
-        if sf(cand) == 0:
-            continue
-        if count_roots(sf, a, cand, chain) == 0:
-            return cand
-    raise CertificateError(f"cannot shift lower endpoint {a} off a root within 2^-{_MAX_ENDPOINT_SHIFT}")
-
-
-def _shrink_from_upper(sf: Polynomial, chain: Sequence[Polynomial],
-                       a: Fraction, b: Fraction) -> Fraction:
-    for k in range(_MAX_ENDPOINT_SHIFT + 1):
-        cand = b - Fraction(1, 2 ** k)
-        if cand <= a:
-            continue
-        if sf(cand) == 0:
-            continue
-        # the discarded segment must contain exactly the endpoint root itself
-        if count_roots(sf, cand, b, chain) == 1:
-            return cand
-    raise CertificateError(f"cannot shift upper endpoint {b} off a root within 2^-{_MAX_ENDPOINT_SHIFT}")
+        cand = b - Fraction(1, 2 ** k) if upper else a + Fraction(1, 2 ** k)
+        if a < cand < b and _sign(sf, cand):
+            if (count_roots(sf, cand, b, chain) == 1 if upper
+                    else count_roots(sf, a, cand, chain) == 0):
+                return cand
+    end = f"upper endpoint {b}" if upper else f"lower endpoint {a}"
+    raise CertificateError(f"cannot shift {end} off a root within 2^-{_MAX_ENDPOINT_SHIFT}")
 
 
 def _locate_failure(sf: Polynomial, p: Polynomial, chain: Sequence[Polynomial],
@@ -516,13 +525,13 @@ def _locate_failure(sf: Polynomial, p: Polynomial, chain: Sequence[Polynomial],
     root_hit: Optional[Fraction] = None
     for _ in range(128):
         mid = (lo + hi) / 2
-        if sf(mid) == 0:
+        if not _sign(sf, mid):
             root_hit = mid
             delta = (hi - lo) / 2 ** 16
             x1, x2 = mid - delta, mid + delta
-            while sf(x1) == 0:
+            while not _sign(sf, x1):
                 x1 = (x1 + mid) / 2
-            while sf(x2) == 0:
+            while not _sign(sf, x2):
                 x2 = (mid + x2) / 2
             lo, hi = x1, x2
             break
@@ -532,10 +541,7 @@ def _locate_failure(sf: Polynomial, p: Polynomial, chain: Sequence[Polynomial],
             lo = mid
         if hi - lo < Fraction(1, 2 ** 24) and count_roots(sf, lo, hi, chain) == 1:
             break
-    s1 = p(lo)
-    s2 = p(hi)
-    sgn = lambda v: 0 if v == 0 else (1 if v > 0 else -1)
-    return (lo, hi, sgn(s1), sgn(s2)), root_hit
+    return (lo, hi, _sign(p, lo), _sign(p, hi)), root_hit
 
 
 def certify_sign(p: Polynomial, a: Coeffable, b: Coeffable, witness: Coeffable,
@@ -555,30 +561,24 @@ def certify_sign(p: Polynomial, a: Coeffable, b: Coeffable, witness: Coeffable,
     if p.is_zero():
         raise CertificateError("cannot certify a sign for the zero polynomial")
     if p.degree == 0:
-        s = 1 if p.coeffs[0] > 0 else -1
-        return SignCertificate(p, a, b, a, b, witness, s, 0, False, False, "pass", case_id)
+        return SignCertificate(p, a, b, a, b, witness, _sign(p, a), 0, False, False, "pass", case_id)
 
-    sf = p.square_free_part()
-    chain = sturm_chain(sf)
-    zero_lo = sf(a) == 0
-    zero_hi = sf(b) == 0
+    chain = sturm_chain(p)
+    sf = chain[0]
+    zero_lo, zero_hi = not _sign(sf, a), not _sign(sf, b)
 
-    lo2 = _shrink_from_lower(sf, chain, a, b) if zero_lo else a
-    hi2 = _shrink_from_upper(sf, chain, lo2, b) if zero_hi else b
+    lo2 = _shrink(sf, chain, a, b, upper=False) if zero_lo else a
+    hi2 = _shrink(sf, chain, lo2, b, upper=True) if zero_hi else b
     if not lo2 < hi2:
         raise CertificateError("endpoint shifts collapsed the interval")
 
     n_roots = count_roots(sf, lo2, hi2, chain)
-    w = witness
-    if not lo2 <= w <= hi2:
-        w = (lo2 + hi2) / 2
-    wv = p(w)
+    w = witness if lo2 <= witness <= hi2 else (lo2 + hi2) / 2
+    sign = _sign(p, w)
 
-    if n_roots == 0 and wv != 0:
-        sign = 1 if wv > 0 else -1
+    if n_roots == 0 and sign:
         return SignCertificate(p, a, b, lo2, hi2, w, sign, 0, zero_lo, zero_hi, "pass", case_id)
 
     bracket, root_hit = _locate_failure(sf, p, chain, lo2, hi2)
-    sign = 0 if wv == 0 else (1 if wv > 0 else -1)
     return SignCertificate(p, a, b, lo2, hi2, w, sign, max(n_roots, 1), zero_lo, zero_hi,
                            "fail", case_id, bracket, root_hit)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .graph import Graph, all_masks, edge_index
 from .hypercube import FunctionOnCube, quadratic_form, walsh_squares
-from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, combined_lambda_by_mask
+from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, combined_lambda_by_mask, combined_lambda_min
 from .spectra import VerificationReport, hoffman_bound
 
 __all__ = [
@@ -62,6 +62,14 @@ class Family:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", masks)
 
+    @classmethod
+    def _of_valid(cls, n: int, masks: frozenset) -> "Family":
+        """A family of masks already known to lie in range for n."""
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "n", n)
+        object.__setattr__(fam, "masks", masks)
+        return fam
+
     @property
     def size(self) -> int:
         return len(self.masks)
@@ -84,14 +92,18 @@ class Family:
         p = F(p)
         if not 0 < p < 1:
             raise ValueError("need 0 < p < 1")
-        by_count: dict[int, int] = {}
-        for m in self.masks:
-            k = m.bit_count()
-            by_count[k] = by_count.get(k, 0) + 1
-        return sum((c * p ** k * (1 - p) ** (self.dim - k) for k, c in by_count.items()), F(0))
+        weights = _member_weights(self.dim, p.numerator, p.denominator)
+        return F(sum(weights[m.bit_count()] for m in self.masks), p.denominator ** self.dim)
 
     def indicator(self, p: Fraction) -> FunctionOnCube:
         return FunctionOnCube.indicator(self.n, p, self.masks)
+
+
+@lru_cache(maxsize=16)
+def _member_weights(dim: int, a: int, b: int) -> tuple[int, ...]:
+    """b^dim times the p-biased measure of one member with k edges, p = a/b,
+    indexed by k: a^k (b-a)^(dim-k)."""
+    return tuple(a ** k * (b - a) ** (dim - k) for k in range(dim + 1))
 
 
 @lru_cache(maxsize=8)
@@ -150,7 +162,7 @@ def compress(fam: Family, e_idx: int) -> Family:
             out.add(m | bit)
         else:
             out.add(m)
-    return Family(fam.n, out)
+    return Family._of_valid(fam.n, frozenset(out))
 
 
 def monotonize(fam: Family) -> Family:
@@ -263,10 +275,13 @@ def fourier_weight_off_tight(fam: Family, lambda_by_mask: dict,
     walsh_squares of the indicator when it is already at hand."""
     if squares is None:
         squares = walsh_squares(fam.indicator(F(1, 2)))
-    lam_min = min(lambda_by_mask.values())
-    w = sum(sq for mask, sq in enumerate(squares)
-            if mask and sq and lambda_by_mask[mask] != lam_min)
-    return fam.measure(F(1, 2)), F(w)
+    return fam.measure(F(1, 2)), _weight_off(squares, lambda_by_mask, min(lambda_by_mask.values()))
+
+
+def _weight_off(squares: Sequence[Fraction], lambda_by_mask: dict, lam_min: Fraction) -> Fraction:
+    """Fourier mass of the nonconstant characters whose eigenvalue is not lam_min."""
+    return F(sum(sq for mask, sq in enumerate(squares)
+                 if mask and sq and lambda_by_mask[mask] != lam_min))
 
 
 def hoffman_audit(fam: Family) -> dict:
@@ -279,7 +294,7 @@ def hoffman_audit(fam: Family) -> dict:
     f = fam.indicator(F(1, 2))
     squares = walsh_squares(f)
     qf = quadratic_form(f, lam, squares)
-    mu, w = fourier_weight_off_tight(fam, lam, squares)
+    mu, w = fam.measure(F(1, 2)), _weight_off(squares, lam, combined_lambda_min(fam.n))
     nu = hoffman_bound(LAMBDA_MIN_UNIFORM).nu
     lhs = mu * mu - mu * nu + w * GAP_COMBINED * (1 - nu)
     return {
@@ -393,8 +408,7 @@ def verify_family_claims(seed: int = 20260815, campaign_size: int = 1000) -> Ver
     rep.add("hoffman:subfamily-audits", ok_audit)
 
     # five vertices: bound check plus the extremal junta, no exhaustive search
-    lam5 = combined_lambda_by_mask(5)
-    rep.add("n5:lambda-min=-1/7", min(lam5.values()) == LAMBDA_MIN_UNIFORM)
+    rep.add("n5:lambda-min=-1/7", combined_lambda_min(5) == LAMBDA_MIN_UNIFORM)
     nu = hoffman_bound(LAMBDA_MIN_UNIFORM).nu
     rep.add("n5:size-bound-128", nu * (1 << 10) == 128)
     t5 = triangle_masks(5)[0]

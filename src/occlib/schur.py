@@ -26,6 +26,7 @@ from .spectra import (
     UNIFORM_COEFFS,
     Spectrum,
     VerificationReport,
+    clear_denominators,
     eval_lambda1_skew,
     lambda_min_skew,
 )
@@ -252,8 +253,8 @@ def _dense_tables(n: int):
     return pc, xs, rank
 
 
-# the lambda1 weights times 28, their common denominator: (28, -20, -4, 3)
-_L1_WEIGHTS_28 = tuple(int(28 * w) for w in UNIFORM_COEFFS)
+# the lambda1 weights times their common denominator 28: (28, -20, -4, 3)
+_, _L1_WEIGHTS = clear_denominators(UNIFORM_COEFFS)
 
 
 def _scaled_spectra(mask: int, pm, pc, xs, rank):
@@ -273,7 +274,7 @@ def _scaled_spectra(mask: int, pm, pc, xs, rank):
             elif rank[cut] == 4:
                 i4 += 1
     sign = 1 if pc[mask] % 2 == 0 else -1
-    w0, w1, w2, w3 = _L1_WEIGHTS_28
+    w0, w1, w2, w3 = _L1_WEIGHTS
     l1 = sign * (w0 * c[0] + w1 * c[1] + w2 * c[2] + w3 * c[3])
     l2 = sign * (i4 - bx)
     return c, l1, l2

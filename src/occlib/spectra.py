@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .exact import (
     Polynomial,
@@ -47,6 +47,7 @@ __all__ = [
     "COMBINE_WEIGHT",
     "GAP_COMBINED",
     "Spectrum",
+    "clear_denominators",
     "CheckResult",
     "VerificationReport",
     "SolvedCoefficients",
@@ -65,6 +66,7 @@ __all__ = [
     "tight_uniform_keys",
     "tight_combined_keys",
     "combined_lambda_by_mask",
+    "combined_lambda_min",
     "verify_uniform_claims",
     "verify_skew_cases",
     "verify_smallp",
@@ -219,18 +221,24 @@ class Spectrum:
     def value(self, x: Graph | CutStats) -> Fraction:
         """Eigenvalue of a graph, or of whatever the given statistics describe."""
         stats = x if isinstance(x, CutStats) else cut_stats(x)
-        hits = F(0)
-        for name, w in self.coeffs:
-            if name in ("forest4", "cycle4"):
-                count = getattr(stats, name)
-            elif name[:1] == "q" and name[1:].isdigit():
-                k = int(name[1:])
-                count = stats.counts[k] if k < len(stats.counts) else 0
-            else:
-                raise ValueError(f"unknown statistic {name!r}")
-            hits += w * count
-        base = F(-1) if self.p is None else -_ratio(self.p)
-        return base ** stats.size * hits / stats.total
+        readers, scale, weights = self._terms
+        hits = sum(w * read(stats) for read, w in zip(readers, weights))
+        if scale is None:  # weights and base are rational functions of the symbol p
+            return (-_ratio(self.p)) ** stats.size * hits / stats.total
+        # the sign base of p = a/b is -a/(b-a); the uniform base -1 is that of 1/2
+        a, b = (1, 2) if self.p is None else (self.p.numerator, self.p.denominator)
+        return F((-a) ** stats.size * hits, (b - a) ** stats.size * scale * stats.total)
+
+    @cached_property
+    def _terms(self) -> tuple:
+        """(statistic readers, scale, weights): at a rational bias the weights
+        are cleared to integers at one scale, once per spectrum; at the symbol
+        p they stay rational functions and the scale is None."""
+        readers = tuple(_statistic_reader(name) for name, _ in self.coeffs)
+        weights = tuple(w for _, w in self.coeffs)
+        if (self.p is None or isinstance(self.p, F)) and all(isinstance(w, (int, F)) for w in weights):
+            return (readers, *clear_denominators(weights))
+        return readers, None, weights
 
     def scaled(self, factor: Fraction) -> "Spectrum":
         return Spectrum(self.kind, tuple((n, factor * w) for n, w in self.coeffs), self.p)
@@ -262,6 +270,22 @@ class Spectrum:
     @staticmethod
     def skew2(p: Fraction) -> "Spectrum":
         return Spectrum("skew-2", Spectrum.uniform2().coeffs, _skew_bias(p))
+
+
+def clear_denominators(weights) -> tuple[int, tuple[int, ...]]:
+    """(L, (L*w, ...)) for L the least common denominator of rational weights."""
+    scale = lcm(*(F(w).denominator for w in weights))
+    return scale, tuple(int(w * scale) for w in weights)
+
+
+def _statistic_reader(name: str):
+    """The count of statistic name in a CutStats: q0..q9, forest4 or cycle4."""
+    if name in ("forest4", "cycle4"):
+        return lambda stats: getattr(stats, name)
+    if name[:1] == "q" and name[1:].isdigit():
+        k = int(name[1:])
+        return lambda stats: stats.counts[k] if k < len(stats.counts) else 0
+    raise ValueError(f"unknown statistic {name!r}")
 
 
 def _skew1(p) -> Spectrum:
@@ -434,6 +458,12 @@ def combined_lambda_by_mask(n: int) -> dict:
     if None in table:
         raise AssertionError(f"some mask of K_{n} is in no catalogued class")
     return dict(enumerate(table))
+
+
+@lru_cache(maxsize=8)
+def combined_lambda_min(n: int) -> Fraction:
+    """Least entry of combined_lambda_by_mask(n), taken once per n."""
+    return min(combined_lambda_by_mask(n).values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for exact polynomial arithmetic, Sturm counting and sign certificates."""
 
 import json
+import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -244,6 +246,191 @@ class TestCertificates:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(CertificateError):
             certify_sign(P.zero(), 0, 1, F(1, 2))
+
+
+# plain-Fraction reference: the Euclidean algorithms the integer layer replaces
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_divmod(a, b):
+    rem, q = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = q[k] = rem[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _trim(q), _trim(rem)
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def _ref_derivative(a):
+    return tuple(i * c for i, c in enumerate(a) if i)
+
+
+def _ref_square_free(a):
+    return _ref_divmod(a, _ref_gcd(a, _ref_derivative(a)))[0]
+
+
+def _ref_sturm(a):
+    chain = [_ref_square_free(a)]
+    if len(chain[0]) > 1:
+        chain.append(_ref_derivative(chain[0]))
+    while len(chain[-1]) > 1:
+        rem = _ref_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append(tuple(-c for c in rem))
+    return chain
+
+
+def _ref_count(a, lo, hi):
+    chain = _ref_sturm(a)
+
+    def variations(x):
+        vals = [sum(c * x ** i for i, c in enumerate(q)) for q in chain]
+        signs = [v > 0 for v in vals if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+    return variations(lo) - variations(hi)
+
+
+def _planted(rng):
+    """(coefficients, distinct roots) of a scaled product of (x - r)^m, m in 1..3,
+    sometimes times x^2 + 1, which adds no real root."""
+    roots = sorted({F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))})
+    p = P.one()
+    for r in roots:
+        p = p * P([-r, 1]) ** rng.randint(1, 3)
+    if rng.random() < 0.3:
+        p = p * P([1, 0, 1])
+    return p * F(rng.choice([-5, -2, 1, 3, 7]), rng.choice([1, 2, 9])), roots
+
+
+class TestIntegerRepresentation:
+    def test_scaled_and_unnormalised_inputs_agree(self):
+        forms = [
+            P([F(1, 3), F(-2, 3), 1]),
+            P([F(2, 6), F(-4, 6), F(3, 3), 0, 0]),
+            P([1, -2, 3]) * F(1, 3),
+            P([-3, 6, -9]) * F(-1, 9),
+            P([F(1, 3)]) - P([0, F(2, 3)]) + P([0, 0, 1]),
+        ]
+        for p in forms:
+            assert p.coeffs == (F(1, 3), F(-2, 3), F(1))
+            assert p == forms[0] and hash(p) == hash(forms[0])
+            assert p.content == F(1, 3) and p.prim == (1, -2, 3)
+        assert repr(forms[3]) == "Polynomial(1/3 + -2/3*x + 1*x^2)"
+
+    def test_content_positive_and_primitive_coprime(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            cs = [F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(0, 6))]
+            p = P(cs)
+            assert p.coeffs == _trim(cs)
+            if p.is_zero():
+                assert p.prim == () and p.content == 0 and p == 0
+                continue
+            assert p.content > 0 and p.prim[-1] != 0
+            assert math.gcd(*p.prim) == 1
+            assert (-p).coeffs == tuple(-c for c in _trim(cs)) and (-p).content == p.content
+
+    def test_evaluation_matches_fraction_horner(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            cs = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rng.randint(0, 7))]
+            x = F(rng.randint(-20, 20), rng.randint(1, 9))
+            assert P(cs)(x) == sum(c * x ** i for i, c in enumerate(cs))
+
+    def test_division_gcd_square_free_and_chain_match_fraction_reference(self):
+        rng = random.Random(20261018)
+        for trial in range(150):
+            p, _ = _planted(rng)
+            q, _ = _planted(rng)
+            assert p.gcd(q).coeffs == _ref_gcd(p.coeffs, q.coeffs), trial
+            assert tuple(c.coeffs for c in divmod(p, q)) == _ref_divmod(p.coeffs, q.coeffs), trial
+            assert p.square_free_part().coeffs == _ref_square_free(p.coeffs), trial
+            assert [c.coeffs for c in sturm_chain(p)] == _ref_sturm(p.coeffs), trial
+
+    def test_count_roots_with_planted_multiplicities_and_endpoint_roots(self):
+        rng = random.Random(4242)
+        for trial in range(300):
+            p, roots = _planted(rng)
+            if rng.random() < 0.5:
+                a = rng.choice(roots)
+                b = rng.choice([r for r in roots if r > a] or [a + F(rng.randint(1, 9), 4)])
+            else:
+                a = F(rng.randint(-14, 10), rng.choice([1, 3, 5]))
+                b = a + F(rng.randint(1, 30), rng.choice([1, 2, 7]))
+            expected = sum(1 for r in roots if a < r <= b)
+            assert count_roots(p, a, b) == expected == _ref_count(p.coeffs, a, b), (trial, roots, a, b)
+
+
+class TestLazyRationalFunction:
+    def test_lowest_terms_after_operation_chains(self):
+        rng = random.Random(77)
+        x = RationalFunction.x()
+        points = (F(7, 101), F(-13, 103), F(211, 107))
+        atoms = [lambda: x, lambda: RationalFunction.constant(F(rng.randint(-5, 5), rng.randint(1, 4))),
+                 lambda: x - F(rng.randint(-4, 4), rng.randint(1, 3)),
+                 lambda: 1 / (x + F(rng.randint(-4, 4), rng.randint(1, 3)))]
+        for trial in range(80):
+            f = rng.choice(atoms)()
+            vals = [f(t) for t in points]
+            for _ in range(rng.randint(2, 6)):
+                op = rng.choice("+-*/^")
+                if op == "^":
+                    k = rng.randint(-2, 3)
+                    if k < 0 and (f.is_zero() or 0 in vals):
+                        continue
+                    f, vals = f ** k, [v ** k for v in vals]
+                    continue
+                g = rng.choice(atoms)()
+                gv = [g(t) for t in points]
+                if op == "/" and (g.is_zero() or 0 in gv):
+                    continue
+                apply = {"+": operator.add, "-": operator.sub,
+                         "*": operator.mul, "/": operator.truediv}[op]
+                f, vals = apply(f, g), [apply(u, v) for u, v in zip(vals, gv)]
+            num, den = f.num, f.den
+            assert den.leading() == 1, trial
+            assert len(_ref_gcd(num.coeffs, den.coeffs)) == 1 or num.is_zero(), trial
+            if num.is_zero():
+                assert den == 1
+            assert [f(t) for t in points] == vals, trial
+            assert f.sign_polynomial() == num * den
+
+    def test_equal_functions_built_differently_compare_and_hash_equal(self):
+        x = RationalFunction.x()
+        forms = [
+            x + 1,
+            (x ** 2 - 1) / (x - 1),
+            (2 * x + 2) / 2,
+            1 / (1 / (x + 1)),
+            (x + 1) ** 3 / (x ** 2 + 2 * x + 1),
+            RationalFunction(P([3, 3]) * P([0, 1]), P([0, 3])),
+        ]
+        for f in forms:
+            assert f == forms[0] and hash(f) == hash(forms[0])
+            assert f.num == P([1, 1]) and f.den == P.one()
+        assert (x ** 2 - 1) / (x - 1) - x == 1
+        assert (x - 1) / (x - 1) == RationalFunction.constant(1)
+        assert x / (x + 1) != (x + 1) / x
+
+    def test_removable_zero_of_unreduced_denominator_evaluates(self):
+        x = RationalFunction.x()
+        f = (x ** 2 - 1) / (x - 1)
+        assert f(1) == 2
+        with pytest.raises(ZeroDivisionError):
+            ((x + 2) / ((x - 1) * (x + 2)))(1)
 
 
 def test_frac_str_round_trip():

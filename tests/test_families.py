@@ -9,6 +9,7 @@ from occlib.families import (
     agreement_cayley,
     agreement_generators,
     compress,
+    fourier_weight_off_tight,
     hoffman_audit,
     is_triangle_agreeing,
     is_triangle_intersecting,
@@ -22,7 +23,7 @@ from occlib.families import (
     verify_family_claims,
 )
 from occlib.graph import Graph
-from occlib.spectra import combined_lambda_by_mask
+from occlib.spectra import combined_lambda_by_mask, combined_lambda_min
 
 T012 = triangle_masks(4)[0]
 
@@ -53,6 +54,18 @@ class TestFamilyBasics:
         assert u.measure(F(1, 3)) == F(1, 27)
         with pytest.raises(ValueError):
             u.measure(F(1))
+
+    def test_measure_matches_member_sum(self):
+        # the cached per-edge-count weights against p^|m| (1-p)^(dim-|m|) per member
+        rng = random.Random(3)
+        for n in (3, 4, 5):
+            dim = n * (n - 1) // 2
+            for p in (F(1, 2), F(1, 3), F(2, 7), F(31, 125)):
+                for _ in range(5):
+                    fam = Family(n, {rng.randrange(1 << dim) for _ in range(rng.randint(0, 30))})
+                    direct = sum((p ** bin(m).count("1") * (1 - p) ** (dim - bin(m).count("1"))
+                                  for m in fam.masks), F(0))
+                    assert fam.measure(p) == direct
 
     def test_measure_matches_expectation(self):
         rng = random.Random(2)
@@ -141,6 +154,15 @@ class TestCompression:
         with pytest.raises(ValueError):
             compress(Family(4, [0]), 6)
 
+    def test_compressed_family_equals_validated_family(self):
+        rng = random.Random(9)
+        for n in (4, 5):
+            dim = n * (n - 1) // 2
+            fam = Family(n, {rng.randrange(1 << dim) for _ in range(40)})
+            shifted = compress(fam, rng.randrange(dim))
+            assert shifted == Family(n, shifted.masks) and shifted.n == n
+            assert isinstance(shifted.masks, frozenset)
+
 
 class TestSearch:
     def test_oracle_small_graphs(self):
@@ -200,6 +222,14 @@ class TestHoffmanAudit:
         members = sorted(umvirate(4, T012).masks)[:5]
         a = hoffman_audit(Family(4, members))
         assert a["ok"] and a["mu"] == F(5, 64) and a["inequality_lhs"] < 0
+
+    def test_audit_minimum_is_the_table_minimum(self):
+        for n in (3, 4, 5):
+            assert combined_lambda_min(n) == min(combined_lambda_by_mask(n).values())
+        members = sorted(umvirate(4, T012).masks)[:5]
+        fam = Family(4, members)
+        a = hoffman_audit(fam)
+        assert fourier_weight_off_tight(fam, combined_lambda_by_mask(4)) == (a["mu"], a["w"])
 
     def test_non_agreeing_family_fails(self):
         a = hoffman_audit(Family(4, [0, 63]))

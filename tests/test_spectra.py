@@ -16,6 +16,7 @@ from occlib.spectra import (
     TAU,
     Spectrum,
     case_constant,
+    clear_denominators,
     combined_lambda_by_mask,
     eval_lambda1_skew,
     eval_lambda1_uniform,
@@ -268,6 +269,23 @@ class TestSpectrumAlgebra:
             assert s2.value(g) == eval_lambda2_uniform(g)
             assert sc.value(g) == eval_lambda_combined(g)
             assert sk.value(g) == eval_lambda1_skew(g, F(3, 8))
+
+    def test_integer_weights_match_rational_evaluation(self):
+        assert clear_denominators((F(1), F(-5, 7), F(-1, 7), F(3, 28))) == (28, (28, -20, -4, 3))
+        assert clear_denominators((F(2), F(-3))) == (1, (2, -3))
+        # value at a rational bias against the Fraction formula, weight by weight
+        def count(st, name):
+            if name in ("forest4", "cycle4"):
+                return getattr(st, name)
+            k = int(name[1:])
+            return st.counts[k] if k < len(st.counts) else 0
+
+        for p in (F(1, 5), F(31, 125), F(1, 2)):
+            spec = Spectrum.skew1(p).plus(Spectrum.skew2(p).scaled(F(3, 11)))
+            for e in class_catalogue(5).values():
+                st = e.stats
+                hits = sum((w * count(st, n) for n, w in spec.coeffs), F(0))
+                assert spec.value(st) == (-p / (1 - p)) ** st.size * hits / st.total
 
     def test_linearity(self):
         rng = random.Random(7)
