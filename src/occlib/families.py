@@ -301,7 +301,7 @@ def hoffman_audit(fam: Family) -> dict:
         "mu": mu,
         "w": w,
         "nu": nu,
-        "quadratic_form": qf.to_fraction(),
+        "quadratic_form": qf,
         "inequality_lhs": lhs,
         "ok": qf == 0 and lhs <= 0 and mu <= nu,
     }

@@ -445,10 +445,10 @@ class Graph6Error(ValueError):
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 word (n <= 62, no header)."""
     s = text.strip()
-    if not s:
-        raise Graph6Error("empty graph6 input", 0)
     if s.startswith(">>graph6<<"):
         s = s[10:]
+    if not s:
+        raise Graph6Error("empty graph6 input", 0)
     first = ord(s[0])
     if first == 126:
         raise Graph6Error("multi-byte vertex counts (n > 62) not supported", 0)

@@ -556,19 +556,19 @@ def verify_uniform_claims() -> VerificationReport:
     rep.add("exceptional:q2(K4minus)=1/4", q2(refs["K4minus"]) == F(1, 4))
 
     # structure facts the size-based analysis relies on, at desk scale
-    reps = [e.graph for e in catalogue.values()]
-    bridgeless_small = {canonical_key(g) for g in reps
-                        if g.edge_count and block_decomposition(g).m == 0 and g.edge_count <= 5}
+    # one decomposition per class; catalogue keys are canonical keys
+    bridges = {key: block_decomposition(e.graph).m for key, e in catalogue.items()}
+    bridgeless_small = {key for key, e in catalogue.items()
+                        if 0 < e.stats.size <= 5 and bridges[key] == 0}
     expected_bridgeless = {canonical_key(refs[n]) for n in ("triangle", "C4", "C5", "K4minus")}
     rep.add("structure:bridgeless-with-<=5-edges", bridgeless_small == expected_bridgeless)
     exempt = (canonical_key(refs["triangle"]), k4m_key)
     rep.add("structure:odd-bridgeless-q0<=1/16",
             all(e.stats.distribution()[0] <= F(1, 16) for key, e in catalogue.items()
-                if e.stats.size % 2 and block_decomposition(e.graph).m == 0
-                and key not in exempt))
+                if e.stats.size % 2 and bridges[key] == 0 and key not in exempt))
     rep.add("structure:one-bridge-size-gap",
-            all(g.edge_count == 1 or g.edge_count >= 4
-                for g in reps if block_decomposition(g).m == 1))
+            all(e.stats.size == 1 or e.stats.size >= 4
+                for key, e in catalogue.items() if bridges[key] == 1))
     return rep
 
 

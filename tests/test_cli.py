@@ -118,11 +118,15 @@ class TestReportDigests:
          "51aa8b24ce6e87ce449ce32b371f641c255bc4693e1f956a83fec0ff0b8196ae"),
         (("verify", "uniform"), 0,
          "e16f2f01fddbea2fbc3434b00a00092e49417dbe10a2fc1d260d266b6b6fa13f"),
-    ], ids=["skew", "skew-below-tau", "smallp", "uniform"])
+        (("families", "bound-check", "--n", "5"), 0,
+         "55986848ef335d6d84992947e315aa2d34f2e1574993d3f575adcdba511ded14"),
+        (("verify", "families", "--seed", "1", "--campaign-size", "120"), 0,
+         "de231925452e18093c4caca4c2f0a00c8e0e4d1c38a89346c2a667c7838c85fe"),
+    ], ids=["skew", "skew-below-tau", "smallp", "uniform", "bound-check-n5", "families"])
     def test_json_report_digest(self, capsys, argv, code, digest):
         rc, out, _ = run(capsys, *argv, "--format", "json")
         payload = json.loads(out)
-        del payload["runtime_seconds"]
+        payload.pop("runtime_seconds", None)
         assert rc == code
         assert hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest() == digest
 
@@ -156,6 +160,13 @@ class TestExitCodes:
         rc, _, err = run(capsys, "cutstat", str(tmp_path))
         assert rc == 2
         assert err.startswith("occ: ")
+
+    def test_bare_graph6_header(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(">>graph6<<\n"))
+        rc, out, err = run(capsys, "cutstat")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("occ: ") and err.count("\n") == 1
 
 
 def test_cli_import_leaves_numpy_out():

@@ -305,6 +305,10 @@ class TestGraph6:
     def test_header_accepted(self):
         assert parse_graph6(">>graph6<<Bw") == TRIANGLE
 
+    def test_bare_header_is_malformed(self):
+        with pytest.raises(Graph6Error):
+            parse_graph6(">>graph6<<")
+
     def test_malformed_reports_offset(self):
         with pytest.raises(Graph6Error) as e:
             parse_graph6("B")

@@ -2,28 +2,23 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from occlib.cutstats import cut_distribution_bruteforce
 from occlib.graph import Graph, edge_pairs
 from occlib.hypercube import (
     FunctionOnCube,
-    QuadExt,
     TensorOperator,
     apply_shift,
     apply_shift_averaged,
     character,
     inverse_walsh_matrix,
     quadratic_form,
-    walk_step,
     walsh_matrix,
     walsh_squares,
 )
 from occlib.spectra import combined_lambda_by_mask
 
 TRIANGLE_K4 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
-
-rationals = st.fractions(min_value=F(-4), max_value=F(4))
 
 
 def coloring_cuts(n):
@@ -37,51 +32,6 @@ def coloring_cuts(n):
                 mask |= 1 << idx
         out.append(mask)
     return out
-
-
-class TestQuadExt:
-    def test_folding(self):
-        # sqrt(1/4) is rational, so the value collapses
-        v = QuadExt(F(1, 3), F(1, 2), F(1, 4))
-        assert v.is_rational and v.to_fraction() == F(1, 3) + F(1, 4)
-        assert QuadExt.sqrt(F(9, 16)) == F(3, 4)
-        assert not QuadExt.sqrt(F(1, 3)).is_rational
-
-    @given(rationals, rationals, rationals, rationals)
-    @settings(max_examples=60, deadline=None)
-    def test_ring_axioms(self, a, b, c, e):
-        d = F(3, 16)  # irrational root
-        x = QuadExt(a, b, d)
-        y = QuadExt(c, e, d)
-        assert x + y == y + x
-        assert x * y == y * x
-        assert x * (y + 1) == x * y + x
-        assert (x - y) + y == x
-
-    @given(rationals, rationals)
-    @settings(max_examples=40, deadline=None)
-    def test_division_inverts(self, a, b):
-        d = F(3, 16)
-        x = QuadExt(a, b, d)
-        if x == 0:
-            return
-        assert (x * QuadExt(2, 5, d)) / x == QuadExt(2, 5, d)
-        assert x / x == 1
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            QuadExt(1, 1, F(-1, 4))
-        with pytest.raises(ValueError):
-            QuadExt(0, 1, F(1, 3)) + QuadExt(0, 1, F(1, 5))
-        with pytest.raises(ValueError):
-            QuadExt(0, 1, F(1, 3)).to_fraction()
-        with pytest.raises(ZeroDivisionError):
-            QuadExt(1) / QuadExt(0)
-
-    def test_conjugate_norm_division(self):
-        d = F(2, 9)
-        x = QuadExt(1, 1, d)
-        assert x * (1 / x) == 1
 
 
 class TestWalsh:
@@ -100,17 +50,22 @@ class TestWalsh:
         assert f.walsh().inverse_walsh() == f
 
     def test_parseval(self):
+        # <f, f> = sum_S (p(1-p))^|S| ghat(S)^2
+        p = F(2, 7)
         rng = random.Random(5)
-        f = FunctionOnCube(3, F(2, 7), [F(rng.randint(-3, 3)) for _ in range(8)])
-        fhat = f.walsh()
-        assert sum((v * v for v in fhat.values), QuadExt(0)) == f.inner(f)
+        f = FunctionOnCube(3, p, [F(rng.randint(-3, 3)) for _ in range(8)])
+        ghat = f.walsh()
+        assert sum((p * (1 - p)) ** s.bit_count() * v * v
+                   for s, v in enumerate(ghat.values)) == f.inner(f)
 
     def test_characters_orthonormal(self):
+        # psi_S = chi_S / sqrt(p(1-p))^|S|, so <psi_S, psi_S> = (p(1-p))^-|S|
         p = F(1, 3)
-        chis = [character(3, p, s) for s in range(8)]
+        psis = [character(3, p, s) for s in range(8)]
         for r in range(8):
             for s in range(8):
-                assert chis[r].inner(chis[s]) == (1 if r == s else 0)
+                want = (p * (1 - p)) ** -s.bit_count() if r == s else 0
+                assert psis[r].inner(psis[s]) == want
 
     def test_empty_coefficient_is_expectation(self):
         rng = random.Random(7)
@@ -134,7 +89,7 @@ class TestWalsh:
 
 
 def reference_butterfly(values, matrix, coords):
-    """The per-coordinate QuadExt butterfly, kept here as an oracle for the
+    """The per-coordinate Fraction butterfly, kept here as an oracle for the
     integer kernel: matrix acts on (v[m], v[m | bit]) for every bit in coords."""
     vals = list(values)
     for i in range(len(vals).bit_length() - 1):
@@ -150,17 +105,11 @@ def reference_butterfly(values, matrix, coords):
     return vals
 
 
-def random_function(n, p, seed, radicand=None):
-    """Seeded random rational values, or a + b*sqrt(radicand) when given."""
+def random_function(n, p, seed):
+    """Seeded random rational values."""
     rng = random.Random(seed)
     size = 1 << (n * (n - 1) // 2)
-
-    def q():
-        return F(rng.randint(-6, 6), rng.randint(1, 7))
-
-    if radicand is None:
-        return FunctionOnCube(n, p, [q() for _ in range(size)])
-    return FunctionOnCube(n, p, [QuadExt(q(), q(), radicand) for _ in range(size)])
+    return FunctionOnCube(n, p, [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(size)])
 
 
 KERNEL_CASES = [(n, p, seed) for n in (3, 4) for p in (F(1, 2), F(1, 3), F(2, 5))
@@ -179,46 +128,27 @@ class TestIntegerKernel:
         assert fhat.inverse_walsh() == f
 
     @pytest.mark.parametrize("n,p,seed", KERNEL_CASES)
-    def test_irrational_values_match_reference(self, n, p, seed):
-        # at p = 1/2 the root is rational, so any radicand may ride along
-        rad = F(3) if p == F(1, 2) else p * (1 - p)
-        f = random_function(n, p, seed, radicand=rad)
-        full = len(f.values) - 1
-        assert f.walsh().values == reference_butterfly(f.values, walsh_matrix(p), full)
-        assert f.inverse_walsh().values == \
-            reference_butterfly(f.values, inverse_walsh_matrix(p), full)
-        assert f.walsh().inverse_walsh() == f
-
-    @pytest.mark.parametrize("n,p,seed", KERNEL_CASES)
     def test_squares_parseval_and_quadratic_form(self, n, p, seed):
         f = random_function(n, p, seed)
         ref = reference_butterfly(f.values, walsh_matrix(p), len(f.values) - 1)
+        ref_squares = [(p * (1 - p)) ** m.bit_count() * v * v for m, v in enumerate(ref)]
         squares = walsh_squares(f)
-        assert squares == [(v * v).to_fraction() for v in ref]
+        assert squares == ref_squares
         assert sum(squares) == f.inner(f)
         lam = combined_lambda_by_mask(n)
-        want = sum((v * v * lam[m] for m, v in enumerate(ref)), QuadExt(0))
+        want = sum(sq * lam[m] for m, sq in enumerate(ref_squares))
         assert quadratic_form(f, lam) == want
         assert quadratic_form(f, lam, squares) == want
 
     def test_half_is_plain_hadamard(self):
-        # at p = 1/2, fhat(S) is the integer Walsh-Hadamard transform over 2^e
+        # at p = 1/2, ghat(S) is 2^|S| times the integer Walsh-Hadamard
+        # transform over 2^e
         rng = random.Random(11)
         ints = [rng.randint(-9, 9) for _ in range(64)]
-        fhat = FunctionOnCube(4, F(1, 2), [F(x) for x in ints]).walsh()
+        ghat = FunctionOnCube(4, F(1, 2), [F(x) for x in ints]).walsh()
         for s in range(64):
             wht = sum(x * (-1) ** (s & m).bit_count() for m, x in enumerate(ints))
-            assert fhat.values[s] == F(wht, 64)
-
-    def test_squares_need_rational_values(self):
-        f = random_function(3, F(1, 3), 4, radicand=F(2, 9))
-        with pytest.raises(ValueError):
-            walsh_squares(f)
-
-    def test_mixed_radicands_rejected(self):
-        vals = [QuadExt(0, 1, F(2, 9))] + [QuadExt(0, 1, F(3))] * 7
-        with pytest.raises(ValueError):
-            FunctionOnCube(3, F(1, 3), vals).walsh()
+            assert ghat.values[s] == 2 ** s.bit_count() * F(wht, 64)
 
     @pytest.mark.parametrize("p", [F(1, 3), F(2, 5), F(1, 2)])
     @pytest.mark.parametrize("b_mask", [0, 0b000101, 0b110000])
@@ -227,7 +157,7 @@ class TestIntegerKernel:
         entries = [(g, h, op.entry(g, h)) for g in range(64) for h in range(64)]
         entries = [t for t in entries if t[2]]
         for f in (random_function(4, p, 5), character(4, p, 0b011010)):
-            dense, dense_t = [QuadExt(0)] * 64, [QuadExt(0)] * 64
+            dense, dense_t = [F(0)] * 64, [F(0)] * 64
             for g, h, x in entries:
                 dense[g] += x * f.values[h]
                 dense_t[h] += x * f.values[g]
@@ -321,7 +251,8 @@ class TestTensorOperator:
         uh = u.walsh()
         for s in range(64):
             if s & TRIANGLE_K4.mask == s:
-                want = F(1, 8) if Graph(4, s).edge_count % 2 == 0 else F(-1, 8)
+                sign = 1 if Graph(4, s).edge_count % 2 == 0 else -1
+                want = sign * F(2 ** s.bit_count(), 8)
             else:
                 want = F(0)
             assert uh.values[s] == want
@@ -332,34 +263,7 @@ class TestTensorOperator:
         f = FunctionOnCube.indicator(3, F(1, 3), members)
         lam = {m: TensorOperator(3, F(1, 3)).eigenvalue(m) for m in range(8)}
         q = quadratic_form(f, lam)
-        assert q.is_rational
         # independently: <f, Mf> under the measure
         op = TensorOperator(3, F(1, 3))
         assert q == f.inner(op.apply(f))
 
-
-class TestWalk:
-    def test_present_edges_always_dropped_and_b_frozen(self):
-        rng = random.Random(0)
-        g = Graph(4, 0b111111)
-        b = 0b000011
-        h = walk_step(g, b, F(1, 3), rng)
-        assert h.mask & ~b == 0
-        assert h.mask & b == b
-
-    def test_empirical_kernel_matches_row(self):
-        # loose seeded check that absent edges appear with rate p/(1-p)
-        rng = random.Random(42)
-        p = F(1, 3)
-        hits = 0
-        trials = 4000
-        empty = Graph(3, 0)
-        for _ in range(trials):
-            if walk_step(empty, 0, p, rng).has_edge(0, 1):
-                hits += 1
-        rate = hits / trials
-        assert abs(rate - 0.5) < 0.03  # p/(1-p) = 1/2
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            walk_step(Graph(3, 0), 0, F(2, 3), random.Random(1))
