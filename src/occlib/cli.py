@@ -135,6 +135,9 @@ def _cutstat_rows(args) -> list[dict]:
                 lines.extend(fh.read().split())
     else:
         lines.extend(sys.stdin.read().split())
+    if not lines:
+        # no input is an input error, not an empty table that looks like success
+        raise ValueError("no graph6 input")
     return [_cutstat_row(token, parse_graph6(token)) for token in lines]
 
 

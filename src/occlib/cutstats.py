@@ -23,6 +23,7 @@ from functools import lru_cache
 from .exact import Polynomial, frac_str
 from .graph import (
     Graph,
+    _vertex_stars,
     block_decomposition,
     canonical_key,
     edge_pairs,
@@ -114,11 +115,13 @@ def _cut_mask_table(v: int) -> tuple[int, ...]:
     """Cut edge-masks of K_v for every coloring with vertex 0 on side 0, at
     the index whose bit u-1 puts vertex u on side 1.  The cut of a vertex set
     is the xor of its vertices' stars."""
-    stars = [0] * v
-    for k, (i, j) in enumerate(edge_pairs(v)):
-        stars[i] |= 1 << k
-        stars[j] |= 1 << k
-    return xor_span(stars[1:])
+    return xor_span(list(_vertex_stars(v)[1:]))
+
+
+@lru_cache(maxsize=32)
+def _edge_ends(v: int) -> tuple[int, ...]:
+    """Vertex mask of the two endpoints of each edge of K_v."""
+    return tuple(1 << i | 1 << j for i, j in edge_pairs(v))
 
 
 def cut_profile(g: Graph) -> tuple[Graph, dict[int, int], int]:
@@ -169,6 +172,7 @@ class CutStats:
 def cut_stats(g: Graph) -> CutStats:
     """The cut statistics of g, from one cut profile."""
     core, profile, total = cut_profile(g)
+    ends = _edge_ends(core.n)
     counts = [0] * (g.edge_count + 1)
     forest4 = cycle4 = 0
     for mask, c in profile.items():
@@ -177,7 +181,12 @@ def cut_stats(g: Graph) -> CutStats:
         if k == 4:
             # a cut is bipartite: 4 of its edges on 4 vertices form a 4-cycle,
             # 4 edges on 5 or more vertices a forest
-            if Graph(core.n, mask).v == 4:
+            touched = 0
+            while mask:
+                low = mask & -mask
+                touched |= ends[low.bit_length() - 1]
+                mask ^= low
+            if touched.bit_count() == 4:
                 cycle4 += c
             else:
                 forest4 += c

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .graph import Graph, all_masks, edge_index
-from .hypercube import FunctionOnCube, quadratic_form, walsh_squares
+from .hypercube import FunctionOnCube, quadratic_form, walsh_support
 from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, combined_lambda_by_mask, combined_lambda_min
 from .spectra import VerificationReport, hoffman_bound
 
@@ -270,31 +270,32 @@ def maximum_independent_sets(adj: Sequence[int], seed: int | None = None) -> tup
 
 
 def fourier_weight_off_tight(fam: Family, lambda_by_mask: dict,
-                             squares: Sequence[Fraction] | None = None) -> tuple[Fraction, Fraction]:
-    """(mu, fourier mass on non-minimal characters) at p = 1/2; squares is
-    walsh_squares of the indicator when it is already at hand."""
-    if squares is None:
-        squares = walsh_squares(fam.indicator(F(1, 2)))
-    return fam.measure(F(1, 2)), _weight_off(squares, lambda_by_mask, min(lambda_by_mask.values()))
+                             support: Sequence[tuple[int, Fraction]] | None = None) -> tuple[Fraction, Fraction]:
+    """(mu, fourier mass on non-minimal characters) at p = 1/2; support is
+    walsh_support of the indicator when it is already at hand."""
+    if support is None:
+        support = walsh_support(fam.indicator(F(1, 2)))
+    return fam.measure(F(1, 2)), _weight_off(support, lambda_by_mask, min(lambda_by_mask.values()))
 
 
-def _weight_off(squares: Sequence[Fraction], lambda_by_mask: dict, lam_min: Fraction) -> Fraction:
+def _weight_off(support: Iterable[tuple[int, Fraction]], lambda_by_mask: dict,
+                lam_min: Fraction) -> Fraction:
     """Fourier mass of the nonconstant characters whose eigenvalue is not lam_min."""
-    return F(sum(sq for mask, sq in enumerate(squares)
-                 if mask and sq and lambda_by_mask[mask] != lam_min))
+    return F(sum(sq for mask, sq in support if mask and lambda_by_mask[mask] != lam_min))
 
 
 def hoffman_audit(fam: Family) -> dict:
     """Exact audit of the spectral bound for an agreeing family at p = 1/2.
 
     Checks that the averaged-shift quadratic form vanishes, that
-    mu^2 - mu*nu + w*gamma*(1-nu) <= 0, and hence mu <= nu = 1/8.
+    mu^2 - mu*nu + w*gamma*(1-nu) <= 0, and hence mu <= nu = 1/8.  Both
+    sums run over the nonzero squares only (8 of 2^e for an umvirate).
     """
     lam = combined_lambda_by_mask(fam.n)
     f = fam.indicator(F(1, 2))
-    squares = walsh_squares(f)
-    qf = quadratic_form(f, lam, squares)
-    mu, w = fam.measure(F(1, 2)), _weight_off(squares, lam, combined_lambda_min(fam.n))
+    support = walsh_support(f)
+    qf = quadratic_form(f, lam, support)
+    mu, w = fam.measure(F(1, 2)), _weight_off(support, lam, combined_lambda_min(fam.n))
     nu = hoffman_bound(LAMBDA_MIN_UNIFORM).nu
     lhs = mu * mu - mu * nu + w * GAP_COMBINED * (1 - nu)
     return {

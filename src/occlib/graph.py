@@ -95,11 +95,11 @@ class Graph:
 
     def touched_vertices(self) -> int:
         """Bitmask of non-isolated vertices."""
+        m = self.mask
         t = 0
-        pairs = edge_pairs(self.n)
-        for k in _bit_positions(self.mask):
-            i, j = pairs[k]
-            t |= (1 << i) | (1 << j)
+        for u, star in enumerate(_vertex_stars(self.n)):
+            if m & star:
+                t |= 1 << u
         return t
 
     @property
@@ -207,6 +207,8 @@ class Graph:
         t = self.touched_vertices()
         if t == 0:
             return Graph(1, 0)
+        if t == (1 << self.n) - 1:
+            return self
         old = _bit_positions(t)
         newidx = {u: k for k, u in enumerate(old)}
         nn = len(old)
@@ -226,6 +228,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
+
+
+@lru_cache(maxsize=None)
+def _vertex_stars(n: int) -> tuple[int, ...]:
+    """Edge mask of the star of each vertex of K_n."""
+    stars = [0] * n
+    for k, (i, j) in enumerate(edge_pairs(n)):
+        stars[i] |= 1 << k
+        stars[j] |= 1 << k
+    return tuple(stars)
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -323,11 +335,13 @@ def canonical_form(g: Graph) -> int:
 
     The edges among the new labels k..n-1 are exactly the top C(n-k, 2) bits,
     and placing label k adds the block of bits (k, k+1) .. (k, n-1) right
-    below them.  So labels are assigned from n-1 downward, keeping every
-    partial labelling whose blocks tie with the smallest so far.  Twins
-    (equal neighbourhoods apart from each other) are placed in index order,
-    since swapping two twins is an automorphism, and partial labellings that
-    leave the same state behind are merged.
+    below them.  So labels are assigned from n-1 downward, level by level,
+    keeping every partial labelling whose blocks tie with the smallest so
+    far.  Twins (equal neighbourhoods apart from each other) are placed in
+    index order, since swapping two twins is an automorphism, and partial
+    labellings that leave the same state behind are merged.  The canonicity
+    test of enumerate_unlabeled runs the same search against a bound,
+    depth-first, and stops at the first block below the bound's.
     """
     if g.n > _CANON_MAX_N:
         raise ValueError(f"canonical form search needs n <= {_CANON_MAX_N}")
@@ -336,53 +350,107 @@ def canonical_form(g: Graph) -> int:
     return _least_relabelling(g.n, g.adjacency())
 
 
+@lru_cache(maxsize=None)
+def _label_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Tables of the canonical search on n vertices.
+
+    A search state holds, for each unplaced vertex w, the labels of its
+    placed neighbours as an n-bit field at bit n*w of one integer.
+    fields[s] covers the fields of the vertex set s, spread[s] sets bit 0 of
+    the field of each vertex in s, and shifts[k] is the bit position of the
+    block of label k in an edge mask.
+    """
+    ones = (1 << n) - 1
+    fields = [0] * (1 << n)
+    spread = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        w = low.bit_length() - 1
+        fields[s] = fields[s ^ low] | ones << (n * w)
+        spread[s] = spread[s ^ low] | 1 << (n * w)
+    shifts = tuple(edge_index(k, k + 1, n) if k < n - 1 else 0 for k in range(n))
+    return tuple(fields), tuple(spread), shifts
+
+
+def _twin_rule(n: int, adj: list[int]) -> list[int]:
+    """Per vertex, the lower-index twins that must be placed before it:
+    non-adjacent twins have equal neighbourhoods, adjacent twins equal
+    closed neighbourhoods."""
+    needs = []
+    earlier: dict[int, int] = {}
+    for u in range(n):
+        open_key, closed_key = adj[u] << 1, (adj[u] | 1 << u) << 1 | 1
+        needs.append(earlier.get(open_key, 0) | earlier.get(closed_key, 0))
+        earlier[open_key] = earlier.get(open_key, 0) | 1 << u
+        earlier[closed_key] = earlier.get(closed_key, 0) | 1 << u
+    return needs
+
+
 def _least_relabelling(n: int, adj: list[int], bound: int | None = None) -> int | None:
     """The search behind canonical_form, on neighbour bitmasks.
 
-    With a bound, return None as soon as some partial labelling has a block
-    strictly below the bound's block at the same label; the bound is then
-    not the minimum of its class.  A bound taken from the class itself is
-    never below the minimum, so if no block undercuts it the minimum is the
-    bound and the bound is returned.
+    A state is (labels, free): the placed-neighbour label fields of the free
+    (unplaced) vertices, and the free vertex mask; its level k is the next
+    label to assign, one less than the number of free vertices.  Without a
+    bound the states are expanded level by level and the minimum is
+    returned.  With a bound the states are walked depth-first from a stack,
+    keeping only those whose blocks tie with the bound's, and the search
+    returns None at the first block strictly below the bound's block at the
+    same label: the bound is then not the minimum of its class.  A bound
+    taken from the class itself is never below the minimum, so if no block
+    undercuts it the minimum is the bound and the bound is returned.
     """
-    # a vertex becomes placeable once its lower-index twins are placed
-    needs = [sum(1 << w for w in range(u)
-                 if adj[u] & ~(1 << w) == adj[w] & ~(1 << u)) for u in range(n)]
-    # state: (placed vertices, per unplaced vertex the labels of its placed
-    # neighbours as a bitmask; 0 for placed vertices)
-    states = [(0, (0,) * n)]
-    value = 0
-    for k in range(n - 1, -1, -1):
-        shift = edge_index(k, k + 1, n) if k < n - 1 else 0
-        if bound is None:
-            best = 1 << n
-        else:
-            best = bound >> shift & ((1 << (n - 1 - k)) - 1)
-        ties = []
-        for placed, labels in states:
-            free = ~placed
-            for u in range(n):
-                if free >> u & 1 and not needs[u] & free:
-                    block = labels[u] >> (k + 1)
-                    if block < best:
-                        if bound is not None:
-                            return None
-                        best, ties = block, [(placed, labels, u)]
-                    elif block == best:
-                        ties.append((placed, labels, u))
-        value |= best << shift
-        grown = set()
-        for placed, labels, u in ties:
-            nxt = list(labels)
-            nxt[u] = 0
-            nb = adj[u] & ~placed
-            while nb:
-                w = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                nxt[w] |= 1 << k
-            grown.add((placed | 1 << u, tuple(nxt)))
-        states = grown
-    return value
+    needs = _twin_rule(n, adj)
+    fields, spread_of, shifts = _label_tables(n)
+    spread = [spread_of[a] for a in adj]
+
+    def place(labels: int, free: int, k: int, best: int, out: list) -> int:
+        # offer label k to every free vertex the twin rule allows; return the
+        # least block if it is below best, else best, and append to out the
+        # child state of each vertex whose block equals the returned value
+        # (out is cleared on a new minimum, which ends a bounded search)
+        low = (1 << (n - 1 - k)) - 1
+        f = free
+        while f:
+            bit = f & -f
+            f ^= bit
+            u = bit.bit_length() - 1
+            if needs[u] & free:
+                continue
+            block = labels >> (u * n + k + 1) & low
+            if block <= best:
+                if block < best:
+                    best = block
+                    out.clear()
+                if k:
+                    rest = free ^ bit
+                    out.append(((labels | spread[u] << k) & fields[rest], rest))
+        return best
+
+    start = (0, (1 << n) - 1)
+    if bound is None:
+        states = [start]
+        value = 0
+        for k in range(n - 1, -1, -1):
+            best, ties = 1 << n, []
+            for labels, free in states:
+                best = place(labels, free, k, best, ties)
+            value |= best << shifts[k]
+            states = set(ties)
+        return value
+    stack = [start]
+    seen = set()
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        labels, free = state
+        k = free.bit_count() - 1
+        want = bound >> shifts[k] & ((1 << (n - 1 - k)) - 1)
+        if place(labels, free, k, want, stack) < want:
+            return None
+    return bound
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:

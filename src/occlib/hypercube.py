@@ -32,7 +32,7 @@ __all__ = [
     "apply_shift",
     "apply_shift_averaged",
     "quadratic_form",
-    "walsh_squares",
+    "walsh_support",
 ]
 
 F = Fraction
@@ -246,9 +246,9 @@ class TensorOperator:
         return (-self.ratio) ** (s_mask & self._active()).bit_count()
 
 
-def walsh_squares(f: FunctionOnCube) -> list[Fraction]:
-    """(p(1-p))^|S| * ghat(S)^2, the squared orthonormal coefficient, for
-    every edge set S, exactly."""
+def walsh_support(f: FunctionOnCube) -> list[tuple[int, Fraction]]:
+    """(S, (p(1-p))^|S| * ghat(S)^2), the squared orthonormal coefficient,
+    for every edge set S where it is nonzero, in increasing S, exactly."""
     e = f._dim
     ints, dens = _integer_transform(f.values, walsh_matrix(f.p), (1 << e) - 1)
     var = f.p * (1 - f.p)
@@ -257,17 +257,15 @@ def walsh_squares(f: FunctionOnCube) -> list[Fraction]:
     for mask, x in enumerate(ints):
         if x:
             k = scales[mask.bit_count()]
-            out.append(F(x * x * k.numerator, k.denominator))
-        else:
-            out.append(_ZERO)
+            out.append((mask, F(x * x * k.numerator, k.denominator)))
     return out
 
 
 def quadratic_form(f: FunctionOnCube, lambda_by_mask: dict,
-                   squares: Optional[Sequence[Fraction]] = None) -> Fraction:
+                   support: Optional[Iterable[tuple[int, Fraction]]] = None) -> Fraction:
     """Sum over characters of lambda(S) times the squared orthonormal
-    coefficient at S; pass squares = walsh_squares(f) when it is already at
+    coefficient at S; pass support = walsh_support(f) when it is already at
     hand."""
-    if squares is None:
-        squares = walsh_squares(f)
-    return sum((lambda_by_mask[mask] * sq for mask, sq in enumerate(squares) if sq), _ZERO)
+    if support is None:
+        support = walsh_support(f)
+    return sum((lambda_by_mask[mask] * sq for mask, sq in support), _ZERO)

@@ -161,6 +161,21 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("occ: ")
 
+    def test_empty_file(self, capsys, tmp_path):
+        empty = tmp_path / "empty.g6"
+        empty.write_text("")
+        rc, out, err = run(capsys, "cutstat", str(empty))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("occ: ") and err.count("\n") == 1
+
+    def test_empty_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        rc, out, err = run(capsys, "cutstat")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("occ: ") and err.count("\n") == 1
+
     def test_bare_graph6_header(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(">>graph6<<\n"))
         rc, out, err = run(capsys, "cutstat")

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -25,9 +26,17 @@ from occlib.graph import (
     parse_graph6,
     write_graph6,
     _least_relabelling,
+    _twin_rule,
 )
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+
+
+@lru_cache(maxsize=None)
+def brute_force_form(g):
+    """Independent oracle for canonical forms: the least relabelled mask
+    over all n! vertex permutations."""
+    return min(g.permute(sigma).mask for sigma in itertools.permutations(range(g.n)))
 
 
 class TestBasics:
@@ -162,25 +171,17 @@ class TestCanonical:
         g = Graph.from_edges(6, [(2, 5), (4, 5), (2, 4)])
         assert canonical_key(g) == canonical_key(TRIANGLE)
 
-    @staticmethod
-    def full_scan(g):
-        """Minimum relabelled mask over every vertex permutation."""
-        pairs = edge_pairs(g.n)
-        edges = [pairs[k] for k in range(len(pairs)) if g.mask >> k & 1]
-        return min(sum(1 << edge_index(s[i], s[j], g.n) for i, j in edges)
-                   for s in itertools.permutations(range(g.n)))
-
     def test_matches_full_scan_on_every_k5_mask(self):
         for mask in range(1 << 10):
             g = Graph(5, mask)
-            assert canonical_form(g) == self.full_scan(g), mask
+            assert canonical_form(g) == brute_force_form(g), mask
 
     def test_matches_full_scan_on_sampled_k6_k7_masks(self):
         rng = random.Random(29)
         for n, count in ((6, 150), (7, 12)):
             for _ in range(count):
                 g = Graph(n, rng.getrandbits(len(edge_pairs(n))))
-                assert canonical_form(g) == self.full_scan(g), (n, g.mask)
+                assert canonical_form(g) == brute_force_form(g), (n, g.mask)
 
     def test_four_matching_key(self):
         matching = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
@@ -264,13 +265,43 @@ class TestEnumeration:
             assert self.bounded_agrees(Graph(5, mask)), mask
 
     def test_bounded_search_decides_canonicity_on_sampled_k6_k7_masks(self):
-        # each sampled mask and its canonical form, so both answers occur
+        # each sampled mask and its canonical form, so both answers occur;
+        # n = 8 is the largest the canonical search allows
         rng = random.Random(31)
-        for n, count in ((6, 300), (7, 150)):
+        for n, count in ((6, 300), (7, 150), (8, 50)):
             for _ in range(count):
                 g = Graph(n, rng.getrandbits(len(edge_pairs(n))))
                 for h in (g, Graph(n, canonical_form(g))):
                     assert self.bounded_agrees(h), (n, h.mask)
+
+    @staticmethod
+    def both_searches_match_brute_force(g):
+        # the unbounded search finds the oracle's minimum; the bounded one
+        # accepts the mask exactly when it is that minimum, for the mask
+        # and for its canonical form
+        least = brute_force_form(g)
+        for h in (g, Graph(g.n, least)):
+            adj = h.adjacency()
+            assert _least_relabelling(h.n, adj) == least, h.mask
+            want = h.mask if h.mask == least else None
+            assert _least_relabelling(h.n, adj, h.mask) == want, h.mask
+
+    def test_twin_rule_matches_definition_on_every_k5_mask(self):
+        # w < u are twins when their neighbourhoods agree apart from each other
+        for mask in range(1 << 10):
+            adj = Graph(5, mask).adjacency()
+            want = [sum(1 << w for w in range(u)
+                        if adj[u] & ~(1 << w) == adj[w] & ~(1 << u)) for u in range(5)]
+            assert _twin_rule(5, adj) == want, mask
+
+    def test_both_searches_match_brute_force_on_every_k5_mask(self):
+        for mask in range(1 << 10):
+            self.both_searches_match_brute_force(Graph(5, mask))
+
+    def test_both_searches_match_brute_force_on_sampled_k6_masks(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            self.both_searches_match_brute_force(Graph(6, rng.getrandbits(15)))
 
     def test_seven_vertex_enumeration_within_budget(self):
         # a fresh interpreter, so no canonical form is cached
@@ -283,7 +314,7 @@ class TestEnumeration:
                 "print(time.perf_counter() - start)\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert float(out.stdout) < 1.0
+        assert float(out.stdout) < 0.5
 
 
 class TestGraph6:

@@ -14,7 +14,7 @@ from occlib.hypercube import (
     inverse_walsh_matrix,
     quadratic_form,
     walsh_matrix,
-    walsh_squares,
+    walsh_support,
 )
 from occlib.spectra import combined_lambda_by_mask
 
@@ -132,13 +132,13 @@ class TestIntegerKernel:
         f = random_function(n, p, seed)
         ref = reference_butterfly(f.values, walsh_matrix(p), len(f.values) - 1)
         ref_squares = [(p * (1 - p)) ** m.bit_count() * v * v for m, v in enumerate(ref)]
-        squares = walsh_squares(f)
-        assert squares == ref_squares
-        assert sum(squares) == f.inner(f)
+        support = walsh_support(f)
+        assert support == [(m, sq) for m, sq in enumerate(ref_squares) if sq]
+        assert sum(sq for _, sq in support) == f.inner(f)
         lam = combined_lambda_by_mask(n)
         want = sum(sq * lam[m] for m, sq in enumerate(ref_squares))
         assert quadratic_form(f, lam) == want
-        assert quadratic_form(f, lam, squares) == want
+        assert quadratic_form(f, lam, support) == want
 
     def test_half_is_plain_hadamard(self):
         # at p = 1/2, ghat(S) is 2^|S| times the integer Walsh-Hadamard
