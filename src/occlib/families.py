@@ -38,7 +38,6 @@ __all__ = [
     "agreement_generators",
     "agreement_cayley",
     "maximum_independent_sets",
-    "fourier_weight_off_tight",
     "hoffman_audit",
     "verify_family_claims",
 ]
@@ -267,15 +266,6 @@ def maximum_independent_sets(adj: Sequence[int], seed: int | None = None) -> tup
             members.add(order[i])
         out.append(frozenset(members))
     return best_size, sorted(out, key=sorted)
-
-
-def fourier_weight_off_tight(fam: Family, lambda_by_mask: dict,
-                             support: Sequence[tuple[int, Fraction]] | None = None) -> tuple[Fraction, Fraction]:
-    """(mu, fourier mass on non-minimal characters) at p = 1/2; support is
-    walsh_support of the indicator when it is already at hand."""
-    if support is None:
-        support = walsh_support(fam.indicator(F(1, 2)))
-    return fam.measure(F(1, 2)), _weight_off(support, lambda_by_mask, min(lambda_by_mask.values()))
 
 
 def _weight_off(support: Iterable[tuple[int, Fraction]], lambda_by_mask: dict,

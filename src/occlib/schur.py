@@ -6,7 +6,8 @@ vectors: odd cycles become odd-size zero-sum subsets (Schur triples in the
 three-element case), vertex-coloring cuts become hyperplane cuts, forests
 become linearly independent sets.  Everything the graph modules verify has
 an analogue here, checked exhaustively over all subsets of the 15 nonzero
-vectors of dimension four.
+vectors of dimension four.  A vector set's cut statistics form the same
+CutStats record as a graph's, so its eigenvalues are spectra.Spectrum values.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from .spectra import (
     GAP_COMBINED,
     GAP_UNIFORM,
     LAMBDA_MIN_UNIFORM,
-    UNIFORM_COEFFS,
     Spectrum,
     VerificationReport,
-    clear_denominators,
     eval_lambda1_skew,
     lambda_min_skew,
 )
@@ -41,10 +40,6 @@ __all__ = [
     "is_independent_four",
     "is_box",
     "lift_graph",
-    "eval_lambda1_vectors",
-    "eval_lambda2_vectors",
-    "eval_lambda_combined_vectors",
-    "eval_lambda1_skew_vectors",
     "verify_oldc_claims",
 ]
 
@@ -206,22 +201,6 @@ def lift_graph(g: Graph) -> VectorSet:
     return VectorSet.from_vectors(g.n, vecs)
 
 
-def eval_lambda1_vectors(vs: VectorSet) -> Fraction:
-    return Spectrum.uniform1().value(vs.cut_stats())
-
-
-def eval_lambda2_vectors(vs: VectorSet) -> Fraction:
-    return Spectrum.uniform2().value(vs.cut_stats())
-
-
-def eval_lambda_combined_vectors(vs: VectorSet) -> Fraction:
-    return Spectrum.combined().value(vs.cut_stats())
-
-
-def eval_lambda1_skew_vectors(vs: VectorSet, p) -> Fraction:
-    return Spectrum.skew1(p).value(vs.cut_stats())
-
-
 # ---------------------------------------------------------------------------
 # exhaustive verification in dimension four
 # ---------------------------------------------------------------------------
@@ -253,37 +232,31 @@ def _dense_tables(n: int):
     return pc, xs, rank
 
 
-# the lambda1 weights times their common denominator 28: (28, -20, -4, 3)
-_, _L1_WEIGHTS = clear_denominators(UNIFORM_COEFFS)
-
-
-def _scaled_spectra(mask: int, pm, pc, xs, rank):
-    """One pass over the 16 hyperplanes: small-cut counts c_0..c_3 plus
-    448*lambda1 and 16*lambda2 as exact signed integers (every cut
-    probability has denominator 16, and 448 = 16 * 28 clears the weights)."""
-    c = [0, 0, 0, 0]
-    i4 = bx = 0
+def _cut_record(mask: int, pm, pc, xs) -> tuple:
+    """(counts, forest4, cycle4) of the subset mask, read from the dense
+    tables in one pass over the hyperplanes.  Every vector of a cut has odd
+    inner product with w, so no odd number of them sums to zero: four cut
+    vectors form a box when they sum to zero and are independent otherwise."""
+    counts = [0] * (pc[mask] + 1)
+    indep = box = 0
     for w_mask in pm:
         cut = mask & w_mask
         k = pc[cut]
-        if k <= 3:
-            c[k] += 1
-        elif k == 4:
+        counts[k] += 1
+        if k == 4:
             if xs[cut] == 0:
-                bx += 1
-            elif rank[cut] == 4:
-                i4 += 1
-    sign = 1 if pc[mask] % 2 == 0 else -1
-    w0, w1, w2, w3 = _L1_WEIGHTS
-    l1 = sign * (w0 * c[0] + w1 * c[1] + w2 * c[2] + w3 * c[3])
-    l2 = sign * (i4 - bx)
-    return c, l1, l2
+                box += 1
+            else:
+                indep += 1
+    return tuple(counts), indep, box
 
 
 def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
     """Exhaustive verification of the vector-set spectra in dimension four,
     plus decider cross-checks, graph-lift consistency, and the dimension-two
-    family exhaust."""
+    family exhaust.  The 2^15 subsets have few distinct cut records; each
+    record is evaluated once by the spectra, and each (structural type,
+    record) pair that occurs is checked once."""
     if n != 4:
         raise ValueError("the exhaustive campaign is sized for dimension 4")
     rep = VerificationReport("oldc-claims")
@@ -291,53 +264,17 @@ def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
     pm = _parity_masks(n)
     pc, xs, rank = _dense_tables(n)
 
-    # scaled references: -1/7 is -64 at scale 448 and -1088 at scale 7616,
-    # the secondary gap 1/952 is 8 at scale 7616
-    tight1 = tight_c = True
-    min_ok = True
-    gap_attained: list[int] = []
-    l2_ok = True
-    combined_gap_ok = True
+    pairs = set()  # (size, zero xor-sum, rank) of a subset, and its cut record
     q_identities = True
     m1_sizes = True
     m0_types = True
-    gap_scaled = int(GAP_COMBINED * 7616)
     for mask in range(2, 1 << 16, 2):
-        c, l1, l2 = _scaled_spectra(mask, pm, pc, xs, rank)
+        record = _cut_record(mask, pm, pc, xs)
         size = pc[mask]
         r = rank[mask]
-        lc = 17 * l1 + 8 * l2
-        if l1 < -64:
-            min_ok = False
-        is_tight_type = (
-            size in (1, 2)
-            or (size == 3 and xs[mask] == 0)
-            or (size == 4 and r == 4)
-            or (size == 5 and r == 3)
-        )
-        if (l1 == -64) != is_tight_type:
-            tight1 = False
-        if not is_tight_type:
-            if l1 < -56:
-                min_ok = False
-            if l1 == -56:
-                gap_attained.append(mask)
-        if not -16 <= l2 <= 16:
-            l2_ok = False
-        if size <= 3 and l2 != 0:
-            l2_ok = False
-        if size == 4 and r == 4 and l2 != 1:
-            l2_ok = False
-        if size == 4 and xs[mask] == 0 and l2 != -2:
-            l2_ok = False
-        if size == 5 and r == 3 and l2 != 2:
-            l2_ok = False
-        is_tight_comb = size in (1, 2) or (size == 3 and xs[mask] == 0)
-        if (lc == -1088) != is_tight_comb:
-            tight_c = False
-        if not is_tight_comb and lc < -1088 + gap_scaled:
-            combined_gap_ok = False
-        if c[0] * (1 << r) != 16:
+        pairs.add(((size, xs[mask] == 0, r), record))
+        c = record[0]
+        if c[0] << r != 16:
             q_identities = False
         essentials = sum(rank[mask ^ (1 << v)] < r
                          for v in range(1, 16) if mask >> v & 1)
@@ -352,11 +289,40 @@ def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
                     or (size == 5 and r == 3)):
                 m0_types = False
 
+    s1, s2, sc = Spectrum.uniform1(), Spectrum.uniform2(), Spectrum.combined()
+    values = {}
+    for _, record in pairs:
+        if record not in values:
+            stats = CutStats(*record, len(pm))
+            values[record] = s1.value(stats), s2.value(stats), sc.value(stats)
+    gap1 = LAMBDA_MIN_UNIFORM + GAP_UNIFORM
+    min_ok = tight1 = tight_c = combined_gap_ok = l2_ok = gap_ok = True
+    for (size, zero_sum, r), record in pairs:
+        l1, l2, lc = values[record]
+        is_tight_type = (size in (1, 2) or (size == 3 and zero_sum)
+                         or (size == 4 and r == 4) or (size == 5 and r == 3))
+        min_ok &= l1 >= (LAMBDA_MIN_UNIFORM if is_tight_type else gap1)
+        tight1 &= (l1 == LAMBDA_MIN_UNIFORM) == is_tight_type
+        # the gap is attained exactly by the punctured 3-spaces
+        gap_ok &= (not is_tight_type and l1 == gap1) == (size == 7 and r == 3)
+        l2_ok &= -1 <= l2 <= 1
+        if size <= 3:
+            l2_ok &= l2 == 0
+        if size == 4 and r == 4:
+            l2_ok &= l2 == F(1, 16)
+        if size == 4 and zero_sum:
+            l2_ok &= l2 == F(-1, 8)
+        if size == 5 and r == 3:
+            l2_ok &= l2 == F(1, 8)
+        is_tight_comb = size in (1, 2) or (size == 3 and zero_sum)
+        tight_c &= (lc == LAMBDA_MIN_UNIFORM) == is_tight_comb
+        if not is_tight_comb:
+            combined_gap_ok &= lc >= LAMBDA_MIN_UNIFORM + GAP_COMBINED
+
     rep.add("lambda1:min=-1/7", min_ok)
     rep.add("lambda1:tight-set-structural", tight1)
-    seven_sets = [m for m in range(2, 1 << 16, 2) if pc[m] == 7 and rank[m] == 3]
-    rep.add("lambda1:gap-1/56-attained-by-punctured-3-spaces",
-            gap_attained == seven_sets and len(seven_sets) == 15)
+    seven_sets = sum(1 for m in range(2, 1 << 16, 2) if pc[m] == 7 and rank[m] == 3)
+    rep.add("lambda1:gap-1/56-attained-by-punctured-3-spaces", gap_ok and seven_sets == 15)
     rep.add("lambda2:typed-values", l2_ok)
     rep.add("combined:tight-set-structural", tight_c)
     rep.add("combined:gap=1/952", combined_gap_ok)
@@ -373,8 +339,8 @@ def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
     rep.add("7set:distribution=1/8+7/8x^4",
             tuple(d7[k] for k in range(5)) == (F(1, 8), 0, 0, 0, F(7, 8)))
     rep.add("7set:lambda1=-1/8",
-            eval_lambda1_vectors(s7) == LAMBDA_MIN_UNIFORM + GAP_UNIFORM)
-    rep.add("7set:lambda2=7/8", eval_lambda2_vectors(s7) == F(7, 8))
+            s1.value(s7.cut_stats()) == LAMBDA_MIN_UNIFORM + GAP_UNIFORM)
+    rep.add("7set:lambda2=7/8", s2.value(s7.cut_stats()) == F(7, 8))
 
     # decider agreement: all of dimension 3, a random slab of dimension 4
     ok = all(has_odd_dependency(VectorSet(3, m)) ==
@@ -387,7 +353,6 @@ def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
 
     # graph lifts: cut law, spectra and cycle parity all transfer
     ok_dist = ok_l1 = ok_l2 = ok_odd = True
-    s1, s2 = Spectrum.uniform1(), Spectrum.uniform2()
     graphs = [Graph(4, m) for m in range(1, 64)]
     graphs += [g for g in enumerate_unlabeled(5) if g.edge_count]
     for g in graphs:
@@ -422,14 +387,15 @@ def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
 
     # biased spot checks at p = 3/8
     p = F(3, 8)
+    skew = Spectrum.skew1(p)
     box = VectorSet.from_vectors(3, [1, 2, 4, 7])
     c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     rep.add("skew:box-matches-4-cycle",
-            eval_lambda1_skew_vectors(box, p) == eval_lambda1_skew(c4, p))
+            skew.value(box.cut_stats()) == eval_lambda1_skew(c4, p))
     tights = [VectorSet.from_vectors(3, [1]),
               VectorSet.from_vectors(3, [1, 2]),
               VectorSet.from_vectors(3, [1, 2, 3])]
     rep.add("skew:tight-types-at-minimum",
-            all(eval_lambda1_skew_vectors(t, p) == lambda_min_skew(p)
+            all(skew.value(t.cut_stats()) == lambda_min_skew(p)
                 for t in tights))
     return rep

@@ -4,14 +4,14 @@ certificate campaigns that verify them.
 Every spectrum here assigns a rational eigenvalue to a graph from its cut
 statistics alone:
 
-    lambda(G) = s^|G| * (q_0 + c_1 q_1 + c_2 q_2 + c_3 q_3 + ...)
+    lambda(G) = s^|G| * (w_0 q_0 + w_1 q_1 + w_2 q_2 + w_3 q_3 + w_4 forest4 + w_5 cycle4)
 
-with sign base s = -1 in the uniform setting and s = -p/(1-p) in the p-biased
-setting.  The verification campaigns check the claimed minima and spectral
-gaps three independent ways: exhaustively over all isomorphism classes with at
-most 7 non-isolated vertices, by exact identities between rational functions
-of p, and by Sturm sign certificates for every case of the size-based
-analysis, each derived polynomial recorded in its certificate.
+with sign base s = -p/(1-p); the uniform setting is p = 1/2, where s = -1.
+The verification campaigns check the claimed minima and spectral gaps three
+independent ways: exhaustively over all isomorphism classes with at most 7
+non-isolated vertices, by exact identities between rational functions of p,
+and by Sturm sign certificates for every case of the size-based analysis,
+each derived polynomial recorded in its certificate.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ GAP_UNIFORM = F(1, 56)
 COMBINE_WEIGHT = F(16, 17) * F(1, 56)
 GAP_COMBINED = F(1, 952)
 
-# coefficients of (q_0, q_1, q_2, q_3) in the uniform first spectrum
-UNIFORM_COEFFS = (F(1), F(-5, 7), F(-1, 7), F(3, 28))
-
 
 # closed forms in p: plain field arithmetic, so one definition gives exact
 # values at a Fraction bias (validated by the public entry points) and, at the
@@ -106,6 +103,11 @@ def _coefficients(p) -> tuple:
     c2 = (p * p - 3 * p + 1) / den
     c3 = (5 * p * p - 27 * p + 45 - 28 / p + 6 / (p * p)) / (4 * den)
     return c1, c2, c3
+
+
+# coefficients of (q_0, q_1, q_2, q_3) in the uniform first spectrum:
+# (1, -5/7, -1/7, 3/28)
+UNIFORM_COEFFS = (F(1), *_coefficients(F(1, 2)))
 
 
 def _pinned(p) -> tuple:
@@ -203,63 +205,62 @@ def _skew_bias(p: Fraction) -> Fraction:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A linear functional of cut statistics with a size-dependent sign base.
+    """A linear functional of cut statistics with the sign base -p/(1-p).
 
-    kind is descriptive only.  coeffs maps statistic names to rational
-    weights; supported statistics are "q0".."q9" (cut-size probabilities),
-    "forest4" and "cycle4" (isomorphism-typed 4-edge cut probabilities).
-    p = None means the uniform sign base (-1)^|G|, otherwise (-p/(1-p))^|G|;
-    at p = RationalFunction.x() the weights and values are rational functions
-    of p.  This is the one evaluator: every eigenvalue of a graph or a vector set
+    weights weigh the six counts of a CutStats record, in this order: q0, q1,
+    q2, q3 (cuts of 0 to 3 edges), forest4 and cycle4 (4-edge cuts that are
+    forests and 4-cycles; for vector sets, independent 4-sets and boxes).  The
+    uniform spectra are the ones at p = 1/2, whose sign base is -1.  At
+    p = RationalFunction.x() the weights and values are rational functions of
+    p.  This is the one evaluator: every eigenvalue of a graph or a vector set
     is a Spectrum applied to its CutStats.
     """
 
-    kind: str
-    coeffs: tuple[tuple[str, Fraction], ...]
-    p: Fraction | None = None
+    p: Fraction
+    weights: tuple
 
     def value(self, x: Graph | CutStats) -> Fraction:
         """Eigenvalue of a graph, or of whatever the given statistics describe."""
         stats = x if isinstance(x, CutStats) else cut_stats(x)
-        readers, scale, weights = self._terms
-        hits = sum(w * read(stats) for read, w in zip(readers, weights))
+        scale, weights = self._terms
+        q = stats.counts[:4]
+        counts = (*q, *(0,) * (4 - len(q)), stats.forest4, stats.cycle4)
+        hits = sum(w * c for w, c in zip(weights, counts))
         if scale is None:  # weights and base are rational functions of the symbol p
             return (-_ratio(self.p)) ** stats.size * hits / stats.total
-        # the sign base of p = a/b is -a/(b-a); the uniform base -1 is that of 1/2
-        a, b = (1, 2) if self.p is None else (self.p.numerator, self.p.denominator)
+        # the sign base of p = a/b is -a/(b-a)
+        a, b = self.p.numerator, self.p.denominator
         return F((-a) ** stats.size * hits, (b - a) ** stats.size * scale * stats.total)
 
     @cached_property
     def _terms(self) -> tuple:
-        """(statistic readers, scale, weights): at a rational bias the weights
-        are cleared to integers at one scale, once per spectrum; at the symbol
-        p they stay rational functions and the scale is None."""
-        readers = tuple(_statistic_reader(name) for name, _ in self.coeffs)
-        weights = tuple(w for _, w in self.coeffs)
-        if (self.p is None or isinstance(self.p, F)) and all(isinstance(w, (int, F)) for w in weights):
-            return (readers, *clear_denominators(weights))
-        return readers, None, weights
+        """(scale, weights): at a rational bias the weights are cleared to
+        integers at one scale, once per spectrum; at the symbol p they stay
+        rational functions and the scale is None."""
+        if isinstance(self.p, F):
+            return clear_denominators(self.weights)
+        return None, self.weights
 
     def scaled(self, factor: Fraction) -> "Spectrum":
-        return Spectrum(self.kind, tuple((n, factor * w) for n, w in self.coeffs), self.p)
+        return Spectrum(self.p, tuple(factor * w for w in self.weights))
 
     def plus(self, other: "Spectrum") -> "Spectrum":
         if self.p != other.p:
             raise ValueError("sign bases differ")
-        merged: dict[str, Fraction] = {}
-        for n, w in self.coeffs + other.coeffs:
-            merged[n] = merged.get(n, F(0)) + w
-        return Spectrum(f"{self.kind}+{other.kind}", tuple(sorted(merged.items())), self.p)
+        return Spectrum(self.p, tuple(a + b for a, b in zip(self.weights, other.weights)))
 
     @staticmethod
+    @lru_cache(maxsize=1)
     def uniform1() -> "Spectrum":
-        return Spectrum("uniform-1", tuple(zip(("q0", "q1", "q2", "q3"), UNIFORM_COEFFS)))
+        return Spectrum.skew1(F(1, 2))
 
     @staticmethod
+    @lru_cache(maxsize=1)
     def uniform2() -> "Spectrum":
-        return Spectrum("uniform-2", (("forest4", F(1)), ("cycle4", F(-1))))
+        return Spectrum.skew2(F(1, 2))
 
     @staticmethod
+    @lru_cache(maxsize=1)
     def combined() -> "Spectrum":
         return Spectrum.uniform1().plus(Spectrum.uniform2().scaled(COMBINE_WEIGHT))
 
@@ -269,7 +270,8 @@ class Spectrum:
 
     @staticmethod
     def skew2(p: Fraction) -> "Spectrum":
-        return Spectrum("skew-2", Spectrum.uniform2().coeffs, _skew_bias(p))
+        """Pr[4-forest cut] - Pr[4-cycle cut], with the sign base of p."""
+        return Spectrum(_skew_bias(p), (F(0), F(0), F(0), F(0), F(1), F(-1)))
 
 
 def clear_denominators(weights) -> tuple[int, tuple[int, ...]]:
@@ -278,19 +280,8 @@ def clear_denominators(weights) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(int(w * scale) for w in weights)
 
 
-def _statistic_reader(name: str):
-    """The count of statistic name in a CutStats: q0..q9, forest4 or cycle4."""
-    if name in ("forest4", "cycle4"):
-        return lambda stats: getattr(stats, name)
-    if name[:1] == "q" and name[1:].isdigit():
-        k = int(name[1:])
-        return lambda stats: stats.counts[k] if k < len(stats.counts) else 0
-    raise ValueError(f"unknown statistic {name!r}")
-
-
 def _skew1(p) -> Spectrum:
-    c1, c2, c3 = _coefficients(p)
-    return Spectrum("skew-1", (("q0", F(1)), ("q1", c1), ("q2", c2), ("q3", c3)), p)
+    return Spectrum(p, (F(1), *_coefficients(p), F(0), F(0)))
 
 
 @dataclass(frozen=True)
@@ -482,14 +473,14 @@ def verify_uniform_claims() -> VerificationReport:
     ffk = _four_forest_keys()
     k4m_key = canonical_key(refs["K4minus"])
 
-    s1, s2 = Spectrum.uniform1(), Spectrum.uniform2()
+    s1, s2, sc = Spectrum.uniform1(), Spectrum.uniform2(), Spectrum.combined()
     bad1, badc = [], []
     l2_by_key = {}
     ok_small = ok_bound = True
     for key, e in catalogue.items():
         l1 = s1.value(e.stats)
         l2 = l2_by_key[key] = s2.value(e.stats)
-        lc = l1 + COMBINE_WEIGHT * l2
+        lc = sc.value(e.stats)
         if not (l1 == LAMBDA_MIN_UNIFORM if key in t1
                 else l1 >= LAMBDA_MIN_UNIFORM + GAP_UNIFORM):
             bad1.append(write_graph6(e.graph))
@@ -523,7 +514,7 @@ def verify_uniform_claims() -> VerificationReport:
             eval_lambda_combined(_four_matching()) == LAMBDA_MIN_UNIFORM + GAP_COMBINED)
 
     # combined values on the near-tight classes
-    lc_ff = Spectrum.combined().value(next(e.stats for key, e in catalogue.items() if key in ffk))
+    lc_ff = sc.value(next(e.stats for key, e in catalogue.items() if key in ffk))
     rep.add("combined:four-forest=-1/7+1/952", lc_ff == LAMBDA_MIN_UNIFORM + GAP_COMBINED)
     rep.add("combined:K4minus=-1/7+1/476",
             eval_lambda_combined(refs["K4minus"]) == LAMBDA_MIN_UNIFORM + F(1, 476))
@@ -581,7 +572,7 @@ def _skew_cases(spec: Spectrum, t: RationalFunction) -> list[tuple[str, Rational
     """(case id, rational function required positive on [p_lo, p_hi],
     whether a zero exactly at p = 1/2 is the expected equality), from the
     first skew spectrum and T at the symbol p."""
-    coeffs = tuple(w for _, w in spec.coeffs)
+    coeffs = spec.weights[:4]
     _, c1, c2, c3 = coeffs
     ratio = _ratio(spec.p)
     ratio2, ratio5, ratio7 = ratio ** 2, ratio ** 5, ratio ** 7

@@ -106,8 +106,9 @@ class TestVerify:
 
 
 class TestReportDigests:
-    """sha256 of the JSON reports of the certificate campaigns with
-    runtime_seconds removed: pins every claim and certificate polynomial."""
+    """sha256 of the JSON reports of the campaigns with runtime_seconds
+    removed, and of the built-in cutstat table: pins every claim, certificate
+    polynomial and table row."""
 
     @pytest.mark.parametrize("argv, code, digest", [
         (("verify", "skew"), 0,
@@ -122,11 +123,18 @@ class TestReportDigests:
          "55986848ef335d6d84992947e315aa2d34f2e1574993d3f575adcdba511ded14"),
         (("verify", "families", "--seed", "1", "--campaign-size", "120"), 0,
          "de231925452e18093c4caca4c2f0a00c8e0e4d1c38a89346c2a667c7838c85fe"),
-    ], ids=["skew", "skew-below-tau", "smallp", "uniform", "bound-check-n5", "families"])
+        (("verify", "schur"), 0,
+         "57f64a9c28c3d9a8f0dadd76408c903b8f999a8c2a2dab85eda33846dd72858c"),
+        # a list of rows, one per built-in graph, with no runtime field
+        (("cutstat", "--builtin"), 0,
+         "327e90d4d4c9ef7c483b5a43983c5a5318e33f423ab843e42dbb71f9e4eae139"),
+    ], ids=["skew", "skew-below-tau", "smallp", "uniform", "bound-check-n5", "families",
+            "schur", "cutstat-builtin"])
     def test_json_report_digest(self, capsys, argv, code, digest):
         rc, out, _ = run(capsys, *argv, "--format", "json")
         payload = json.loads(out)
-        payload.pop("runtime_seconds", None)
+        if isinstance(payload, dict):
+            payload.pop("runtime_seconds", None)
         assert rc == code
         assert hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest() == digest
 

@@ -9,7 +9,6 @@ from occlib.families import (
     agreement_cayley,
     agreement_generators,
     compress,
-    fourier_weight_off_tight,
     hoffman_audit,
     is_triangle_agreeing,
     is_triangle_intersecting,
@@ -226,10 +225,6 @@ class TestHoffmanAudit:
     def test_audit_minimum_is_the_table_minimum(self):
         for n in (3, 4, 5):
             assert combined_lambda_min(n) == min(combined_lambda_by_mask(n).values())
-        members = sorted(umvirate(4, T012).masks)[:5]
-        fam = Family(4, members)
-        a = hoffman_audit(fam)
-        assert fourier_weight_off_tight(fam, combined_lambda_by_mask(4)) == (a["mu"], a["w"])
 
     def test_non_agreeing_family_fails(self):
         a = hoffman_audit(Family(4, [0, 63]))

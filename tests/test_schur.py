@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,11 +8,9 @@ from occlib.cutstats import cut_distribution_bruteforce
 from occlib.graph import Graph, enumerate_unlabeled, random_graph
 from occlib.schur import (
     VectorSet,
+    _cut_record,
+    _dense_tables,
     _parity_masks,
-    eval_lambda1_skew_vectors,
-    eval_lambda1_vectors,
-    eval_lambda2_vectors,
-    eval_lambda_combined_vectors,
     gf2_rank,
     has_odd_dependency,
     has_odd_dependency_search,
@@ -25,6 +24,7 @@ from occlib.schur import (
 from occlib.spectra import (
     GAP_COMBINED,
     LAMBDA_MIN_UNIFORM,
+    Spectrum,
     eval_lambda1_skew,
     eval_lambda1_uniform,
     eval_lambda2_uniform,
@@ -36,6 +36,7 @@ BOX = VectorSet.from_vectors(3, [1, 2, 4, 7])
 INDEP4 = VectorSet.from_vectors(4, [1, 2, 4, 8])
 FIVE_RANK3 = VectorSet.from_vectors(3, [1, 2, 4, 3, 5])
 S7 = VectorSet.from_vectors(3, range(1, 8))
+S1, S2, SC = Spectrum.uniform1(), Spectrum.uniform2(), Spectrum.combined()
 
 even_masks4 = st.integers(min_value=0, max_value=(1 << 16) - 1).map(lambda m: m & ~1)
 
@@ -169,24 +170,24 @@ class TestVectorSetBasics:
 
 class TestSpectra:
     def test_lambda1_frozen_values(self):
-        assert eval_lambda1_vectors(VectorSet.from_vectors(2, [3])) == F(-1, 7)
-        assert eval_lambda1_vectors(TRIPLE) == F(-1, 7)
-        assert eval_lambda1_vectors(INDEP4) == F(-1, 7)
-        assert eval_lambda1_vectors(FIVE_RANK3) == F(-1, 7)
-        assert eval_lambda1_vectors(BOX) == F(1, 56)
-        assert eval_lambda1_vectors(S7) == F(-1, 8)
+        assert S1.value(VectorSet.from_vectors(2, [3]).cut_stats()) == F(-1, 7)
+        assert S1.value(TRIPLE.cut_stats()) == F(-1, 7)
+        assert S1.value(INDEP4.cut_stats()) == F(-1, 7)
+        assert S1.value(FIVE_RANK3.cut_stats()) == F(-1, 7)
+        assert S1.value(BOX.cut_stats()) == F(1, 56)
+        assert S1.value(S7.cut_stats()) == F(-1, 8)
 
     def test_lambda2_frozen_values(self):
-        assert eval_lambda2_vectors(TRIPLE) == 0
-        assert eval_lambda2_vectors(INDEP4) == F(1, 16)
-        assert eval_lambda2_vectors(BOX) == F(-1, 8)
-        assert eval_lambda2_vectors(FIVE_RANK3) == F(1, 8)
-        assert eval_lambda2_vectors(S7) == F(7, 8)
+        assert S2.value(TRIPLE.cut_stats()) == 0
+        assert S2.value(INDEP4.cut_stats()) == F(1, 16)
+        assert S2.value(BOX.cut_stats()) == F(-1, 8)
+        assert S2.value(FIVE_RANK3.cut_stats()) == F(1, 8)
+        assert S2.value(S7.cut_stats()) == F(7, 8)
 
     def test_combined_values(self):
-        assert eval_lambda_combined_vectors(TRIPLE) == F(-1, 7)
-        assert eval_lambda_combined_vectors(INDEP4) == F(-1, 7) + GAP_COMBINED
-        assert eval_lambda_combined_vectors(S7) == F(-15, 136)
+        assert SC.value(TRIPLE.cut_stats()) == F(-1, 7)
+        assert SC.value(INDEP4.cut_stats()) == F(-1, 7) + GAP_COMBINED
+        assert SC.value(S7.cut_stats()) == F(-15, 136)
 
     @given(st.integers(min_value=0, max_value=1023))
     @settings(max_examples=60, deadline=None)
@@ -196,8 +197,8 @@ class TestSpectra:
             return
         lifted = lift_graph(g)
         assert cut_distribution_bruteforce(g) == lifted.cut_distribution()
-        assert eval_lambda1_uniform(g) == eval_lambda1_vectors(lifted)
-        assert eval_lambda2_uniform(g) == eval_lambda2_vectors(lifted)
+        assert eval_lambda1_uniform(g) == S1.value(lifted.cut_stats())
+        assert eval_lambda2_uniform(g) == S2.value(lifted.cut_stats())
 
     def test_lift_odd_cycles(self):
         for g in enumerate_unlabeled(5):
@@ -207,18 +208,37 @@ class TestSpectra:
     def test_skew_matches_graph_and_minimum(self):
         p = F(3, 8)
         c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert eval_lambda1_skew_vectors(BOX, p) == eval_lambda1_skew(c4, p)
+        assert Spectrum.skew1(p).value(BOX.cut_stats()) == eval_lambda1_skew(c4, p)
         for t in (VectorSet.from_vectors(3, [1]),
                   VectorSet.from_vectors(3, [1, 2]), TRIPLE):
-            assert eval_lambda1_skew_vectors(t, p) == lambda_min_skew(p)
+            assert Spectrum.skew1(p).value(t.cut_stats()) == lambda_min_skew(p)
 
     def test_skew_at_half_is_uniform(self):
         for vs in (TRIPLE, BOX, S7, FIVE_RANK3):
-            assert eval_lambda1_skew_vectors(vs, F(1, 2)) == eval_lambda1_vectors(vs)
+            assert Spectrum.skew1(F(1, 2)).value(vs.cut_stats()) == S1.value(vs.cut_stats())
 
     def test_skew_domain(self):
         with pytest.raises(ValueError):
-            eval_lambda1_skew_vectors(BOX, F(3, 4))
+            Spectrum.skew1(F(3, 4)).value(BOX.cut_stats())
+
+
+class TestDenseScan:
+    """The campaign's table-driven cut records against VectorSet.cut_stats,
+    which types each 4-cut with is_box and is_independent_four."""
+
+    @staticmethod
+    def check(n, masks):
+        pm, (pc, xs, _) = _parity_masks(n), _dense_tables(n)
+        for m in masks:
+            stats = VectorSet(n, m).cut_stats()
+            assert _cut_record(m, pm, pc, xs) == (stats.counts, stats.forest4, stats.cycle4), m
+
+    def test_every_subset_in_dimension_three(self):
+        self.check(3, range(0, 256, 2))
+
+    def test_sampled_subsets_in_dimension_four(self):
+        rng = random.Random(4)
+        self.check(4, [rng.randrange(0, 1 << 16) & ~1 for _ in range(2000)])
 
 
 class TestCampaign:
@@ -237,5 +257,5 @@ class TestCampaign:
             verify_oldc_claims(3)
 
     def test_gap_tight_set_sits_above_minimum(self):
-        assert eval_lambda1_vectors(S7) == LAMBDA_MIN_UNIFORM + F(1, 56)
-        assert eval_lambda1_vectors(S7) > LAMBDA_MIN_UNIFORM
+        assert S1.value(S7.cut_stats()) == LAMBDA_MIN_UNIFORM + F(1, 56)
+        assert S1.value(S7.cut_stats()) > LAMBDA_MIN_UNIFORM

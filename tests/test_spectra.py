@@ -274,18 +274,18 @@ class TestSpectrumAlgebra:
         assert clear_denominators((F(1), F(-5, 7), F(-1, 7), F(3, 28))) == (28, (28, -20, -4, 3))
         assert clear_denominators((F(2), F(-3))) == (1, (2, -3))
         # value at a rational bias against the Fraction formula, weight by weight
-        def count(st, name):
-            if name in ("forest4", "cycle4"):
-                return getattr(st, name)
-            k = int(name[1:])
-            return st.counts[k] if k < len(st.counts) else 0
-
         for p in (F(1, 5), F(31, 125), F(1, 2)):
             spec = Spectrum.skew1(p).plus(Spectrum.skew2(p).scaled(F(3, 11)))
+            assert len(spec.weights) == 6
             for e in class_catalogue(5).values():
                 st = e.stats
-                hits = sum((w * count(st, n) for n, w in spec.coeffs), F(0))
+                q = [st.counts[k] if k <= st.size else 0 for k in range(4)]
+                hits = sum((w * c for w, c in zip(spec.weights, q + [st.forest4, st.cycle4])), F(0))
                 assert spec.value(st) == (-p / (1 - p)) ** st.size * hits / st.total
+
+    def test_uniform_spectra_are_the_skew_spectra_at_half(self):
+        assert Spectrum.uniform1() == Spectrum.skew1(F(1, 2))
+        assert Spectrum.uniform2() == Spectrum.skew2(F(1, 2))
 
     def test_linearity(self):
         rng = random.Random(7)
@@ -299,11 +299,6 @@ class TestSpectrumAlgebra:
     def test_mixed_bases_rejected(self):
         with pytest.raises(ValueError):
             Spectrum.uniform1().plus(Spectrum.skew1(F(3, 8)))
-
-    def test_unknown_statistic_rejected(self):
-        bad = Spectrum("bad", (("q1x", F(1)),))
-        with pytest.raises(ValueError):
-            bad.value(EDGE)
 
     def test_dense_eigenvalue_table(self):
         table = combined_lambda_by_mask(4)
