@@ -34,9 +34,9 @@ from .schur import verify_oldc_claims
 from .spectra import (
     TAU,
     Spectrum,
-    combined_lambda_by_mask,
     combined_lambda_min,
     hoffman_bound,
+    verify_cut_lemmas,
     verify_skew_cases,
     verify_smallp,
     verify_uniform_claims,
@@ -189,19 +189,17 @@ def cmd_cutstat(args, argv) -> int:
 def cmd_verify(args, argv) -> int:
     started = time.perf_counter()
     seed = args.seed
-    if args.claims == "uniform":
-        report = verify_uniform_claims()
-        seed = None
-    elif args.claims == "skew":
-        report = verify_skew_cases(args.plo, args.phi)
-        seed = None
-    elif args.claims == "smallp":
-        report = verify_smallp()
-        seed = None
-    elif args.claims == "schur":
+    if args.claims == "schur":
         report = verify_oldc_claims(seed=seed)
-    else:
+    elif args.claims == "families":
         report = verify_family_claims(seed=seed, campaign_size=args.campaign_size)
+    else:  # the deterministic campaigns report seed null
+        seed = None
+        if args.claims == "skew":
+            report = verify_skew_cases(args.plo, args.phi)
+        else:
+            report = {"uniform": verify_uniform_claims, "smallp": verify_smallp,
+                      "lemmas": verify_cut_lemmas}[args.claims]()
     return _finish_campaign(args, argv, report, seed, started)
 
 
@@ -225,11 +223,10 @@ def cmd_families(args, argv) -> int:
         ok = True
     else:  # bound-check
         n = args.n
-        table = combined_lambda_by_mask(n)
         lam_min = combined_lambda_min(n)
         bound = hoffman_bound(lam_min)
         audits = [hoffman_audit(umvirate(n, t)) for t in triangle_masks(n)]
-        dim = (len(table) - 1).bit_length()
+        dim = n * (n - 1) // 2
         payload = {
             "n": n,
             "lambda_min": frac_str(lam_min),
@@ -318,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification campaign")
     p.add_argument("claims",
-                   choices=("uniform", "skew", "smallp", "schur", "families"))
+                   choices=("uniform", "skew", "smallp", "schur", "families", "lemmas"))
     p.add_argument("--plo", type=parse_rational, default=TAU,
                    help="lower endpoint for the skew campaign")
     p.add_argument("--phi", type=parse_rational, default=Fraction(1, 2),

@@ -2,14 +2,16 @@
 
 For a graph G and a uniform random vertex 2-coloring B, the cut is the set of
 edges of G with differently colored endpoints.  q_k(G) is the probability the
-cut has exactly k edges; q_R(G) is the probability the cut is isomorphic to a
-fixed bipartite graph R (isolated vertices ignored).  Colorings are drawn on
-the non-isolated vertices, so isolated vertices never affect any statistic.
+cut has exactly k edges.  Of the cuts with 4 edges, a CutStats record also
+counts those that are forests and those that are 4-cycles.  Colorings are
+drawn on the non-isolated vertices, so isolated vertices never affect any
+statistic.
 
 Two independent routes compute the size distribution: direct enumeration of
 all colorings, and the bridge/block product formula
     Q_G(X) = (1/2 + X/2)^m * prod_blocks Q_block(X)
-where m counts bridge edges.  Both are exact and are cross-checked in tests.
+where m counts bridge edges.  Both are exact; `occ verify lemmas` checks that
+they agree on every catalogue class, beside the other cut lemmas.
 One enumeration yields a CutStats record, the integer counts every spectrum
 is evaluated from; the class catalogue keeps one record per small class.
 """
@@ -22,26 +24,24 @@ from functools import lru_cache
 
 from .exact import Polynomial, frac_str
 from .graph import (
+    BlockDecomposition,
     Graph,
     _vertex_stars,
     block_decomposition,
-    canonical_key,
     edge_pairs,
     enumerate_unlabeled,
-    write_graph6,
 )
 
 __all__ = [
     "CutDistribution",
     "CutStats",
     "ClassEntry",
-    "CutLemmaViolation",
     "cut_profile",
     "cut_stats",
     "class_catalogue",
     "cut_distribution_bruteforce",
     "cut_distribution_blocks",
-    "q_iso",
+    "CUT_LEMMAS",
     "check_cut_lemmas",
     "builtin_table",
     "xor_span",
@@ -198,14 +198,25 @@ def cut_distribution_bruteforce(g: Graph) -> CutDistribution:
     return cut_stats(g).distribution()
 
 
+def _block_counts(dec: BlockDecomposition) -> tuple[list[int], int]:
+    """The bridge/block product formula on integer counts: (counts, total)
+    with q_k = counts[k] / total, the product of 1 + X out of 2 per bridge and
+    of each block's enumerated counts out of its total."""
+    counts, total = [1], 1
+    factors = [((1, 1), 2)] * dec.m + [(s.counts, s.total) for s in map(cut_stats, dec.blocks)]
+    for factor, size in factors:
+        out = [0] * (len(counts) + len(factor) - 1)
+        for i, a in enumerate(counts):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        counts, total = out, total * size
+    return counts, total
+
+
 def cut_distribution_blocks(g: Graph) -> CutDistribution:
     """Cut-size law via the bridge/block product formula."""
-    dec = block_decomposition(g)
-    pgf = Polynomial([Fraction(1, 2), Fraction(1, 2)]) ** dec.m
-    for block in dec.blocks:
-        pgf = pgf * cut_distribution_bruteforce(block).pgf()
-    probs = list(pgf.coeffs) + [Fraction(0)] * (g.edge_count + 1 - len(pgf.coeffs))
-    return CutDistribution(tuple(probs))
+    counts, total = _block_counts(block_decomposition(g))
+    return CutDistribution(tuple(Fraction(c, total) for c in counts))
 
 
 @dataclass(frozen=True)
@@ -226,69 +237,33 @@ def class_catalogue(max_vertices: int = 7) -> dict[tuple[int, int], ClassEntry]:
                                for g in enumerate_unlabeled(max_vertices))}
 
 
-def q_iso(g: Graph, r: Graph) -> Fraction:
-    """Probability that the cut of g is isomorphic to r (isolated vertices ignored)."""
-    if r.has_odd_cycle():
-        raise ValueError("cuts are bipartite; r must be bipartite")
-    rcore = r.strip_isolated()
-    if rcore.n > 8:
-        raise ValueError("isomorphism typing of cuts needs v(r) <= 8")
-    rkey = canonical_key(rcore)
-    redges = rcore.edge_count
-    core, counts, total = cut_profile(g)
-    hits = 0
-    for mask, c in counts.items():
-        if mask.bit_count() != redges:
-            continue
-        if canonical_key(Graph(core.n, mask)) == rkey:
-            hits += c
-    return Fraction(hits, total)
+# the lemma ids check_cut_lemmas reports, in the order of its checks
+CUT_LEMMAS = ("blocks=enumeration", "q0=2^(c-v)", "q1=m*q0", "odd-degree:q_k<=1/2",
+              "odd-k:q_k<=1/2", "q2<=3/4", "mean=|G|/2")
 
 
-class CutLemmaViolation(AssertionError):
-    """A cut-statistics assertion failed for a specific graph."""
-
-    def __init__(self, g: Graph, message: str):
-        super().__init__(f"{message} for graph {write_graph6(g)}")
-        self.graph = g
-
-
-def check_cut_lemmas(g: Graph) -> dict:
-    """Assert the cut-statistics facts for one graph; return the computed values.
-
-    Checked: q_0 = 2^(components - v); q_1 = m q_0; all q_k <= 1/2 when some
-    vertex has odd degree; q_k <= 1/2 for odd k; q_2 <= 3/4; the two
-    computation routes agree; the mean cut size is half the edge count.
-    """
-    brute = cut_distribution_bruteforce(g)
-    blocks = cut_distribution_blocks(g)
-    if brute != blocks:
-        raise CutLemmaViolation(g, "block formula disagrees with enumeration")
-    q = brute
-    ncomp = g.component_count()
-    v = g.v
-    if q[0] != Fraction(1, 2 ** (v - ncomp)):
-        raise CutLemmaViolation(g, "q_0 is not 2^(components - v)")
-    m = block_decomposition(g).m
-    if q[1] != m * q[0]:
-        raise CutLemmaViolation(g, "q_1 is not (bridge count) * q_0")
-    half = Fraction(1, 2)
-    if any(g.degree(u) % 2 for u in range(g.n)):
-        if any(p > half for p in q.probs):
-            raise CutLemmaViolation(g, "q_k > 1/2 despite an odd-degree vertex")
-    for k, p in enumerate(q.probs):
-        if k % 2 == 1 and p > half:
-            raise CutLemmaViolation(g, f"q_{k} > 1/2 for odd k")
-    if q[2] > Fraction(3, 4):
-        raise CutLemmaViolation(g, "q_2 > 3/4")
-    if q.mean() != Fraction(g.edge_count, 2):
-        raise CutLemmaViolation(g, "mean cut size is not |G|/2")
-    return {
-        "graph6": write_graph6(g),
-        "distribution": q,
-        "components": ncomp,
-        "bridges": m,
-    }
+def check_cut_lemmas(g: Graph, stats: CutStats) -> list[str]:
+    """The ids in CUT_LEMMAS of the facts that stats, the cut statistics of g,
+    break: the block formula gives the enumerated law; q_0 = 2^(c - v) for c
+    components on v non-isolated vertices; q_1 = m q_0 for m bridges; all
+    q_k <= 1/2 when some vertex has odd degree; q_k <= 1/2 for odd k;
+    q_2 <= 3/4; the mean cut size is |G|/2.  Read as integer counts out of
+    stats.total, so a record that is no probability law is checked, not refused."""
+    total = stats.total
+    c = (*stats.counts, 0, 0)
+    dec = block_decomposition(g)
+    block_counts, block_total = _block_counts(dec)
+    odd_degree = any((g.mask & star).bit_count() & 1 for star in _vertex_stars(g.n))
+    oks = (
+        [k * total for k in block_counts] == [k * block_total for k in stats.counts],
+        c[0] << (g.v - g.component_count()) == total,
+        c[1] == dec.m * c[0],
+        not odd_degree or all(2 * k <= total for k in c),
+        all(2 * k <= total for k in c[1::2]),
+        4 * c[2] <= 3 * total,
+        2 * sum(k * x for k, x in enumerate(c)) == g.edge_count * total,
+    )
+    return [lemma for lemma, ok in zip(CUT_LEMMAS, oks) if not ok]
 
 
 def builtin_table() -> list[tuple[str, Graph, CutDistribution]]:

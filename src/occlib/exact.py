@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 __all__ = ["Polynomial", "RationalFunction", "CertificateError", "SignCertificate",
            "sturm_chain", "count_roots", "count_roots_above", "certify_sign",
-           "frac_str", "parse_frac"]
+           "frac_str"]
 
 Coeffable = Union[int, Fraction]
 
@@ -38,11 +38,6 @@ def frac_str(x: Fraction) -> str:
     """Render a rational as 'num/den', or plain 'num' for integers."""
     x = _frac(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(text: str) -> Fraction:
-    """Parse 'num/den' or integer text back into a Fraction."""
-    return Fraction(text)
 
 
 class Polynomial:

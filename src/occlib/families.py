@@ -32,6 +32,7 @@ __all__ = [
     "is_triangle_agreeing",
     "junta",
     "umvirate",
+    "triangle_masks",
     "compress",
     "monotonize",
     "is_upset",
@@ -82,9 +83,6 @@ class Family:
 
     def __iter__(self):
         return iter(sorted(self.masks))
-
-    def graphs(self) -> list[Graph]:
-        return [Graph(self.n, m) for m in self]
 
     def measure(self, p: Fraction) -> Fraction:
         """mu_p, computed by grouping members by edge count."""

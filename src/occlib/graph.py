@@ -25,6 +25,7 @@ __all__ = [
     "enumerate_unlabeled",
     "parse_graph6",
     "write_graph6",
+    "random_graph",
 ]
 
 MAX_N = 64
@@ -60,10 +61,6 @@ class Graph:
         e = self.n * (self.n - 1) // 2
         if self.mask < 0 or self.mask >> e:
             raise ValueError("edge mask out of range for this n")
-
-    @staticmethod
-    def empty(n: int) -> "Graph":
-        return Graph(n, 0)
 
     @staticmethod
     def complete(n: int) -> "Graph":

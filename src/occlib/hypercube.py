@@ -28,7 +28,6 @@ __all__ = [
     "TensorOperator",
     "character",
     "walsh_matrix",
-    "inverse_walsh_matrix",
     "apply_shift",
     "apply_shift_averaged",
     "quadratic_form",
@@ -47,13 +46,6 @@ def walsh_matrix(p: Fraction) -> tuple[tuple[Fraction, ...], ...]:
     columns = (edge absent, edge present)."""
     p = F(p)
     return ((1 - p, p), (_ONE, -_ONE))
-
-
-def inverse_walsh_matrix(p: Fraction) -> tuple[tuple[Fraction, ...], ...]:
-    """Per-coordinate synthesis butterfly, the inverse of walsh_matrix(p):
-    rows = (edge absent, edge present), columns = (e not in S, e in S)."""
-    p = F(p)
-    return ((_ONE, p), (_ONE, p - 1))
 
 
 def _butterfly(vals: Sequence[int], rows, coords: int) -> list[int]:
@@ -129,39 +121,10 @@ class FunctionOnCube:
             vals[mask] = _ONE
         return FunctionOnCube(n, p, vals)
 
-    def measure_of_mask(self, mask: int) -> Fraction:
-        k = mask.bit_count()
-        return self.p ** k * (1 - self.p) ** (self._dim - k)
-
-    def expectation(self) -> Fraction:
-        return sum((v * self.measure_of_mask(mask) for mask, v in enumerate(self.values)), _ZERO)
-
-    def inner(self, other: "FunctionOnCube") -> Fraction:
-        if (self.n, self.p) != (other.n, other.p):
-            raise ValueError("mismatched cubes")
-        return sum((u * v * self.measure_of_mask(mask)
-                    for mask, (u, v) in enumerate(zip(self.values, other.values))), _ZERO)
-
     def _like(self, vals: list) -> "FunctionOnCube":
         out = FunctionOnCube.__new__(FunctionOnCube)
         out.n, out.p, out.values, out._dim = self.n, self.p, vals, self._dim
         return out
-
-    def walsh(self) -> "FunctionOnCube":
-        """Coefficients ghat(S) = <f, psi_S>, indexed by the character's
-        edge set."""
-        full = (1 << self._dim) - 1
-        return self._like(_apply_rational(self.values, walsh_matrix(self.p), full))
-
-    def inverse_walsh(self) -> "FunctionOnCube":
-        """f = sum_S (p(1-p))^|S| ghat(S) psi_S, from the coefficients."""
-        full = (1 << self._dim) - 1
-        return self._like(_apply_rational(self.values, inverse_walsh_matrix(self.p), full))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FunctionOnCube):
-            return NotImplemented
-        return (self.n, self.p) == (other.n, other.p) and self.values == other.values
 
 
 def character(n: int, p: Fraction, s_mask: int) -> FunctionOnCube:
@@ -222,11 +185,6 @@ class TensorOperator:
         if (f.n, f.p) != (self.n, self.p):
             raise ValueError("mismatched cube")
         return f._like(_apply_rational(f.values, self.matrix, self._active()))
-
-    def apply_transpose(self, f: FunctionOnCube) -> FunctionOnCube:
-        m = self.matrix
-        transposed = ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
-        return f._like(_apply_rational(f.values, transposed, self._active()))
 
     def entry(self, g_mask: int, h_mask: int) -> Fraction:
         """Matrix entry between two graphs: product of per-edge entries."""

@@ -36,7 +36,6 @@ __all__ = [
     "solvable_all_ones",
     "has_odd_dependency",
     "has_odd_dependency_search",
-    "is_schur_triple",
     "is_independent_four",
     "is_box",
     "lift_graph",
@@ -177,10 +176,6 @@ def _parity_masks(n: int) -> tuple[int, ...]:
     return xor_span([sum(1 << v for v in range(1, 1 << n) if v >> b & 1) for b in range(n)])
 
 
-def is_schur_triple(vs: VectorSet) -> bool:
-    return vs.size == 3 and vs.xor_sum() == 0
-
-
 def is_independent_four(vs: VectorSet) -> bool:
     return vs.size == 4 and vs.rank() == 4
 
@@ -276,8 +271,12 @@ def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
         c = record[0]
         if c[0] << r != 16:
             q_identities = False
-        essentials = sum(rank[mask ^ (1 << v)] < r
-                         for v in range(1, 16) if mask >> v & 1)
+        essentials = 0
+        rest = mask
+        while rest:  # one rank lookup per member vector
+            low = rest & -rest
+            essentials += rank[mask ^ low] < r
+            rest ^= low
         if c[1] != essentials * c[0]:
             q_identities = False
         if essentials == 1 and not (size == 1 or size >= 4):

@@ -30,7 +30,14 @@ from .exact import (
     count_roots_above,
     frac_str,
 )
-from .cutstats import CutStats, class_catalogue, cut_stats
+from .cutstats import (
+    CUT_LEMMAS,
+    CutStats,
+    _cut_mask_table,
+    check_cut_lemmas,
+    class_catalogue,
+    cut_stats,
+)
 from .graph import (
     Graph,
     block_decomposition,
@@ -39,6 +46,7 @@ from .graph import (
     edge_pairs,
     write_graph6,
 )
+from .hypercube import apply_shift_averaged, character
 
 __all__ = [
     "TAU",
@@ -57,7 +65,6 @@ __all__ = [
     "eval_lambda_combined",
     "skew_coefficients",
     "eval_lambda1_skew",
-    "eval_lambda2_skew",
     "lambda_min_skew",
     "eval_lambda_smallp",
     "case_constant",
@@ -70,6 +77,7 @@ __all__ = [
     "verify_uniform_claims",
     "verify_skew_cases",
     "verify_smallp",
+    "verify_cut_lemmas",
 ]
 
 F = Fraction
@@ -172,10 +180,6 @@ def lambda_min_skew(p: Fraction) -> Fraction:
 def eval_lambda1_skew(g: Graph, p: Fraction) -> Fraction:
     """p-biased first-spectrum eigenvalue (-p/(1-p))^|G| (q0 + c1 q1 + c2 q2 + c3 q3)."""
     return Spectrum.skew1(p).value(g)
-
-
-def eval_lambda2_skew(g: Graph, p: Fraction) -> Fraction:
-    return Spectrum.skew2(p).value(g)
 
 
 def eval_lambda_smallp(size: int, p: Fraction) -> Fraction:
@@ -749,4 +753,34 @@ def verify_smallp() -> VerificationReport:
         gap = -lam_min - abs(eval_lambda_smallp(5, ps))
         rep.add(f"sample:p={tag}:gap-positive", gap > 0)
         rep.add(f"sample:p={tag}:gap-identity", gap == -lam_min * g_fn(ps))
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# cut-lemma campaign
+# ---------------------------------------------------------------------------
+
+
+def verify_cut_lemmas() -> VerificationReport:
+    """The cut-statistics lemmas on every nonempty class of the catalogue, one
+    claim per lemma, and the law that ties the cube to the cut laws: on K4 at
+    p = 1/2, averaging the shifts over the colouring cuts multiplies psi_S by
+    (-1)^|S| Q_S(-1), for all 64 characters."""
+    rep = VerificationReport("cut-lemmas")
+    failing = {lemma: [] for lemma in CUT_LEMMAS}
+    for e in class_catalogue().values():
+        if e.stats.size:
+            for lemma in check_cut_lemmas(e.graph, e.stats):
+                failing[lemma].append(write_graph6(e.graph))
+    for lemma, bad in failing.items():
+        rep.add(f"cut-lemma:{lemma}", not bad, ",".join(bad[:5]))
+
+    bad = []
+    for s in range(64):
+        stats = cut_stats(Graph(4, s))  # lam = (-1)^|S| Q_S(-1)
+        lam = F(sum((-1) ** (stats.size + k) * c for k, c in enumerate(stats.counts)), stats.total)
+        psi = character(4, F(1, 2), s)
+        if apply_shift_averaged(psi, _cut_mask_table(4)).values != [lam * x for x in psi.values]:
+            bad.append(str(s))
+    rep.add("shift-average:K4:psi_S-eigenvalue=(-1)^|S|Q_S(-1)", not bad, ",".join(bad[:5]))
     return rep

@@ -1,8 +1,11 @@
+import ast
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -104,6 +107,15 @@ class TestVerify:
         assert payload["campaign"] == "oldc-claims"
         assert len(payload["report"]["checks"]) == 22
 
+    def test_lemmas_within_budget(self):
+        # a fresh process, so the class catalogue is built inside the budget
+        env = dict(os.environ, PYTHONPATH=str(Path(occlib.__file__).resolve().parent.parent))
+        start = time.perf_counter()
+        rc = subprocess.run([sys.executable, "-m", "occlib.cli", "verify", "lemmas", "--format",
+                             "json"], env=env, capture_output=True).returncode
+        elapsed = time.perf_counter() - start
+        assert rc == 0 and elapsed < 1.5, f"exit {rc} after {elapsed:.2f} s"
+
 
 class TestReportDigests:
     """sha256 of the JSON reports of the campaigns with runtime_seconds
@@ -125,11 +137,13 @@ class TestReportDigests:
          "de231925452e18093c4caca4c2f0a00c8e0e4d1c38a89346c2a667c7838c85fe"),
         (("verify", "schur"), 0,
          "57f64a9c28c3d9a8f0dadd76408c903b8f999a8c2a2dab85eda33846dd72858c"),
+        (("verify", "lemmas"), 0,
+         "669dd3fcc9be8c8e9e3f8bb6b5f25bf4c126f0522632d80d046d27bf683f8910"),
         # a list of rows, one per built-in graph, with no runtime field
         (("cutstat", "--builtin"), 0,
          "327e90d4d4c9ef7c483b5a43983c5a5318e33f423ab843e42dbb71f9e4eae139"),
     ], ids=["skew", "skew-below-tau", "smallp", "uniform", "bound-check-n5", "families",
-            "schur", "cutstat-builtin"])
+            "schur", "lemmas", "cutstat-builtin"])
     def test_json_report_digest(self, capsys, argv, code, digest):
         rc, out, _ = run(capsys, *argv, "--format", "json")
         payload = json.loads(out)
@@ -199,6 +213,25 @@ def test_cli_import_leaves_numpy_out():
                           "import sys, occlib.cli; print('numpy' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(occlib.__path__)))
+def test_exports_resolve(name):
+    mod = importlib.import_module(f"occlib.{name}")
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+@pytest.mark.parametrize("path", ["src/occlib/cli.py", "tests/test_acceptance.py"])
+def test_imported_names_are_exported(path):
+    # every name imported from an occlib module is in that module's __all__
+    missing = []
+    for node in ast.walk(ast.parse((Path(__file__).resolve().parent.parent / path).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.level or node.module.startswith("occlib.")):
+            mod = importlib.import_module(f"occlib.{node.module.removeprefix('occlib.')}")
+            missing += [f"{mod.__name__}.{a.name}" for a in node.names
+                        if a.name not in mod.__all__]
+    assert missing == []
 
 
 class TestFamiliesCommand:

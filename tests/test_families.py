@@ -22,6 +22,7 @@ from occlib.families import (
     verify_family_claims,
 )
 from occlib.graph import Graph
+from occlib.hypercube import walsh_support
 from occlib.spectra import combined_lambda_by_mask, combined_lambda_min
 
 T012 = triangle_masks(4)[0]
@@ -71,7 +72,8 @@ class TestFamilyBasics:
         for _ in range(10):
             fam = Family(4, {rng.randint(0, 63) for _ in range(rng.randint(1, 20))})
             p = F(rng.randint(1, 4), 5)
-            assert fam.indicator(p).expectation() == fam.measure(p)
+            # the empty Walsh coefficient is the expectation, so its square is mu^2
+            assert walsh_support(fam.indicator(p))[0] == (0, fam.measure(p) ** 2)
 
 
 class TestPredicates:

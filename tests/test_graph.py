@@ -60,7 +60,7 @@ class TestBasics:
     def test_v_counts_non_isolated(self):
         g = Graph.from_edges(5, [(1, 3)])
         assert g.v == 2 and g.edge_count == 1
-        assert Graph.empty(5).v == 0
+        assert Graph(5, 0).v == 0
 
     def test_strip_isolated_relabels_in_order(self):
         g = Graph.from_edges(6, [(1, 4), (4, 5)])

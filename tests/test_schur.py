@@ -16,7 +16,6 @@ from occlib.schur import (
     has_odd_dependency_search,
     is_box,
     is_independent_four,
-    is_schur_triple,
     lift_graph,
     solvable_all_ones,
     verify_oldc_claims,
@@ -159,8 +158,6 @@ class TestVectorSetBasics:
         assert d[1] == vs.essential_count() * d[0]
 
     def test_type_predicates(self):
-        assert is_schur_triple(TRIPLE)
-        assert not is_schur_triple(VectorSet.from_vectors(3, [1, 2, 4]))
         assert is_independent_four(INDEP4)
         assert not is_independent_four(BOX)
         assert is_box(BOX)

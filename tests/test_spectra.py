@@ -20,7 +20,6 @@ from occlib.spectra import (
     combined_lambda_by_mask,
     eval_lambda1_skew,
     eval_lambda1_uniform,
-    eval_lambda2_skew,
     eval_lambda2_uniform,
     eval_lambda_combined,
     eval_lambda_smallp,
@@ -120,7 +119,7 @@ class TestSkewValues:
     def test_half_reduces_to_uniform(self):
         for g in (EDGE, TRIANGLE, C4, C5, K4MINUS, PATH4):
             assert eval_lambda1_skew(g, F(1, 2)) == eval_lambda1_uniform(g)
-            assert eval_lambda2_skew(g, F(1, 2)) == eval_lambda2_uniform(g)
+            assert Spectrum.skew2(F(1, 2)).value(g) == eval_lambda2_uniform(g)
 
     def test_tight_only_on_small_classes_off_half(self):
         p = F(3, 8)
@@ -431,3 +430,14 @@ class TestCampaigns:
         offc = [eval_lambda_combined(g) for g in enumerate_unlabeled(6)
                 if canonical_key(g) not in tight_combined_keys()]
         assert min(offc) == LAMBDA_MIN_UNIFORM + GAP_COMBINED
+
+    def test_cut_lemma_claims_fail_with_the_failing_graphs(self, monkeypatch):
+        assert spectra.verify_cut_lemmas().ok
+        # a checker that rejects q2 on the triangle, and a shift average that
+        # returns its input, each turn exactly their own claim red
+        monkeypatch.setattr(spectra, "check_cut_lemmas",
+                            lambda g, stats: ["q2<=3/4"] if write_graph6(g) == "Bw" else [])
+        monkeypatch.setattr(spectra, "apply_shift_averaged", lambda f, cuts: f)
+        bad = {c.claim_id: c.detail for c in spectra.verify_cut_lemmas().checks if not c.ok}
+        assert bad == {"cut-lemma:q2<=3/4": "Bw",
+                       "shift-average:K4:psi_S-eigenvalue=(-1)^|S|Q_S(-1)": "1,2,3,4,5"}
