@@ -20,10 +20,11 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graph import Graph, all_masks, edge_index
-from .hypercube import FunctionOnCube, quadratic_form, walsh_support
-from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, combined_lambda_by_mask, combined_lambda_min
-from .spectra import VerificationReport, hoffman_bound
+from .cutstats import class_catalogue
+from .graph import Graph, all_masks, canonical_key, edge_index
+from .hypercube import quadratic_form, walsh_support
+from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, Spectrum, VerificationReport
+from .spectra import combined_lambda_min, hoffman_bound
 
 __all__ = [
     "Family",
@@ -91,9 +92,6 @@ class Family:
             raise ValueError("need 0 < p < 1")
         weights = _member_weights(self.dim, p.numerator, p.denominator)
         return F(sum(weights[m.bit_count()] for m in self.masks), p.denominator ** self.dim)
-
-    def indicator(self, p: Fraction) -> FunctionOnCube:
-        return FunctionOnCube.indicator(self.n, p, self.masks)
 
 
 @lru_cache(maxsize=16)
@@ -266,10 +264,18 @@ def maximum_independent_sets(adj: Sequence[int], seed: int | None = None) -> tup
     return best_size, sorted(out, key=sorted)
 
 
-def _weight_off(support: Iterable[tuple[int, Fraction]], lambda_by_mask: dict,
+@lru_cache(maxsize=4096)
+def _combined_lambda(n: int, mask: int) -> Fraction:
+    """Combined-spectrum eigenvalue of the edge set mask of K_n, read from its
+    class in class_catalogue(n)."""
+    entry = class_catalogue(n)[canonical_key(Graph(n, mask))]
+    return Spectrum.combined().value(entry.stats)
+
+
+def _weight_off(support: Iterable[tuple[int, Fraction]], eigenvalue: dict,
                 lam_min: Fraction) -> Fraction:
     """Fourier mass of the nonconstant characters whose eigenvalue is not lam_min."""
-    return F(sum(sq for mask, sq in support if mask and lambda_by_mask[mask] != lam_min))
+    return F(sum(sq for mask, sq in support if mask and eigenvalue[mask] != lam_min))
 
 
 def hoffman_audit(fam: Family) -> dict:
@@ -277,12 +283,12 @@ def hoffman_audit(fam: Family) -> dict:
 
     Checks that the averaged-shift quadratic form vanishes, that
     mu^2 - mu*nu + w*gamma*(1-nu) <= 0, and hence mu <= nu = 1/8.  Both
-    sums run over the nonzero squares only (8 of 2^e for an umvirate).
+    sums run over the nonzero squares only (8 for an umvirate), and the
+    eigenvalue is read on those edge sets only.
     """
-    lam = combined_lambda_by_mask(fam.n)
-    f = fam.indicator(F(1, 2))
-    support = walsh_support(f)
-    qf = quadratic_form(f, lam, support)
+    support = walsh_support(fam.n, F(1, 2), fam.masks)
+    lam = {mask: _combined_lambda(fam.n, mask) for mask, _ in support}
+    qf = quadratic_form(support, lam)
     mu, w = fam.measure(F(1, 2)), _weight_off(support, lam, combined_lambda_min(fam.n))
     nu = hoffman_bound(LAMBDA_MIN_UNIFORM).nu
     lhs = mu * mu - mu * nu + w * GAP_COMBINED * (1 - nu)

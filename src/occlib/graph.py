@@ -63,11 +63,6 @@ class Graph:
             raise ValueError("edge mask out of range for this n")
 
     @staticmethod
-    def complete(n: int) -> "Graph":
-        e = n * (n - 1) // 2
-        return Graph(n, (1 << e) - 1)
-
-    @staticmethod
     def from_edges(n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
         m = 0
         for i, j in edges:
@@ -87,9 +82,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.mask >> edge_index(i, j, self.n) & 1)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for i, j in self.edges() if v in (i, j))
-
     def touched_vertices(self) -> int:
         """Bitmask of non-isolated vertices."""
         m = self.mask
@@ -103,32 +95,6 @@ class Graph:
     def v(self) -> int:
         """Number of non-isolated vertices."""
         return self.touched_vertices().bit_count()
-
-    # set algebra on the shared vertex set
-
-    def _check_same_n(self, other: "Graph"):
-        if self.n != other.n:
-            raise ValueError("graphs live on different vertex sets")
-
-    def __xor__(self, other: "Graph") -> "Graph":
-        self._check_same_n(other)
-        return Graph(self.n, self.mask ^ other.mask)
-
-    def __and__(self, other: "Graph") -> "Graph":
-        self._check_same_n(other)
-        return Graph(self.n, self.mask & other.mask)
-
-    def __or__(self, other: "Graph") -> "Graph":
-        self._check_same_n(other)
-        return Graph(self.n, self.mask | other.mask)
-
-    def complement(self) -> "Graph":
-        full = (1 << len(edge_pairs(self.n))) - 1
-        return Graph(self.n, self.mask ^ full)
-
-    def is_subgraph_of(self, other: "Graph") -> bool:
-        self._check_same_n(other)
-        return self.mask & ~other.mask == 0
 
     # structure
 

@@ -15,19 +15,24 @@ of an edge are (b-a, a)/b and (1, -1), applied to values put on one common
 denominator, so each output is an integer times a rational scale that
 depends only on |S|.  At p = 1/2, ghat(S) is 2^|S| times the plain
 Walsh-Hadamard transform over 2^e.
+
+A family of graphs is transformed from its members alone.  When its
+indicator depends only on the edges in J, ghat(S) vanishes unless S lies in
+J, and on those S it is the transform of the 0/1 restriction to 2^|J|
+points, so walsh_support runs the butterfly there and never on the whole
+cube.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "FunctionOnCube",
     "TensorOperator",
     "character",
-    "walsh_matrix",
     "apply_shift",
     "apply_shift_averaged",
     "quadratic_form",
@@ -36,16 +41,9 @@ __all__ = [
 
 F = Fraction
 
-_MAX_COORDS = 15  # cube dimension bound: 2^15 exact values is the ceiling
+_MAX_COORDS = 15  # at most 2^15 values per transform: cube dimension, or edges a family depends on
 
 _ZERO, _ONE = F(0), F(1)
-
-
-def walsh_matrix(p: Fraction) -> tuple[tuple[Fraction, ...], ...]:
-    """Per-coordinate analysis butterfly; rows = (e not in S, e in S),
-    columns = (edge absent, edge present)."""
-    p = F(p)
-    return ((1 - p, p), (_ONE, -_ONE))
 
 
 def _butterfly(vals: Sequence[int], rows, coords: int) -> list[int]:
@@ -72,11 +70,10 @@ def _butterfly(vals: Sequence[int], rows, coords: int) -> list[int]:
     return vals
 
 
-def _integer_transform(values: Sequence[Fraction], matrix,
-                       coords: int) -> tuple[list[int], list[int]]:
+def _apply_rational(values: Sequence[Fraction], matrix, coords: int) -> list[Fraction]:
     """A rational 2x2 matrix on every coordinate in coords, through the
-    integer kernel: (ints, dens) with output[mask] = ints[mask] / dens[j]
-    where j = |mask & coords|."""
+    integer kernel: each row and the values are put on one denominator, and
+    the output at mask is rescaled by |mask & coords| alone."""
     rows, scales = [], []
     for row in matrix:
         m = lcm(*(x.denominator for x in row))
@@ -84,14 +81,9 @@ def _integer_transform(values: Sequence[Fraction], matrix,
         scales.append(m)
     m0, m1 = scales
     den = lcm(*{x.denominator for x in values})
-    ints = [x.numerator * (den // x.denominator) for x in values]
+    ints = _butterfly([x.numerator * (den // x.denominator) for x in values], rows, coords)
     c = coords.bit_count()
-    return _butterfly(ints, rows, coords), [den * m0 ** (c - j) * m1 ** j for j in range(c + 1)]
-
-
-def _apply_rational(values: Sequence[Fraction], matrix, coords: int) -> list[Fraction]:
-    """The outputs of _integer_transform as Fractions."""
-    ints, dens = _integer_transform(values, matrix, coords)
+    dens = [den * m0 ** (c - j) * m1 ** j for j in range(c + 1)]
     return [F(x, dens[(mask & coords).bit_count()]) for mask, x in enumerate(ints)]
 
 
@@ -112,14 +104,6 @@ class FunctionOnCube:
         if len(vals) != 1 << e:
             raise ValueError(f"expected {1 << e} values, got {len(vals)}")
         self.n, self.p, self.values, self._dim = n, p, vals, e
-
-    @staticmethod
-    def indicator(n: int, p: Fraction, members: Iterable[int]) -> "FunctionOnCube":
-        e = n * (n - 1) // 2
-        vals = [_ZERO] * (1 << e)
-        for mask in members:
-            vals[mask] = _ONE
-        return FunctionOnCube(n, p, vals)
 
     def _like(self, vals: list) -> "FunctionOnCube":
         out = FunctionOnCube.__new__(FunctionOnCube)
@@ -204,26 +188,37 @@ class TensorOperator:
         return (-self.ratio) ** (s_mask & self._active()).bit_count()
 
 
-def walsh_support(f: FunctionOnCube) -> list[tuple[int, Fraction]]:
+def walsh_support(n: int, p: Fraction, members: Iterable[int]) -> list[tuple[int, Fraction]]:
     """(S, (p(1-p))^|S| * ghat(S)^2), the squared orthonormal coefficient,
-    for every edge set S where it is nonzero, in increasing S, exactly."""
-    e = f._dim
-    ints, dens = _integer_transform(f.values, walsh_matrix(f.p), (1 << e) - 1)
-    var = f.p * (1 - f.p)
-    scales = [var ** k / dens[k] ** 2 for k in range(e + 1)]
-    out = []
-    for mask, x in enumerate(ints):
-        if x:
-            k = scales[mask.bit_count()]
-            out.append((mask, F(x * x * k.numerator, k.denominator)))
-    return out
+    for every edge set S where it is nonzero, in increasing S, exactly, for
+    the indicator of the family of edge masks of K_n given by members.
+
+    Edge i is relevant when flipping it takes some member out of the family.
+    The butterfly runs once, on the 0/1 restriction to the relevant edges J;
+    with p = a/b its output x at S makes the square
+    x^2 (a(b-a))^|S| / b^(2|J|)."""
+    p = F(p)
+    if not 0 < p < 1:
+        raise ValueError("need 0 < p < 1")
+    members = frozenset(members)
+    dim = n * (n - 1) // 2
+    if members and (min(members) < 0 or max(members) >> dim):
+        raise ValueError(f"mask out of range for n={n}")
+    relevant = [i for i in range(dim) if not members.issuperset(map((1 << i).__xor__, members))]
+    if len(relevant) > _MAX_COORDS:
+        raise ValueError(f"family depends on {len(relevant)} edges, more than {_MAX_COORDS}")
+    # points[y] sets the relevant edges picked by the bits of y, and no other
+    points = [0]
+    for i in relevant:
+        points += [m | 1 << i for m in points]
+    a, b = p.numerator, p.denominator
+    ints = _butterfly([int(m in members) for m in points], ((b - a, a), (1, -1)), len(points) - 1)
+    den = b ** (2 * len(relevant))
+    var = [(a * (b - a)) ** k for k in range(len(relevant) + 1)]
+    return [(points[y], F(x * x * var[y.bit_count()], den)) for y, x in enumerate(ints) if x]
 
 
-def quadratic_form(f: FunctionOnCube, lambda_by_mask: dict,
-                   support: Optional[Iterable[tuple[int, Fraction]]] = None) -> Fraction:
-    """Sum over characters of lambda(S) times the squared orthonormal
-    coefficient at S; pass support = walsh_support(f) when it is already at
-    hand."""
-    if support is None:
-        support = walsh_support(f)
-    return sum((lambda_by_mask[mask] * sq for mask, sq in support), _ZERO)
+def quadratic_form(support: Iterable[tuple[int, Fraction]], eigenvalue: Mapping) -> Fraction:
+    """Sum over the support, as walsh_support gives it, of the eigenvalue at
+    S times the squared orthonormal coefficient at S."""
+    return sum((eigenvalue[mask] * sq for mask, sq in support), _ZERO)

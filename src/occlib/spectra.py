@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import permutations
 from math import comb, factorial, lcm
 
 from .exact import (
@@ -42,8 +41,6 @@ from .graph import (
     Graph,
     block_decomposition,
     canonical_key,
-    edge_index,
-    edge_pairs,
     write_graph6,
 )
 from .hypercube import apply_shift_averaged, character
@@ -72,7 +69,6 @@ __all__ = [
     "hoffman_bound",
     "tight_uniform_keys",
     "tight_combined_keys",
-    "combined_lambda_by_mask",
     "combined_lambda_min",
     "verify_uniform_claims",
     "verify_skew_cases",
@@ -432,33 +428,12 @@ def tight_combined_keys() -> frozenset:
 
 
 @lru_cache(maxsize=8)
-def combined_lambda_by_mask(n: int) -> dict:
-    """Combined-spectrum eigenvalue for every edge mask of K_n (n <= 6).
-
-    Each class's value is written to every relabelling of its representative,
-    so no mask needs a canonical form of its own."""
-    if not 1 <= n <= 6:
-        raise ValueError("dense eigenvalue tables supported for n <= 6")
-    spec = Spectrum.combined()
-    pairs = edge_pairs(n)
-    # per vertex permutation, the image bit of every edge of K_n
-    images = [[1 << edge_index(s[i], s[j], n) for i, j in pairs]
-              for s in permutations(range(n))]
-    table = [None] * (1 << len(pairs))
-    for e in class_catalogue(n).values():
-        lam = spec.value(e.stats)
-        edges = [edge_index(i, j, n) for i, j in e.graph.edges()]
-        for image in images:
-            table[sum(image[k] for k in edges)] = lam
-    if None in table:
-        raise AssertionError(f"some mask of K_{n} is in no catalogued class")
-    return dict(enumerate(table))
-
-
-@lru_cache(maxsize=8)
 def combined_lambda_min(n: int) -> Fraction:
-    """Least entry of combined_lambda_by_mask(n), taken once per n."""
-    return min(combined_lambda_by_mask(n).values())
+    """Least combined-spectrum eigenvalue of a graph on n labelled vertices,
+    taken once per n over class_catalogue(n), where every such graph has its
+    class."""
+    spec = Spectrum.combined()
+    return min(spec.value(e.stats) for e in class_catalogue(n).values())
 
 
 # ---------------------------------------------------------------------------

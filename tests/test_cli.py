@@ -133,6 +133,8 @@ class TestReportDigests:
          "e16f2f01fddbea2fbc3434b00a00092e49417dbe10a2fc1d260d266b6b6fa13f"),
         (("families", "bound-check", "--n", "5"), 0,
          "55986848ef335d6d84992947e315aa2d34f2e1574993d3f575adcdba511ded14"),
+        (("families", "bound-check", "--n", "6"), 0,
+         "240c8715e5562cc22eb6758663c298e9974df3b284ec6e4d429b3e2ef3f49e3b"),
         (("verify", "families", "--seed", "1", "--campaign-size", "120"), 0,
          "de231925452e18093c4caca4c2f0a00c8e0e4d1c38a89346c2a667c7838c85fe"),
         (("verify", "schur"), 0,
@@ -142,8 +144,8 @@ class TestReportDigests:
         # a list of rows, one per built-in graph, with no runtime field
         (("cutstat", "--builtin"), 0,
          "327e90d4d4c9ef7c483b5a43983c5a5318e33f423ab843e42dbb71f9e4eae139"),
-    ], ids=["skew", "skew-below-tau", "smallp", "uniform", "bound-check-n5", "families",
-            "schur", "lemmas", "cutstat-builtin"])
+    ], ids=["skew", "skew-below-tau", "smallp", "uniform", "bound-check-n5", "bound-check-n6",
+            "families", "schur", "lemmas", "cutstat-builtin"])
     def test_json_report_digest(self, capsys, argv, code, digest):
         rc, out, _ = run(capsys, *argv, "--format", "json")
         payload = json.loads(out)
@@ -272,7 +274,7 @@ class TestFamiliesCommand:
         assert all(a["mu"] == "1/8" for a in payload["umvirate_audits"])
 
     def test_bound_check_k6(self, capsys):
-        # a 2^15 cube, the largest the dense tables take
+        # all 20 umvirates of K6, each transformed on its triangle's 3 edges
         start = time.perf_counter()
         rc, out, _ = run(capsys, "families", "bound-check", "--n", "6",
                          "--format", "json")
@@ -285,7 +287,7 @@ class TestFamiliesCommand:
         assert len(audits) == 20
         assert all(a["ok"] and a["quadratic_form"] == "0" and a["w"] == "0"
                    and a["mu"] == a["nu"] == "1/8" for a in audits)
-        assert elapsed < 10.0, f"bound-check --n 6 took {elapsed:.2f} s"
+        assert elapsed < 2.0, f"bound-check --n 6 took {elapsed:.2f} s"
 
 
 class TestHoffman:

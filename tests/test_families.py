@@ -21,9 +21,10 @@ from occlib.families import (
     umvirate,
     verify_family_claims,
 )
-from occlib.graph import Graph
+from occlib import families
+from occlib.graph import Graph, all_masks
 from occlib.hypercube import walsh_support
-from occlib.spectra import combined_lambda_by_mask, combined_lambda_min
+from occlib.spectra import Spectrum, combined_lambda_min
 
 T012 = triangle_masks(4)[0]
 
@@ -73,7 +74,7 @@ class TestFamilyBasics:
             fam = Family(4, {rng.randint(0, 63) for _ in range(rng.randint(1, 20))})
             p = F(rng.randint(1, 4), 5)
             # the empty Walsh coefficient is the expectation, so its square is mu^2
-            assert walsh_support(fam.indicator(p))[0] == (0, fam.measure(p) ** 2)
+            assert walsh_support(4, p, fam.masks)[0] == (0, fam.measure(p) ** 2)
 
 
 class TestPredicates:
@@ -224,17 +225,19 @@ class TestHoffmanAudit:
         a = hoffman_audit(Family(4, members))
         assert a["ok"] and a["mu"] == F(5, 64) and a["inequality_lhs"] < 0
 
-    def test_audit_minimum_is_the_table_minimum(self):
+    def test_audit_minimum_is_the_brute_force_minimum(self):
+        spec = Spectrum.combined()
         for n in (3, 4, 5):
-            assert combined_lambda_min(n) == min(combined_lambda_by_mask(n).values())
+            assert combined_lambda_min(n) == min(spec.value(Graph(n, m)) for m in all_masks(n))
 
     def test_non_agreeing_family_fails(self):
         a = hoffman_audit(Family(4, [0, 63]))
         assert a["quadratic_form"] != 0 and not a["ok"]
 
     def test_n5_umvirate_audits_within_budget(self):
-        # the ten audits of bound-check --n 5, eigenvalue table included
-        combined_lambda_by_mask.cache_clear()
+        # the ten audits of bound-check --n 5, eigenvalue lookups included
+        combined_lambda_min.cache_clear()
+        families._combined_lambda.cache_clear()
         start = time.perf_counter()
         audits = [hoffman_audit(umvirate(5, t)) for t in triangle_masks(5)]
         elapsed = time.perf_counter() - start

@@ -51,12 +51,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             Graph(0, 0)
 
-    def test_xor_and_complement(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        h = Graph.from_edges(4, [(0, 1), (1, 2)])
-        assert sorted((g ^ h).edges()) == [(1, 2), (2, 3)]
-        assert (g.complement() ^ g) == Graph.complete(4)
-
     def test_v_counts_non_isolated(self):
         g = Graph.from_edges(5, [(1, 3)])
         assert g.v == 2 and g.edge_count == 1
@@ -66,10 +60,6 @@ class TestBasics:
         g = Graph.from_edges(6, [(1, 4), (4, 5)])
         s = g.strip_isolated()
         assert s.n == 3 and sorted(s.edges()) == [(0, 1), (1, 2)]
-
-    def test_degree_and_subgraph(self):
-        assert TRIANGLE.degree(1) == 2
-        assert Graph.from_edges(3, [(0, 1)]).is_subgraph_of(TRIANGLE)
 
 
 class TestPredicates:

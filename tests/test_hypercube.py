@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from occlib.cutstats import cut_distribution_bruteforce
-from occlib.graph import Graph, edge_pairs
+from occlib.families import Family, junta, triangle_masks, umvirate
+from occlib.graph import Graph, all_masks, edge_pairs
 from occlib.hypercube import (
     FunctionOnCube,
     TensorOperator,
@@ -13,10 +15,9 @@ from occlib.hypercube import (
     apply_shift_averaged,
     character,
     quadratic_form,
-    walsh_matrix,
     walsh_support,
 )
-from occlib.spectra import combined_lambda_by_mask
+from occlib.spectra import Spectrum
 
 TRIANGLE_K4 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
 
@@ -32,6 +33,12 @@ def coloring_cuts(n):
                 mask |= 1 << idx
         out.append(mask)
     return out
+
+
+def walsh_matrix(p):
+    """The analysis matrix of one edge: rows (edge not in S, edge in S),
+    columns (edge absent, edge present)."""
+    return ((1 - p, p), (F(1), F(-1)))
 
 
 def synthesis_matrix(p):
@@ -53,6 +60,18 @@ def expectation(f):
     return inner(f, FunctionOnCube(f.n, f.p, [1] * len(f.values)))
 
 
+def indicator(n, p, members):
+    """The dense 0/1 indicator of a family, built point by point."""
+    members = set(members)
+    return FunctionOnCube(n, p, [int(m in members) for m in all_masks(n)])
+
+
+def combined_by_mask(n):
+    """Combined-spectrum eigenvalue of every edge mask of K_n, by brute force."""
+    spec = Spectrum.combined()
+    return {m: spec.value(Graph(n, m)) for m in all_masks(n)}
+
+
 class TestWalsh:
     @pytest.mark.parametrize("p", [F(1, 3), F(3, 8), F(1, 2)])
     def test_butterfly_matrices_invert(self, p):
@@ -70,11 +89,11 @@ class TestWalsh:
         assert reference_butterfly(ghat, synthesis_matrix(f.p), 7) == f.values
 
     def test_parseval(self):
-        # <f, f> = sum_S (p(1-p))^|S| ghat(S)^2
+        # <f, f> = sum_S (p(1-p))^|S| ghat(S)^2, and <f, f> = mu_p for 0/1 f
         p = F(2, 7)
-        rng = random.Random(5)
-        f = FunctionOnCube(3, p, [F(rng.randint(-3, 3)) for _ in range(8)])
-        assert sum(sq for _, sq in walsh_support(f)) == inner(f, f)
+        members = random_members(3, 5)
+        f = indicator(3, p, members)
+        assert sum(sq for _, sq in walsh_support(3, p, members)) == inner(f, f)
 
     def test_characters_orthonormal(self):
         # psi_S = chi_S / sqrt(p(1-p))^|S|, so <psi_S, psi_S> = (p(1-p))^-|S|
@@ -94,8 +113,7 @@ class TestWalsh:
         # a principal filter above a triangle has measure p^3
         members = [m for m in range(64) if m & TRIANGLE_K4.mask == TRIANGLE_K4.mask]
         for p in (F(1, 3), F(1, 2)):
-            u = FunctionOnCube.indicator(4, p, members)
-            assert expectation(u) == p ** 3
+            assert expectation(indicator(4, p, members)) == p ** 3
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -128,6 +146,20 @@ def walsh(f):
     return reference_butterfly(f.values, walsh_matrix(f.p), len(f.values) - 1)
 
 
+def random_members(n, seed):
+    """A seeded family: each edge mask of K_n is a member with probability 1/2."""
+    rng = random.Random(seed)
+    return [m for m in all_masks(n) if rng.random() < 0.5]
+
+
+def oracle_support(n, p, members):
+    """The nonzero squared orthonormal coefficients of the dense 0/1
+    indicator, by the reference butterfly."""
+    ghat = walsh(indicator(n, p, members))
+    squares = [(p * (1 - p)) ** m.bit_count() * v * v for m, v in enumerate(ghat)]
+    return [(m, sq) for m, sq in enumerate(squares) if sq]
+
+
 def random_function(n, p, seed):
     """Seeded random rational values."""
     rng = random.Random(seed)
@@ -150,16 +182,14 @@ class TestIntegerKernel:
 
     @pytest.mark.parametrize("n,p,seed", KERNEL_CASES)
     def test_squares_parseval_and_quadratic_form(self, n, p, seed):
-        f = random_function(n, p, seed)
-        ref = reference_butterfly(f.values, walsh_matrix(p), len(f.values) - 1)
-        ref_squares = [(p * (1 - p)) ** m.bit_count() * v * v for m, v in enumerate(ref)]
-        support = walsh_support(f)
-        assert support == [(m, sq) for m, sq in enumerate(ref_squares) if sq]
+        members = random_members(n, seed)
+        support = walsh_support(n, p, members)
+        assert support == oracle_support(n, p, members)
+        f = indicator(n, p, members)
         assert sum(sq for _, sq in support) == inner(f, f)
-        lam = combined_lambda_by_mask(n)
-        want = sum(sq * lam[m] for m, sq in enumerate(ref_squares))
-        assert quadratic_form(f, lam) == want
-        assert quadratic_form(f, lam, support) == want
+        lam = combined_by_mask(n)
+        want = sum((p * (1 - p)) ** m.bit_count() * v * v * lam[m] for m, v in enumerate(walsh(f)))
+        assert quadratic_form(support, lam) == want
 
     def test_half_is_plain_hadamard(self):
         # at p = 1/2, ghat(S) is 2^|S| times the integer Walsh-Hadamard
@@ -182,6 +212,47 @@ class TestIntegerKernel:
             for g, h, x in entries:
                 dense[g] += x * f.values[h]
             assert op.apply(f).values == dense
+
+
+class TestWalshSupport:
+    """walsh_support reads a family's members and transforms only the edges it
+    depends on; the reference butterfly on the dense indicator is the oracle."""
+
+    @pytest.mark.parametrize("n,p", [(3, F(1, 3)), (4, F(1, 2)), (4, F(1, 3)), (5, F(1, 2))])
+    def test_umvirates_and_a_prescribed_junta(self, n, p):
+        tri = triangle_masks(n)
+        for fam in [junta(n, tri[0], tri[0] & -tri[0])] + [umvirate(n, t) for t in tri]:
+            assert walsh_support(n, p, fam.masks) == oracle_support(n, p, fam.masks)
+
+    @pytest.mark.parametrize("p", [F(1, 2), F(2, 5)])
+    def test_empty_full_and_dependent_on_every_edge(self, p):
+        full = list(all_masks(4))
+        assert walsh_support(4, p, []) == oracle_support(4, p, []) == []
+        assert walsh_support(4, p, full) == oracle_support(4, p, full) == [(0, F(1))]
+        # a single graph moves under every edge flip
+        support = walsh_support(4, p, [0b011010])
+        assert support == oracle_support(4, p, [0b011010])
+        assert support[-1][0] == 63
+
+    def test_order_and_range(self):
+        assert walsh_support(3, F(1, 3), iter([5, 1])) == walsh_support(3, F(1, 3), [1, 5])
+        with pytest.raises(ValueError):
+            walsh_support(3, F(1, 3), [8])
+        with pytest.raises(ValueError):
+            walsh_support(3, F(1), [1])
+
+    def test_refuses_more_than_fifteen_relevant_edges(self):
+        # Family(7, [0]) depends on all 21 edges of K7; the refusal comes
+        # before any list over 2^21 points is built
+        fam = Family(7, [0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                walsh_support(7, F(1, 2), fam.masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestShiftOperators:
@@ -263,8 +334,7 @@ class TestTensorOperator:
 
     def test_umvirate_quadratic_form_vanishes(self):
         members = [m for m in range(64) if m & TRIANGLE_K4.mask == TRIANGLE_K4.mask]
-        u = FunctionOnCube.indicator(4, F(1, 2), members)
-        uh = walsh(u)
+        uh = walsh(indicator(4, F(1, 2), members))
         for s in range(64):
             if s & TRIANGLE_K4.mask == s:
                 sign = 1 if Graph(4, s).edge_count % 2 == 0 else -1
@@ -272,13 +342,13 @@ class TestTensorOperator:
             else:
                 want = F(0)
             assert uh[s] == want
-        assert quadratic_form(u, combined_lambda_by_mask(4)) == 0
+        assert quadratic_form(walsh_support(4, F(1, 2), members), combined_by_mask(4)) == 0
 
     def test_quadratic_form_rational_at_biased_p(self):
         members = [m for m in range(8) if m & 0b001]
-        f = FunctionOnCube.indicator(3, F(1, 3), members)
+        f = indicator(3, F(1, 3), members)
         lam = {m: TensorOperator(3, F(1, 3)).eigenvalue(m) for m in range(8)}
-        q = quadratic_form(f, lam)
+        q = quadratic_form(walsh_support(3, F(1, 3), members), lam)
         # independently: <f, Mf> under the measure
         op = TensorOperator(3, F(1, 3))
         assert q == inner(f, op.apply(f))

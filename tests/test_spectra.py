@@ -17,7 +17,6 @@ from occlib.spectra import (
     Spectrum,
     case_constant,
     clear_denominators,
-    combined_lambda_by_mask,
     eval_lambda1_skew,
     eval_lambda1_uniform,
     eval_lambda2_uniform,
@@ -298,32 +297,6 @@ class TestSpectrumAlgebra:
     def test_mixed_bases_rejected(self):
         with pytest.raises(ValueError):
             Spectrum.uniform1().plus(Spectrum.skew1(F(3, 8)))
-
-    def test_dense_eigenvalue_table(self):
-        table = combined_lambda_by_mask(4)
-        assert len(table) == 64
-        assert table[0] == 1
-        assert table[_g(4, [(0, 1), (0, 2), (1, 2)]).mask] == F(-1, 7)
-        assert min(table.values()) == LAMBDA_MIN_UNIFORM
-        with pytest.raises(ValueError):
-            combined_lambda_by_mask(7)
-
-    @staticmethod
-    def lambda_by_key(n, mask):
-        entry = class_catalogue(n)[canonical_key(Graph(n, mask))]
-        return Spectrum.combined().value(entry.stats)
-
-    def test_dense_table_matches_per_mask_keys(self):
-        for n in range(1, 6):
-            table = combined_lambda_by_mask(n)
-            assert list(table) == list(range(1 << (n * (n - 1) // 2)))
-            for mask, lam in table.items():
-                assert lam == self.lambda_by_key(n, mask), (n, mask)
-        table = combined_lambda_by_mask(6)
-        assert len(table) == 1 << 15
-        rng = random.Random(37)
-        for mask in rng.sample(range(1 << 15), 400):
-            assert table[mask] == self.lambda_by_key(6, mask), mask
 
 
 class TestCatalogue:
