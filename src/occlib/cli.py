@@ -127,7 +127,7 @@ def _finish_campaign(args, argv, report, seed, started) -> int:
 
 def _cutstat_rows(args) -> list[dict]:
     if args.builtin:
-        return [_cutstat_row(name, g) for name, g, _ in builtin_table()]
+        return [_cutstat_row(name, g) for name, g in builtin_table()]
     lines: list[str] = []
     if args.files:
         for path in args.files:
@@ -148,7 +148,7 @@ def _cutstat_row(name: str, g: Graph) -> dict:
         "graph6": write_graph6(g),
         "vertices": g.v,
         "edges": g.edge_count,
-        "q": [frac_str(p) for p in stats.distribution().probs],
+        "q": [frac_str(p) for p in stats.distribution()],
         "lambda1": frac_str(Spectrum.uniform1().value(stats)),
         "lambda2": frac_str(Spectrum.uniform2().value(stats)),
         "combined": frac_str(Spectrum.combined().value(stats)),

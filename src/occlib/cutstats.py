@@ -14,6 +14,8 @@ where m counts bridge edges.  Both are exact; `occ verify lemmas` checks that
 they agree on every catalogue class, beside the other cut lemmas.
 One enumeration yields a CutStats record, the integer counts every spectrum
 is evaluated from; the class catalogue keeps one record per small class.
+A cut law is such a record: its probabilities q_0, ..., q_|G| are the tuple
+of Fractions that CutStats.distribution returns, one entry per edge count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import Polynomial, frac_str
 from .graph import (
     BlockDecomposition,
     Graph,
@@ -33,7 +34,6 @@ from .graph import (
 )
 
 __all__ = [
-    "CutDistribution",
     "CutStats",
     "ClassEntry",
     "cut_profile",
@@ -48,58 +48,6 @@ __all__ = [
 ]
 
 _MAX_BRUTE_V = 24
-
-
-@dataclass(frozen=True, eq=False)
-class CutDistribution:
-    """Exact law of the cut size: probs[k] = q_k, indexed from 0."""
-
-    probs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.probs:
-            raise ValueError("empty distribution")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("negative cut probability")
-        if sum(self.probs) != 1:
-            raise ValueError("cut probabilities must sum to 1")
-        if self.probs[0] == 0:
-            raise ValueError("q_0 must be positive (monochromatic coloring)")
-
-    def __getitem__(self, k: int) -> Fraction:
-        if k < 0:
-            raise IndexError("negative cut size")
-        return self.probs[k] if k < len(self.probs) else Fraction(0)
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    def trimmed(self) -> tuple[Fraction, ...]:
-        out = list(self.probs)
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CutDistribution):
-            return NotImplemented
-        return self.trimmed() == other.trimmed()
-
-    def __hash__(self) -> int:
-        return hash(self.trimmed())
-
-    def pgf(self) -> Polynomial:
-        """Probability generating function sum_k q_k X^k."""
-        return Polynomial(self.probs)
-
-    def mean(self) -> Fraction:
-        return sum(k * p for k, p in enumerate(self.probs))
-
-    def as_strings(self) -> list[str]:
-        return [frac_str(p) for p in self.probs]
-
-    def __repr__(self) -> str:
-        return "CutDistribution(" + ", ".join(self.as_strings()) + ")"
 
 
 def xor_span(gens: list[int]) -> tuple[int, ...]:
@@ -165,8 +113,12 @@ class CutStats:
         """Edge count of the graph the statistics describe."""
         return len(self.counts) - 1
 
-    def distribution(self) -> CutDistribution:
-        return CutDistribution(tuple(Fraction(c, self.total) for c in self.counts))
+    def distribution(self) -> tuple[Fraction, ...]:
+        """The cut-size law q_0, ..., q_size; ValueError unless the counts are
+        a law with q_0 > 0 (the monochromatic coloring always exists)."""
+        if self.counts[0] <= 0 or min(self.counts) < 0 or sum(self.counts) != self.total:
+            raise ValueError(f"not a cut-size law: {self.counts} out of {self.total}")
+        return tuple(Fraction(c, self.total) for c in self.counts)
 
 
 def cut_stats(g: Graph) -> CutStats:
@@ -193,7 +145,7 @@ def cut_stats(g: Graph) -> CutStats:
     return CutStats(tuple(counts), forest4, cycle4, total)
 
 
-def cut_distribution_bruteforce(g: Graph) -> CutDistribution:
+def cut_distribution_bruteforce(g: Graph) -> tuple[Fraction, ...]:
     """Cut-size law by direct enumeration of all colorings."""
     return cut_stats(g).distribution()
 
@@ -213,10 +165,10 @@ def _block_counts(dec: BlockDecomposition) -> tuple[list[int], int]:
     return counts, total
 
 
-def cut_distribution_blocks(g: Graph) -> CutDistribution:
+def cut_distribution_blocks(g: Graph) -> tuple[Fraction, ...]:
     """Cut-size law via the bridge/block product formula."""
     counts, total = _block_counts(block_decomposition(g))
-    return CutDistribution(tuple(Fraction(c, total) for c in counts))
+    return CutStats(tuple(counts), 0, 0, total).distribution()  # typed 4-cuts unread
 
 
 @dataclass(frozen=True)
@@ -266,9 +218,9 @@ def check_cut_lemmas(g: Graph, stats: CutStats) -> list[str]:
     return [lemma for lemma, ok in zip(CUT_LEMMAS, oks) if not ok]
 
 
-def builtin_table() -> list[tuple[str, Graph, CutDistribution]]:
-    """The reference cut-size table for the six standard small graphs."""
-    rows = [
+def builtin_table() -> list[tuple[str, Graph]]:
+    """The six standard small graphs of the reference cut-size table."""
+    return [
         ("empty", Graph(1, 0)),
         ("edge", Graph.from_edges(2, [(0, 1)])),
         ("path2", Graph.from_edges(3, [(0, 1), (1, 2)])),
@@ -276,4 +228,3 @@ def builtin_table() -> list[tuple[str, Graph, CutDistribution]]:
         ("forest4", Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])),
         ("K4minus", Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])),
     ]
-    return [(name, g, cut_distribution_bruteforce(g)) for name, g in rows]

@@ -69,14 +69,6 @@ class Polynomial:
     def x() -> "Polynomial":
         return _scaled(Fraction(1), [0, 1])
 
-    @staticmethod
-    def from_roots(roots: Sequence[Coeffable]) -> "Polynomial":
-        """Monic polynomial with the given rational roots (with multiplicity)."""
-        p = Polynomial.one()
-        for r in roots:
-            p = p * Polynomial((-_frac(r), 1))
-        return p
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(self.content * z for z in self.prim)

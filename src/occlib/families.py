@@ -123,10 +123,14 @@ def is_triangle_agreeing(fam: Family) -> bool:
 
 
 def junta(n: int, t_mask: int, s_mask: int) -> Family:
-    """All graphs whose intersection with the edge set T equals S."""
+    """All graphs whose intersection with the edge set T equals S: S together
+    with any set of the free edges, those of K_n outside T."""
+    full = (1 << (n * (n - 1) // 2)) - 1
+    if t_mask & ~full:
+        raise ValueError(f"junta edges {t_mask} outside K_{n}")
     if s_mask & ~t_mask:
         raise ValueError("prescription must be a subset of the junta edges")
-    return Family(n, (m for m in all_masks(n) if m & t_mask == s_mask))
+    return Family._of_valid(n, frozenset(s_mask | f for f in _submasks(full & ~t_mask)))
 
 
 def umvirate(n: int, t_mask: int) -> Family:

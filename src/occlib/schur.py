@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
-from .cutstats import CutDistribution, CutStats, cut_stats, xor_span
+from .cutstats import CutStats, cut_stats, xor_span
 from .graph import Graph, edge_pairs, enumerate_unlabeled
 from .spectra import (
     GAP_COMBINED,
@@ -136,18 +136,6 @@ class VectorSet:
     def rank(self) -> int:
         return gf2_rank(self.vectors())
 
-    def essential_count(self) -> int:
-        """Vectors outside the span of the others, the bridge analogue."""
-        vecs = self.vectors()
-        r = gf2_rank(vecs)
-        return sum(gf2_rank([u for u in vecs if u != v]) < r for v in vecs)
-
-    def cut(self, w: int) -> "VectorSet":
-        """The subset pushed to the odd side of the functional carried by w."""
-        if not 0 <= w < (1 << self.n):
-            raise ValueError("w outside the dual space")
-        return VectorSet(self.n, self.mask & _parity_masks(self.n)[w])
-
     def cut_stats(self) -> CutStats:
         """Hyperplane cut statistics; independent 4-sets take the place of
         4-edge forests and boxes that of 4-cycles."""
@@ -165,7 +153,7 @@ class VectorSet:
                     indep += 1
         return CutStats(tuple(counts), indep, box, 1 << self.n)
 
-    def cut_distribution(self) -> CutDistribution:
+    def cut_distribution(self) -> tuple[Fraction, ...]:
         return self.cut_stats().distribution()
 
 

@@ -294,10 +294,6 @@ class SolvedCoefficients:
     lower: Fraction  # constraint from the 4-edge forest: 4 c3 + c4 >= lower
     upper: Fraction  # constraint from K4 minus an edge: 4 c3 + c4 <= upper
 
-    @property
-    def feasible(self) -> bool:
-        return self.lower <= self.upper
-
 
 def solve_coefficients(p: Fraction) -> SolvedCoefficients:
     """Solve the tightness equations for (c1, c2) and bound 4 c3 + c4.

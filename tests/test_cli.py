@@ -119,8 +119,8 @@ class TestVerify:
 
 class TestReportDigests:
     """sha256 of the JSON reports of the campaigns with runtime_seconds
-    removed, and of the built-in cutstat table: pins every claim, certificate
-    polynomial and table row."""
+    removed, and of cutstat tables in every format: pins every claim,
+    certificate polynomial and table row."""
 
     @pytest.mark.parametrize("argv, code, digest", [
         (("verify", "skew"), 0,
@@ -153,6 +153,26 @@ class TestReportDigests:
             payload.pop("runtime_seconds", None)
         assert rc == code
         assert hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "23adb39b477dafb5fb8d57108893934a3b213448ae2f562886d36e24f9ebdc47"),
+        ("csv", "5ae3489ed4a3f1ea494c4c201d3676bfb575d6986dcc235861a386de1932ce1c"),
+    ], ids=["cutstat-builtin-text", "cutstat-builtin-csv"])
+    def test_builtin_table_digest(self, capsys, fmt, digest):
+        rc, out, _ = run(capsys, "cutstat", "--builtin", "--format", fmt)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_cutstat_file_json_digest(self, capsys, tmp_path):
+        # a triangle among isolated vertices, C5, a triangle bridged to a
+        # chorded 4-cycle, and the 3 x 4 grid
+        src = tmp_path / "graphs.g6"
+        src.write_text("EA@O\nDhc\nFxCWg\nKh`HGcG@GC_H\n")
+        rc, out, _ = run(capsys, "cutstat", "--format", "json", str(src))
+        assert rc == 0
+        payload = json.dumps(json.loads(out), indent=2)
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "2663cc7b293efc9b759607c6a5ef1db5d2fbfcbba35671cb2ed85d20d01b1446")
 
 
 class TestExitCodes:

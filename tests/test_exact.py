@@ -28,6 +28,14 @@ def fr(n, d=1):
     return F(n, d)
 
 
+def from_roots(roots):
+    """Monic polynomial with the given rational roots (with multiplicity)."""
+    p = P.one()
+    for r in roots:
+        p = p * P((-F(r), 1))
+    return p
+
+
 rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
 small_polys = st.builds(P, st.lists(rationals, min_size=0, max_size=6))
 
@@ -57,12 +65,12 @@ class TestPolynomial:
         assert r.degree < b.degree
 
     def test_gcd_and_square_free(self):
-        p = P.from_roots([F(1, 3), F(1, 3), F(2, 5)])
+        p = from_roots([F(1, 3), F(1, 3), F(2, 5)])
         sf = p.square_free_part()
-        assert sf.monic() == P.from_roots([F(1, 3), F(2, 5)])
+        assert sf.monic() == from_roots([F(1, 3), F(2, 5)])
 
     def test_from_roots_evaluates_to_zero(self):
-        p = P.from_roots([F(1, 7), -3])
+        p = from_roots([F(1, 7), -3])
         assert p(F(1, 7)) == 0 and p(-3) == 0 and p(0) != 0
 
     @given(small_polys, small_polys, small_polys)
@@ -133,7 +141,7 @@ class TestSturm:
         p = P([-2, 0, 1])
         assert count_roots(p, 1, 2) == 1
         assert count_roots(p, -2, 2) == 2
-        q = P.from_roots([F(1, 3), F(2, 5)])
+        q = from_roots([F(1, 3), F(2, 5)])
         assert count_roots(q, 0, 1) == 2
 
     def test_chain_length_bounded_by_degree(self):
@@ -153,7 +161,7 @@ class TestSturm:
             while len(roots) < k:
                 roots.add(F(rng.randint(-30, 30), rng.randint(1, 10)))
             roots = sorted(roots)
-            p = P.from_roots(roots)
+            p = from_roots(roots)
             if rng.random() < 0.3:
                 p = p * P([1, 0, 1])  # irreducible factor adds no real roots
             if rng.random() < 0.3:
@@ -164,14 +172,14 @@ class TestSturm:
             assert count_roots(p, a, b) == expected, (trial, roots, a, b)
 
     def test_multiplicities_do_not_inflate_count(self):
-        p = P.from_roots([F(1, 2), F(1, 2), F(1, 2), 3])
+        p = from_roots([F(1, 2), F(1, 2), F(1, 2), 3])
         assert count_roots(p, 0, 4) == 2
 
     def test_split_additivity_including_root_splits(self):
         rng = random.Random(99)
         for _ in range(200):
             roots = sorted({F(rng.randint(-10, 10), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))})
-            p = P.from_roots(roots)
+            p = from_roots(roots)
             a, c = F(-12), F(12)
             b = rng.choice(roots) if rng.random() < 0.5 else F(rng.randint(-11, 11), 2)
             if not a < b < c:
@@ -179,7 +187,7 @@ class TestSturm:
             assert count_roots(p, a, b) + count_roots(p, b, c) == count_roots(p, a, c)
 
     def test_count_roots_above(self):
-        p = P.from_roots([2, 10, -50])
+        p = from_roots([2, 10, -50])
         assert count_roots_above(p, 0) == 2
         assert count_roots_above(p, 10) == 0
         assert count_roots_above(p, F(19, 2)) == 1
@@ -212,19 +220,19 @@ class TestCertificates:
     def test_shrink_does_not_skip_interior_roots(self):
         # root at the endpoint 1/2 and another at 15/32; a naive large shift
         # from 1/2 would jump past 15/32
-        p = P.from_roots([F(1, 2), F(15, 32)])
+        p = from_roots([F(1, 2), F(15, 32)])
         c = certify_sign(p, F(1, 4), F(1, 2), F(1, 3))
         assert not c.passed
 
     def test_unshiftable_endpoint_raises(self):
         # roots densely flank the endpoint shifts: 1/2 - 2^-k for every k <= 64
         # cannot be cleared because the allowed region is empty
-        p = P.from_roots([F(1, 2)])
+        p = from_roots([F(1, 2)])
         with pytest.raises(CertificateError):
             certify_sign(p, F(1, 2) - F(1, 2 ** 70), F(1, 2), F(1, 2) - F(1, 2 ** 71))
 
     def test_even_multiplicity_failure_still_reports_bracket(self):
-        p = P.from_roots([F(1, 3), F(1, 3)])
+        p = from_roots([F(1, 3), F(1, 3)])
         c = certify_sign(p, 0, 1, F(2, 3))
         assert not c.passed
         x1, x2, _, _ = c.failure_bracket

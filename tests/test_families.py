@@ -104,6 +104,16 @@ class TestPredicates:
     def test_junta_prescription_validated(self):
         with pytest.raises(ValueError):
             junta(4, T012, 1 << 5)
+        for t in (T012 | 1 << 6, -1):  # junta edges outside K4
+            with pytest.raises(ValueError):
+                junta(4, t, 0)
+
+    def test_junta_matches_filter_definition(self):
+        for n in (3, 4, 5):
+            for t in triangle_masks(n):
+                for s in families._submasks(t):
+                    want = Family(n, (m for m in all_masks(n) if m & t == s))
+                    assert junta(n, t, s) == want, (n, t, s)
 
     def test_triangle_table_against_graphs(self):
         table = triangle_table(4)
