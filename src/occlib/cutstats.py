@@ -44,6 +44,7 @@ __all__ = [
     "CUT_LEMMAS",
     "check_cut_lemmas",
     "builtin_table",
+    "reference_graphs",
     "xor_span",
 ]
 
@@ -218,13 +219,28 @@ def check_cut_lemmas(g: Graph, stats: CutStats) -> list[str]:
     return [lemma for lemma, ok in zip(CUT_LEMMAS, oks) if not ok]
 
 
+@lru_cache(maxsize=1)
+def reference_graphs() -> dict[str, Graph]:
+    """The named small graphs the campaigns and the reference cut-size table
+    refer to, built once; forest2 and matching4 are the 2- and 4-matchings,
+    forest4 the 4-edge path."""
+    return {
+        "empty": Graph(1, 0),
+        "edge": Graph.from_edges(2, [(0, 1)]),
+        "path2": Graph.from_edges(3, [(0, 1), (1, 2)]),
+        "path3": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+        "forest2": Graph.from_edges(4, [(0, 1), (2, 3)]),
+        "triangle": Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]),
+        "forest4": Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        "K4minus": Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+        "C4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        "C5": Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+        "matching4": Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+    }
+
+
 def builtin_table() -> list[tuple[str, Graph]]:
     """The six standard small graphs of the reference cut-size table."""
-    return [
-        ("empty", Graph(1, 0)),
-        ("edge", Graph.from_edges(2, [(0, 1)])),
-        ("path2", Graph.from_edges(3, [(0, 1), (1, 2)])),
-        ("triangle", Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])),
-        ("forest4", Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])),
-        ("K4minus", Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])),
-    ]
+    refs = reference_graphs()
+    return [(name, refs[name])
+            for name in ("empty", "edge", "path2", "triangle", "forest4", "K4minus")]

@@ -8,6 +8,9 @@ become linearly independent sets.  Everything the graph modules verify has
 an analogue here, checked exhaustively over all subsets of the 15 nonzero
 vectors of dimension four.  A vector set's cut statistics form the same
 CutStats record as a graph's, so its eigenvalues are spectra.Spectrum values.
+One evaluator, _cut_record, builds that record and types a 4-cut as a box
+(the image of a 4-cycle) when its mask is in _boxes(n).  Graphs type their
+4-cuts by a separate rule, so the lift claims compare two typings.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cutstats import CutStats, cut_stats, xor_span
+from .cutstats import CutStats, cut_stats, reference_graphs, xor_span
 from .graph import Graph, edge_pairs, enumerate_unlabeled
 from .spectra import (
     GAP_COMBINED,
@@ -32,12 +35,9 @@ from .spectra import (
 
 __all__ = [
     "VectorSet",
-    "gf2_rank",
     "solvable_all_ones",
     "has_odd_dependency",
     "has_odd_dependency_search",
-    "is_independent_four",
-    "is_box",
     "lift_graph",
     "verify_oldc_claims",
 ]
@@ -45,17 +45,6 @@ __all__ = [
 F = Fraction
 
 _MAX_DIM = 5
-
-
-def gf2_rank(vectors: Iterable[int]) -> int:
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
 
 
 def solvable_all_ones(vectors: Sequence[int], n: int) -> bool:
@@ -130,28 +119,11 @@ class VectorSet:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def xor_sum(self) -> int:
-        return reduce(lambda a, b: a ^ b, self.vectors(), 0)
-
-    def rank(self) -> int:
-        return gf2_rank(self.vectors())
-
     def cut_stats(self) -> CutStats:
         """Hyperplane cut statistics; independent 4-sets take the place of
         4-edge forests and boxes that of 4-cycles."""
-        counts = [0] * (self.size + 1)
-        indep = box = 0
-        for w_mask in _parity_masks(self.n):
-            cut = self.mask & w_mask
-            k = cut.bit_count()
-            counts[k] += 1
-            if k == 4:
-                four = VectorSet(self.n, cut)
-                if is_box(four):
-                    box += 1
-                elif is_independent_four(four):
-                    indep += 1
-        return CutStats(tuple(counts), indep, box, 1 << self.n)
+        pm = _parity_masks(self.n)
+        return CutStats(*_cut_record(self.mask, pm, _boxes(self.n)), len(pm))
 
     def cut_distribution(self) -> tuple[Fraction, ...]:
         return self.cut_stats().distribution()
@@ -164,16 +136,33 @@ def _parity_masks(n: int) -> tuple[int, ...]:
     return xor_span([sum(1 << v for v in range(1, 1 << n) if v >> b & 1) for b in range(n)])
 
 
-def is_independent_four(vs: VectorSet) -> bool:
-    return vs.size == 4 and vs.rank() == 4
+@lru_cache(maxsize=8)
+def _boxes(n: int) -> frozenset[int]:
+    """Masks of the boxes of GF(2)^n: four distinct nonzero vectors summing
+    to zero, each box listed once as {a, b, c, a^b^c} with a < b < c < a^b^c."""
+    top = 1 << n
+    return frozenset(1 << a | 1 << b | 1 << c | 1 << (a ^ b ^ c)
+                     for a in range(1, top) for b in range(a + 1, top)
+                     for c in range(b + 1, top) if c < a ^ b ^ c)
 
 
-def is_box(vs: VectorSet) -> bool:
-    """Four distinct nonzero vectors summing to zero; rank is then three."""
-    if vs.size != 4 or vs.xor_sum() != 0:
-        return False
-    assert vs.rank() == 3
-    return True
+def _cut_record(mask: int, pm: Sequence[int], boxes: frozenset[int]) -> tuple:
+    """(counts, forest4, cycle4) of the subset mask, in one pass over the
+    hyperplane masks pm.  Every vector of a cut has odd inner product with w,
+    so no odd number of them sums to zero: four cut vectors form a box when
+    their mask is in boxes and are independent otherwise."""
+    counts = [0] * (mask.bit_count() + 1)
+    indep = box = 0
+    for w_mask in pm:
+        cut = mask & w_mask
+        k = cut.bit_count()
+        counts[k] += 1
+        if k == 4:
+            if cut in boxes:
+                box += 1
+            else:
+                indep += 1
+    return tuple(counts), indep, box
 
 
 def lift_graph(g: Graph) -> VectorSet:
@@ -190,10 +179,9 @@ def lift_graph(g: Graph) -> VectorSet:
 
 
 def _dense_tables(n: int):
-    """Per-mask popcount, xor-sum and rank over all subsets of the nonzero
-    vectors, built by stripping the lowest vector."""
+    """Per-mask xor-sum and rank over all subsets of the nonzero vectors,
+    built by stripping the lowest vector."""
     size = 1 << (1 << n)
-    pc = [0] * size
     xs = [0] * size
     rank = [0] * size
     basis: list[tuple[int, ...]] = [()] * size
@@ -201,7 +189,6 @@ def _dense_tables(n: int):
         low = m & -m
         v = low.bit_length() - 1
         rest = m ^ low
-        pc[m] = pc[rest] + 1
         xs[m] = xs[rest] ^ v
         red = v
         for x in basis[rest]:
@@ -212,48 +199,27 @@ def _dense_tables(n: int):
         else:
             basis[m] = basis[rest]
             rank[m] = rank[rest]
-    return pc, xs, rank
+    return xs, rank
 
 
-def _cut_record(mask: int, pm, pc, xs) -> tuple:
-    """(counts, forest4, cycle4) of the subset mask, read from the dense
-    tables in one pass over the hyperplanes.  Every vector of a cut has odd
-    inner product with w, so no odd number of them sums to zero: four cut
-    vectors form a box when they sum to zero and are independent otherwise."""
-    counts = [0] * (pc[mask] + 1)
-    indep = box = 0
-    for w_mask in pm:
-        cut = mask & w_mask
-        k = pc[cut]
-        counts[k] += 1
-        if k == 4:
-            if xs[cut] == 0:
-                box += 1
-            else:
-                indep += 1
-    return tuple(counts), indep, box
-
-
-def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
+def verify_oldc_claims(seed: int = 20260815) -> VerificationReport:
     """Exhaustive verification of the vector-set spectra in dimension four,
     plus decider cross-checks, graph-lift consistency, and the dimension-two
     family exhaust.  The 2^15 subsets have few distinct cut records; each
     record is evaluated once by the spectra, and each (structural type,
     record) pair that occurs is checked once."""
-    if n != 4:
-        raise ValueError("the exhaustive campaign is sized for dimension 4")
     rep = VerificationReport("oldc-claims")
     rng = random.Random(seed)
-    pm = _parity_masks(n)
-    pc, xs, rank = _dense_tables(n)
+    pm, boxes = _parity_masks(4), _boxes(4)
+    xs, rank = _dense_tables(4)
 
     pairs = set()  # (size, zero xor-sum, rank) of a subset, and its cut record
     q_identities = True
     m1_sizes = True
     m0_types = True
     for mask in range(2, 1 << 16, 2):
-        record = _cut_record(mask, pm, pc, xs)
-        size = pc[mask]
+        record = _cut_record(mask, pm, boxes)
+        size = mask.bit_count()
         r = rank[mask]
         pairs.add(((size, xs[mask] == 0, r), record))
         c = record[0]
@@ -308,7 +274,7 @@ def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
 
     rep.add("lambda1:min=-1/7", min_ok)
     rep.add("lambda1:tight-set-structural", tight1)
-    seven_sets = sum(1 for m in range(2, 1 << 16, 2) if pc[m] == 7 and rank[m] == 3)
+    seven_sets = sum(1 for m in range(2, 1 << 16, 2) if rank[m] == 3 and m.bit_count() == 7)
     rep.add("lambda1:gap-1/56-attained-by-punctured-3-spaces", gap_ok and seven_sets == 15)
     rep.add("lambda2:typed-values", l2_ok)
     rep.add("combined:tight-set-structural", tight_c)
@@ -318,7 +284,7 @@ def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
     rep.add("structure:no-essential-small-types", m0_types)
     rep.add("structure:schur-triple-count=35",
             sum(1 for m in range(2, 1 << 16, 2)
-                if pc[m] == 3 and xs[m] == 0) == 35)
+                if xs[m] == 0 and m.bit_count() == 3) == 35)
 
     # the punctured 3-space: cuts are empty or boxes, nothing in between
     s7 = VectorSet.from_vectors(3, range(1, 8))
@@ -376,9 +342,8 @@ def verify_oldc_claims(n: int = 4, seed: int = 20260815) -> VerificationReport:
     p = F(3, 8)
     skew = Spectrum.skew1(p)
     box = VectorSet.from_vectors(3, [1, 2, 4, 7])
-    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     rep.add("skew:box-matches-4-cycle",
-            skew.value(box.cut_stats()) == eval_lambda1_skew(c4, p))
+            skew.value(box.cut_stats()) == eval_lambda1_skew(reference_graphs()["C4"], p))
     tights = [VectorSet.from_vectors(3, [1]),
               VectorSet.from_vectors(3, [1, 2]),
               VectorSet.from_vectors(3, [1, 2, 3])]

@@ -36,6 +36,7 @@ from .cutstats import (
     check_cut_lemmas,
     class_catalogue,
     cut_stats,
+    reference_graphs,
 )
 from .graph import (
     Graph,
@@ -379,39 +380,20 @@ class VerificationReport:
         }
 
 
-# reference graphs for tight sets
-
-def _ref_graphs() -> dict[str, Graph]:
-    return {
-        "edge": Graph.from_edges(2, [(0, 1)]),
-        "path2": Graph.from_edges(3, [(0, 1), (1, 2)]),
-        "path3": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
-        "forest2": Graph.from_edges(4, [(0, 1), (2, 3)]),
-        "triangle": Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]),
-        "K4minus": Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
-        "C4": Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
-        "C5": Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
-    }
-
-
-def _four_matching() -> Graph:
-    return Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-
-
 @lru_cache(maxsize=1)
 def _four_forest_keys() -> frozenset:
     """All 8 isomorphism classes of 4-edge forests; the 4-matching spans
     8 vertices and sits outside the 7-vertex enumeration."""
     keys = {key for key, e in class_catalogue().items()
             if e.stats.size == 4 and e.graph.is_forest()}
-    keys.add(canonical_key(_four_matching()))
+    keys.add(canonical_key(reference_graphs()["matching4"]))
     return frozenset(keys)
 
 
 @lru_cache(maxsize=1)
 def tight_uniform_keys() -> frozenset:
     """Isomorphism keys of the graphs attaining -1/7 in the first spectrum."""
-    refs = _ref_graphs()
+    refs = reference_graphs()
     keys = {canonical_key(refs[n]) for n in ("edge", "path2", "forest2", "triangle", "K4minus")}
     return frozenset(keys | _four_forest_keys())
 
@@ -419,7 +401,7 @@ def tight_uniform_keys() -> frozenset:
 @lru_cache(maxsize=1)
 def tight_combined_keys() -> frozenset:
     """Isomorphism keys of the graphs attaining -1/7 in the combined spectrum."""
-    refs = _ref_graphs()
+    refs = reference_graphs()
     return frozenset(canonical_key(refs[n]) for n in ("edge", "path2", "forest2", "triangle"))
 
 
@@ -442,7 +424,7 @@ def verify_uniform_claims() -> VerificationReport:
     classes with at most 7 non-isolated vertices."""
     rep = VerificationReport("uniform-claims")
     catalogue = class_catalogue()
-    refs = _ref_graphs()
+    refs = reference_graphs()
     t1 = tight_uniform_keys()
     tc = tight_combined_keys()
     ffk = _four_forest_keys()
@@ -473,20 +455,19 @@ def verify_uniform_claims() -> VerificationReport:
             f"{len(t1)} classes (edge, path, 2-forest, triangle, K4minus, 8 four-forests)")
 
     # empty graph sits at +1 in both spectra
-    empty = Graph(1, 0)
-    rep.add("lambda1:empty=1", eval_lambda1_uniform(empty) == 1)
-    rep.add("combined:empty=1", eval_lambda_combined(empty) == 1)
+    rep.add("lambda1:empty=1", eval_lambda1_uniform(refs["empty"]) == 1)
+    rep.add("combined:empty=1", eval_lambda_combined(refs["empty"]) == 1)
 
     rep.add("lambda2:zero-below-4-edges", ok_small)
     rep.add("lambda2:absolute-bound-1", ok_bound)
     rep.add("lambda2:four-forests=1/16",
             all(l2_by_key[k] == F(1, 16) for k in ffk if k in l2_by_key)
-            and eval_lambda2_uniform(_four_matching()) == F(1, 16))
+            and eval_lambda2_uniform(refs["matching4"]) == F(1, 16))
     rep.add("lambda2:K4minus=1/8", l2_by_key[k4m_key] == F(1, 8))
     rep.add("lambda1:four-matching=-1/7",
-            eval_lambda1_uniform(_four_matching()) == LAMBDA_MIN_UNIFORM)
+            eval_lambda1_uniform(refs["matching4"]) == LAMBDA_MIN_UNIFORM)
     rep.add("combined:four-matching=-1/7+1/952",
-            eval_lambda_combined(_four_matching()) == LAMBDA_MIN_UNIFORM + GAP_COMBINED)
+            eval_lambda_combined(refs["matching4"]) == LAMBDA_MIN_UNIFORM + GAP_COMBINED)
 
     # combined values on the near-tight classes
     lc_ff = sc.value(next(e.stats for key, e in catalogue.items() if key in ffk))
@@ -552,7 +533,7 @@ def _skew_cases(spec: Spectrum, t: RationalFunction) -> list[tuple[str, Rational
     ratio = _ratio(spec.p)
     ratio2, ratio5, ratio7 = ratio ** 2, ratio ** 5, ratio ** 7
     _, _, lower, upper = _pinned(spec.p)
-    refs = _ref_graphs()
+    refs = reference_graphs()
     c2_term = F(3, 4) * c2
     c3_term = c3 * F(1, 2)
     bridge_term = (1 + c1) * F(1, 4)
@@ -619,7 +600,7 @@ def verify_skew_cases(p_lo: Fraction, p_hi: Fraction) -> VerificationReport:
     # identities: the four tight classes sit exactly at -p^3/(1-p^3)
     spec = _skew1(RationalFunction.x())
     t = _threshold(spec.p)
-    refs = _ref_graphs()
+    refs = reference_graphs()
     for name in ("edge", "path2", "forest2", "triangle"):
         rep.add(f"identity:lambda({name})=-p^3/(1-p^3)", spec.value(refs[name]) == -t)
 

@@ -193,6 +193,21 @@ class TestExitCodes:
     def test_negative_campaign_size(self, capsys):
         self.usage_error(capsys, "verify", "families", "--campaign-size", "-5")
 
+    def test_non_integer_campaign_size(self, capsys):
+        self.usage_error(capsys, "verify", "families", "--campaign-size", "abc")
+
+    @pytest.mark.parametrize("word, message", [
+        ("?", "zero vertices"),
+        ("B\x7f", "data byte out of range"),
+        ("Bx", "nonzero padding bits"),
+    ])
+    def test_malformed_graph6_word(self, capsys, monkeypatch, word, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(word + "\n"))
+        rc, out, err = run(capsys, "cutstat")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("occ: ") and message in err
+
     def test_graph_beyond_bruteforce_limit(self, capsys, monkeypatch):
         cycle = Graph.from_edges(26, [(i, (i + 1) % 26) for i in range(26)])
         monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(cycle) + "\n"))

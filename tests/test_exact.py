@@ -204,6 +204,10 @@ class TestCertificates:
         assert c.root_hit == F(3, 8)
         x1, x2, s1, s2 = c.failure_bracket
         assert x1 < F(3, 8) < x2 and {s1, s2} == {-1, 1}
+        d = c.to_json_dict()
+        assert d["root_hit"] == "3/8"
+        signs = d["failure_bracket"]["signs"]
+        assert len(signs) == 2 and signs[0] != signs[1]
 
     def test_endpoint_root_upper_is_shrunk_and_reported(self):
         c = certify_sign(P([F(-1, 2), 1]), F(1, 4), F(1, 2), F(5, 16))

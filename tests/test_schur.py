@@ -1,21 +1,19 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from occlib.cutstats import cut_distribution_bruteforce
+from occlib.cutstats import CutStats, cut_distribution_bruteforce
 from occlib.graph import Graph, enumerate_unlabeled, random_graph
 from occlib.schur import (
     VectorSet,
-    _cut_record,
+    _boxes,
     _dense_tables,
     _parity_masks,
-    gf2_rank,
     has_odd_dependency,
     has_odd_dependency_search,
-    is_box,
-    is_independent_four,
     lift_graph,
     solvable_all_ones,
     verify_oldc_claims,
@@ -40,6 +38,31 @@ S1, S2, SC = Spectrum.uniform1(), Spectrum.uniform2(), Spectrum.combined()
 even_masks4 = st.integers(min_value=0, max_value=(1 << 16) - 1).map(lambda m: m & ~1)
 
 
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) by elimination against a basis kept in descending order."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def rank_typed_stats(vs: VectorSet) -> CutStats:
+    """The cut statistics of vs from the inner-product definition of a cut,
+    each 4-cut typed by its rank: 4 for an independent set, 3 for a box."""
+    counts = [0] * (vs.size + 1)
+    typed = {3: 0, 4: 0}
+    for w in range(1 << vs.n):
+        cut = [v for v in vs.vectors() if (v & w).bit_count() & 1]
+        counts[len(cut)] += 1
+        if len(cut) == 4:
+            typed[gf2_rank(cut)] += 1
+    return CutStats(tuple(counts), typed[4], typed[3], 1 << vs.n)
+
+
 class TestRankAndDeciders:
     def test_rank_basics(self):
         assert gf2_rank([]) == 0
@@ -52,7 +75,7 @@ class TestRankAndDeciders:
         for _ in range(40):
             g = random_graph(5, F(1, 2), rng)
             lifted = lift_graph(g)
-            assert lifted.rank() == g.v - g.component_count()
+            assert gf2_rank(lifted.vectors()) == g.v - g.component_count()
 
     def test_solvability_hand_cases(self):
         assert solvable_all_ones([1, 2, 4], 3)
@@ -116,8 +139,6 @@ class TestVectorSetBasics:
         vs = VectorSet.from_vectors(4, [3, 5, 9])
         assert vs.vectors() == [3, 5, 9]
         assert vs.size == 3
-        assert vs.xor_sum() == 3 ^ 5 ^ 9
-        assert vs.rank() == 3
 
     def test_parity_masks_match_inner_product_definition(self):
         for n in range(1, 6):
@@ -139,17 +160,31 @@ class TestVectorSetBasics:
     def test_cut_identities(self, mask):
         vs = VectorSet(4, mask)
         d = vs.cut_distribution()
-        vecs, r = vs.vectors(), vs.rank()
+        vecs = vs.vectors()
+        r = gf2_rank(vecs)
         essentials = sum(gf2_rank([u for u in vecs if u != v]) < r for v in vecs)
         assert d[0] == F(1, 2 ** r)
         assert (*d, 0)[1] == essentials * d[0]  # the empty set's law has one entry
 
-    def test_type_predicates(self):
-        assert is_independent_four(INDEP4)
-        assert not is_independent_four(BOX)
-        assert is_box(BOX)
-        assert is_box(VectorSet.from_vectors(4, [1, 2, 12, 15]))
-        assert not is_box(INDEP4)
+    def test_boxes_are_the_zero_sum_four_sets(self):
+        for n in range(1, 5):
+            want = {sum(1 << v for v in four)
+                    for four in combinations(range(1, 1 << n), 4)
+                    if four[0] ^ four[1] ^ four[2] ^ four[3] == 0}
+            assert _boxes(n) == want, n
+        assert len(_boxes(5)) == 1085
+        assert BOX.mask in _boxes(3)
+        assert VectorSet.from_vectors(4, [1, 2, 12, 15]).mask in _boxes(4)
+        assert INDEP4.mask not in _boxes(4)
+
+    def test_dense_tables_match_oracle(self):
+        xs, rank = _dense_tables(3)
+        for m in range(0, 256, 2):
+            vecs = VectorSet(3, m).vectors()
+            acc = 0
+            for v in vecs:
+                acc ^= v
+            assert (xs[m], rank[m]) == (acc, gf2_rank(vecs)), m
 
 
 class TestSpectra:
@@ -206,16 +241,15 @@ class TestSpectra:
             Spectrum.skew1(F(3, 4)).value(BOX.cut_stats())
 
 
-class TestDenseScan:
-    """The campaign's table-driven cut records against VectorSet.cut_stats,
-    which types each 4-cut with is_box and is_independent_four."""
+class TestCutStatsOracle:
+    """VectorSet.cut_stats, which types each 4-cut by box membership,
+    against cuts from the inner-product definition typed by rank."""
 
     @staticmethod
     def check(n, masks):
-        pm, (pc, xs, _) = _parity_masks(n), _dense_tables(n)
         for m in masks:
-            stats = VectorSet(n, m).cut_stats()
-            assert _cut_record(m, pm, pc, xs) == (stats.counts, stats.forest4, stats.cycle4), m
+            vs = VectorSet(n, m)
+            assert vs.cut_stats() == rank_typed_stats(vs), m
 
     def test_every_subset_in_dimension_three(self):
         self.check(3, range(0, 256, 2))
@@ -223,6 +257,9 @@ class TestDenseScan:
     def test_sampled_subsets_in_dimension_four(self):
         rng = random.Random(4)
         self.check(4, [rng.randrange(0, 1 << 16) & ~1 for _ in range(2000)])
+
+    def test_lifts_of_graphs_on_k5(self):
+        self.check(5, [lift_graph(Graph(5, m)).mask for m in range(1, 1 << 10)])
 
 
 class TestCampaign:
@@ -235,10 +272,6 @@ class TestCampaign:
             "lambda1:tight-set-structural",
             "lambda1:gap-1/56-attained-by-punctured-3-spaces",
         ]
-
-    def test_campaign_dimension_guard(self):
-        with pytest.raises(ValueError):
-            verify_oldc_claims(3)
 
     def test_gap_tight_set_sits_above_minimum(self):
         assert S1.value(S7.cut_stats()) == LAMBDA_MIN_UNIFORM + F(1, 56)
