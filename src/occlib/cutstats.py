@@ -7,13 +7,23 @@ counts those that are forests and those that are 4-cycles.  Colorings are
 drawn on the non-isolated vertices, so isolated vertices never affect any
 statistic.
 
-Two independent routes compute the size distribution: direct enumeration of
-all colorings, and the bridge/block product formula
-    Q_G(X) = (1/2 + X/2)^m * prod_blocks Q_block(X)
-where m counts bridge edges.  Both are exact; `occ verify lemmas` checks that
-they agree on every catalogue class, beside the other cut lemmas.
-One enumeration yields a CutStats record, the integer counts every spectrum
-is evaluated from; the class catalogue keeps one record per small class.
+Three exact routes compute the size distribution:
+  - enumeration of all 2^(v-1) colorings (cut_profile, which needs v <= 24);
+  - the bridge/block product formula
+        Q_G(X) = (1/2 + X/2)^m * prod_blocks Q_block(X)
+    where m counts bridge edges, with each block's law from the DP below;
+  - a frontier DP over a greedy vertex elimination order, whose state is the
+    colors of the frontier vertices and whose value is the count list by cut
+    size; its 4-cuts that are 4-cycles come from listing the 4-cycles.
+cut_stats takes enumeration or the DP, whichever does less work: 2^(v-1)
+colorings against sum 2^|F| (e + 1) over the frontiers F of the order.  A
+graph with 2^(v-1) <= 2v(e + 1), every class on at most 7 vertices among
+them, is enumerated without computing an order, and a graph is refused only
+when both routes need more than 2^23 states.  `occ verify lemmas` checks that
+the block formula, and so the DP on each block, gives the enumerated law on
+every catalogue class, beside the other cut lemmas.
+Either route yields a CutStats record, the integer counts every spectrum is
+evaluated from; the class catalogue keeps one record per small class.
 A cut law is such a record: its probabilities q_0, ..., q_|G| are the tuple
 of Fractions that CutStats.distribution returns, one entry per edge count.
 """
@@ -27,6 +37,7 @@ from functools import lru_cache
 from .graph import (
     BlockDecomposition,
     Graph,
+    _bit_positions,
     _vertex_stars,
     block_decomposition,
     edge_pairs,
@@ -49,6 +60,7 @@ __all__ = [
 ]
 
 _MAX_BRUTE_V = 24
+_MAX_STATES = 1 << _MAX_BRUTE_V - 1  # 2^23, the colorings of a 24-vertex graph
 
 
 def xor_span(gens: list[int]) -> tuple[int, ...]:
@@ -123,7 +135,31 @@ class CutStats:
 
 
 def cut_stats(g: Graph) -> CutStats:
-    """The cut statistics of g, from one cut profile."""
+    """The cut statistics of g by the exact route that does less work.
+
+    Enumeration costs 2^(v-1), one per coloring; the frontier DP costs
+    sum 2^|F| (e + 1) over the frontiers F of its elimination order.  A graph
+    with 2^(v-1) <= 2v(e + 1), every class on at most 7 vertices among them,
+    is enumerated without computing an order.  ValueError when both routes
+    need more than 2^23 states: v > 24 and more than 2^23 frontier states.
+    """
+    v, e = g.v, g.edge_count
+    colorings = 1 << v >> 1  # 2^(v-1), and 0 for the edgeless graph
+    if colorings <= 2 * v * (e + 1):
+        return _enumerated_stats(g)
+    plan = _elimination_order(g)
+    states = sum(1 << f.bit_count() for f in plan[2])
+    if states <= _MAX_STATES and (states * (e + 1) < colorings or colorings > _MAX_STATES):
+        return _frontier_stats(g, plan)
+    if colorings > _MAX_STATES:
+        raise ValueError(f"cut law of a graph on {v} vertices needs more than 2^23 states "
+                         f"by either route: 2^{v - 1} colorings, {states} frontier states")
+    return _enumerated_stats(g)
+
+
+def _enumerated_stats(g: Graph) -> CutStats:
+    """The cut statistics of g from its cut profile, every 4-cut typed by the
+    vertices it touches."""
     core, profile, total = cut_profile(g)
     ends = _edge_ends(core.n)
     counts = [0] * (g.edge_count + 1)
@@ -146,17 +182,138 @@ def cut_stats(g: Graph) -> CutStats:
     return CutStats(tuple(counts), forest4, cycle4, total)
 
 
+def _elimination_order(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """(adj, order, frontiers): the neighbour mask of each vertex of g, a
+    greedy order of its non-isolated vertices, and the frontier mask after
+    each step, the processed vertices that still have an unprocessed
+    neighbour.  Each step takes the vertex that leaves the smallest frontier,
+    then the one with the fewest unprocessed neighbours, then the lowest;
+    while the frontier is nonempty only its neighbours are tried, since any
+    other vertex would only grow it."""
+    adj = g.adjacency()
+    order, frontiers = [], []
+    front, left = 0, g.touched_vertices()
+    while left:
+        near = 0
+        for w in _bit_positions(front):
+            near |= adj[w]
+        best = None
+        for u in _bit_positions(near & left or left):
+            rest = left & ~(1 << u)
+            after = 0
+            for w in _bit_positions(front | 1 << u):
+                if adj[w] & rest:
+                    after |= 1 << w
+            key = (after.bit_count(), (adj[u] & rest).bit_count())
+            if best is None or key < best[0]:
+                best = (key, u, after)
+        _, u, front = best
+        left &= ~(1 << u)
+        order.append(u)
+        frontiers.append(front)
+    return adj, order, frontiers
+
+
+def _frontier_counts(plan: tuple[list[int], list[int], list[int]], e: int) -> tuple[list[int], int]:
+    """(counts, total) of a graph with e > 0 edges by the frontier DP over its
+    elimination order plan: counts[k], k = 0..e, of the total = 2^(v-1)
+    colorings of the ordered vertices, the first on side 0, cut exactly k
+    edges.
+
+    A state is the set of frontier vertices on side 1.  Its value is the count
+    list by cut size, packed into one integer at v bits per entry, as no count
+    reaches 2^v: shifting the list by k places is a shift of the integer,
+    and merging two lists is a sum.  Adding a vertex shifts each list by the
+    edges it cuts to processed neighbours, all of them on the frontier;
+    dropping vertices from the frontier merges the states that differ there.
+    """
+    adj, order, frontiers = plan
+    width = len(order)
+    states, done = {0: 1}, 0
+    for u, keep in zip(order, frontiers):
+        back, bit = adj[u] & done, 1 << u
+        nb = back.bit_count()
+        nxt: dict[int, int] = {}
+        for ones, packed in states.items():
+            k = (ones & back).bit_count()  # cut when u is on side 0
+            key = ones & keep
+            nxt[key] = nxt.get(key, 0) + (packed << width * k)
+            if done:  # the first vertex stays on side 0
+                key = (ones | bit) & keep
+                nxt[key] = nxt.get(key, 0) + (packed << width * (nb - k))
+        states, done = nxt, done | bit
+    (packed,) = states.values()
+    return [packed >> width * k & (1 << width) - 1 for k in range(e + 1)], 1 << width - 1
+
+
+def _four_cycle_cuts(adj: list[int], todo: int) -> int:
+    """The colorings, one vertex fixed, whose cut is a 4-cycle C = abcd of the
+    graph on the vertices in todo.  The cut is E(C) when every component of
+    G - E(C) is one color, a and c on one side and b and d on the other.  So
+    with m components, t of them holding a vertex of C, C contributes
+    2^(m - t) when the components of a and c are apart from those of b and d,
+    and 0 otherwise.  Each 4-cycle is listed once, from its least vertex a."""
+    total = 0
+    for a in _bit_positions(todo):
+        above = todo >> a + 1 << a + 1
+        for c in _bit_positions(above):
+            between = _bit_positions(adj[a] & adj[c] & above)
+            for i, b in enumerate(between):
+                for d in between[i + 1:]:
+                    cut = list(adj)
+                    for x in (a, c):
+                        cut[x] &= ~(1 << b | 1 << d)
+                    for x in (b, d):
+                        cut[x] &= ~(1 << a | 1 << c)
+                    parts = _component_masks(cut, todo)
+                    ac = [p for p in parts if p >> a & 1 or p >> c & 1]
+                    bd = [p for p in parts if p >> b & 1 or p >> d & 1]
+                    if set(ac).isdisjoint(bd):
+                        total += 1 << len(parts) - len(ac) - len(bd)
+    return total
+
+
+def _component_masks(adj: list[int], todo: int) -> list[int]:
+    """The vertex masks of the components of the graph on the vertices in the
+    mask todo with neighbour masks adj."""
+    parts = []
+    while todo:
+        part, grow = 0, todo & -todo
+        while grow:
+            part |= grow
+            reach = 0
+            for w in _bit_positions(grow):
+                reach |= adj[w]
+            grow = reach & ~part
+        parts.append(part)
+        todo &= ~part
+    return parts
+
+
+def _frontier_stats(g: Graph, plan: tuple[list[int], list[int], list[int]]) -> CutStats:
+    """The cut statistics of g by the frontier DP over the elimination order
+    plan of g, with the 4-cycle cuts counted from the 4-cycles of g."""
+    counts, total = _frontier_counts(plan, g.edge_count)
+    cycle4 = _four_cycle_cuts(plan[0], g.touched_vertices())
+    four = counts[4] if g.edge_count >= 4 else 0
+    return CutStats(tuple(counts), four - cycle4, cycle4, total)
+
+
 def cut_distribution_bruteforce(g: Graph) -> tuple[Fraction, ...]:
-    """Cut-size law by direct enumeration of all colorings."""
-    return cut_stats(g).distribution()
+    """Cut-size law by direct enumeration of all colorings, whatever route
+    cut_stats would take."""
+    return _enumerated_stats(g).distribution()
 
 
 def _block_counts(dec: BlockDecomposition) -> tuple[list[int], int]:
     """The bridge/block product formula on integer counts: (counts, total)
     with q_k = counts[k] / total, the product of 1 + X out of 2 per bridge and
-    of each block's enumerated counts out of its total."""
+    of each block's counts out of its total.  The blocks' counts come from the
+    frontier DP, so the formula does not repeat the enumeration it is checked
+    against."""
     counts, total = [1], 1
-    factors = [((1, 1), 2)] * dec.m + [(s.counts, s.total) for s in map(cut_stats, dec.blocks)]
+    factors = [((1, 1), 2)] * dec.m + [_frontier_counts(_elimination_order(b), b.edge_count)
+                                       for b in dec.blocks]
     for factor, size in factors:
         out = [0] * (len(counts) + len(factor) - 1)
         for i, a in enumerate(counts):

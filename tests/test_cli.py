@@ -9,6 +9,8 @@ import pkgutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -208,12 +210,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("occ: ") and message in err
 
-    def test_graph_beyond_bruteforce_limit(self, capsys, monkeypatch):
+    def test_cycle_beyond_bruteforce_limit(self, capsys, monkeypatch):
+        # past the v <= 24 cap of enumeration the frontier DP gives the law
         cycle = Graph.from_edges(26, [(i, (i + 1) % 26) for i in range(26)])
         monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(cycle) + "\n"))
+        rc, out, err = run(capsys, "cutstat", "--format", "json")
+        assert rc == 0 and err == ""
+        (row,) = json.loads(out)
+        law = [Fraction(comb(26, k) if k % 2 == 0 else 0, 2 ** 25) for k in range(27)]
+        assert [Fraction(x) for x in row["q"]] == law
+
+    def test_graph_too_wide_for_both_routes(self, capsys, monkeypatch):
+        # K26: 2^25 colorings, and a frontier that grows to 25 vertices
+        k26 = Graph(26, (1 << 325) - 1)
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(k26) + "\n"))
+        start = time.perf_counter()
         rc, out, err = run(capsys, "cutstat")
-        assert rc == 2
-        assert err.startswith("occ: ") and "v <= 24" in err
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and out == ""
+        assert err.startswith("occ: ") and err.count("\n") == 1 and "2^23 states" in err
 
     def test_directory_as_input(self, capsys, tmp_path):
         rc, _, err = run(capsys, "cutstat", str(tmp_path))

@@ -3,20 +3,28 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
+from occlib import cutstats
 from occlib.cutstats import (
     CutStats,
     _cut_mask_table,
+    _elimination_order,
+    _enumerated_stats,
+    _frontier_stats,
     builtin_table,
     check_cut_lemmas,
+    class_catalogue,
     cut_distribution_blocks,
     cut_distribution_bruteforce,
+    cut_profile,
     cut_stats,
 )
 from occlib.exact import Polynomial
 from occlib.graph import Graph, enumerate_unlabeled, random_graph
+from occlib.spectra import Spectrum
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 K4_MINUS = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -137,3 +145,126 @@ class TestLemmas:
             # moved colorings break the block formula and, here, the mean
             want = ["blocks=enumeration", *failing.split(), "mean=|G|/2"]
             assert check_cut_lemmas(g, CutStats(counts, 0, 0, sum(counts))) == want
+
+
+def _frontier(g):
+    return _frontier_stats(g, _elimination_order(g))
+
+
+def _cycle_edges(vertices):
+    return [(u, vertices[(k + 1) % len(vertices)]) for k, u in enumerate(vertices)]
+
+
+def _grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def _k2m_with_tails(m, tail):
+    """K_{2,m}, hubs 0 and 1, with a path of tail edges hung from hub 0 and
+    one from the first leaf: its 4-cycles are cuts, since dropping one leaves
+    its two leaves as components of their own."""
+    edges = [(h, leaf) for h in (0, 1) for leaf in range(2, m + 2)]
+    n = m + 2
+    for start in (0, 2):
+        path = [start, *range(n, n + tail)]
+        edges += list(zip(path, path[1:]))
+        n += tail
+    return Graph.from_edges(n, edges)
+
+
+def _cactus(n, rng):
+    """(graph, cycle lengths, bridges): cycles of length 3..5 glued at random
+    cut vertices, and a bridge when one vertex is left."""
+    edges, lengths, bridges, used = [], [], 0, 1
+    while used < n:
+        anchor = rng.randrange(used)
+        if n - used == 1:
+            edges.append((anchor, used))
+            bridges += 1
+            used += 1
+            continue
+        length = rng.randint(3, min(5, n - used + 1))
+        edges += _cycle_edges([anchor, *range(used, used + length - 1)])
+        lengths.append(length)
+        used += length - 1
+    return Graph.from_edges(n, edges), lengths, bridges
+
+
+def _cycle_counts(length):
+    """Cut counts of the cycle C_length out of 2^(length-1): an even number of
+    its edges is cut, each even-size edge set by one coloring."""
+    return [comb(length, k) if k % 2 == 0 else 0 for k in range(length + 1)]
+
+
+class TestFrontierDP:
+    """The frontier DP over an elimination order against cut_profile
+    enumeration, and past the v <= 24 cap of enumeration against closed forms."""
+
+    def test_every_catalogue_class(self):
+        for entry in class_catalogue(7).values():
+            if entry.graph.mask:
+                assert _frontier(entry.graph) == _enumerated_stats(entry.graph), entry.graph
+
+    def test_catalogue_classes_are_enumerated_without_an_order(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError(f"elimination order computed for {g}")
+        monkeypatch.setattr(cutstats, "_elimination_order", refuse)
+        for entry in class_catalogue(7).values():
+            assert cut_stats(entry.graph) == entry.stats
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(41)
+        disconnected = padded = 0
+        for n in range(8, 17):
+            for p in (F(1, 8), F(1, 4), F(2, 5), F(3, 5)):
+                g = random_graph(n, p, rng)
+                if not g.mask:
+                    continue
+                disconnected += g.component_count() > 1
+                padded += g.v < n
+                assert _frontier(g) == _enumerated_stats(g), g
+        assert disconnected and padded
+
+    def test_graphs_with_four_cycle_cuts(self):
+        cases = [_k2m_with_tails(3, 0), _k2m_with_tails(3, 2), _k2m_with_tails(4, 2),
+                 _k2m_with_tails(4, 3), Graph.from_edges(12, _cycle_edges([3, 7, 1, 10]))]
+        for g in cases:
+            stats = _frontier(g)
+            assert stats.cycle4 > 0 and stats == _enumerated_stats(g), g
+        # the 3 x 4 grid: each 4-cycle leaves a or c joined to b or d, so none is a cut
+        grid = _grid(3, 4)
+        assert _frontier(grid) == _enumerated_stats(grid) == cut_stats(grid)
+        assert cut_stats(grid).cycle4 == 0
+
+    @pytest.mark.parametrize("length", [30, 60])
+    def test_long_cycles(self, length):
+        g = Graph.from_edges(length, _cycle_edges(list(range(length))))
+        with pytest.raises(ValueError, match="v <= 24"):
+            cut_profile(g)
+        counts = _cycle_counts(length)  # every 4 of its edges form a forest
+        assert cut_stats(g) == CutStats(tuple(counts), counts[4], 0, 2 ** (length - 1))
+
+    def test_cactus_is_the_product_of_its_blocks(self):
+        g, lengths, bridges = _cactus(40, random.Random(7))
+        counts, total = [1], 1
+        for factor, size in [([1, 1], 2)] * bridges + [(_cycle_counts(k), 2 ** (k - 1))
+                                                        for k in lengths]:
+            counts = [sum(counts[i] * factor[k - i] for i in range(len(counts))
+                          if 0 <= k - i < len(factor))
+                      for k in range(len(counts) + len(factor) - 1)]
+            total *= size
+        stats = cut_stats(g)
+        assert (stats.counts, stats.total) == (tuple(counts), total)
+        # a 4-cycle block is cut alone by one coloring: the parts hung at a
+        # and c on one side, those at b and d on the other
+        assert 4 in lengths and stats.cycle4 == lengths.count(4)
+        assert stats.forest4 == counts[4] - stats.cycle4
+
+    def test_grid_six_by_ten(self):
+        g = _grid(6, 10)
+        q = cut_stats(g).distribution()
+        assert sum(q) == 1
+        assert sum(k * x for k, x in enumerate(q)) == F(g.edge_count, 2)
+        assert Spectrum.uniform1().value(cut_stats(g)) >= F(-1, 7)
