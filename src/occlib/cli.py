@@ -330,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("max-independent", "bound-check"))
     p.add_argument("--seed", type=int, default=None,
                    help="shuffle the branching order of the search")
-    p.add_argument("--n", type=int, choices=(4, 5, 6), default=4,
-                   help="vertex count for bound-check")
+    p.add_argument("--n", type=int, choices=(4, 5, 6, 7), default=4,
+                   help="vertex count for bound-check; max-independent searches K4 only")
     p.set_defaults(func=cmd_families)
 
     p = sub.add_parser("hoffman", parents=[common],
@@ -351,6 +351,10 @@ def main(argv=None) -> int:
     if (args.command == "verify" and args.claims == "skew"
             and not 0 < args.plo < args.phi <= Fraction(1, 2)):
         parser.error("the skew interval needs 0 < --plo < --phi <= 1/2")
+    if args.command == "cutstat" and args.builtin and args.files:
+        parser.error("--builtin prints the built-in table and takes no FILE")
+    if args.command == "families" and args.action == "max-independent" and args.n != 4:
+        parser.error("max-independent searches the agreement graph of K4 only: --n must be 4")
     try:
         return args.func(args, argv)
     except (ValueError, OSError) as exc:

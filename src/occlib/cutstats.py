@@ -30,9 +30,9 @@ of Fractions that CutStats.distribution returns, one entry per edge count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graph import (
     BlockDecomposition,
@@ -107,8 +107,7 @@ def cut_profile(g: Graph) -> tuple[Graph, dict[int, int], int]:
     return core, counts, len(table)
 
 
-@dataclass(frozen=True)
-class CutStats:
+class CutStats(NamedTuple):
     """Integer cut statistics of a graph (or of a GF(2) vector set).
 
     Of total equally likely cuts, counts[k] have exactly k edges, for k up to
@@ -329,8 +328,7 @@ def cut_distribution_blocks(g: Graph) -> tuple[Fraction, ...]:
     return CutStats(tuple(counts), 0, 0, total).distribution()  # typed 4-cuts unread
 
 
-@dataclass(frozen=True)
-class ClassEntry:
+class ClassEntry(NamedTuple):
     """One isomorphism class: its representative, key and cut statistics."""
 
     graph: Graph

@@ -14,10 +14,9 @@ serializes to JSON with rationals rendered as "num/den" strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 __all__ = ["Polynomial", "RationalFunction", "CertificateError", "SignCertificate",
            "sturm_chain", "count_roots", "count_roots_above", "certify_sign",
@@ -435,8 +434,7 @@ class CertificateError(ValueError):
     """Raised when a requested certificate cannot be formed exactly."""
 
 
-@dataclass(frozen=True)
-class SignCertificate:
+class SignCertificate(NamedTuple):
     """Result of a constant-sign check on a closed interval.
 
     A passing certificate asserts: the polynomial has no roots strictly inside

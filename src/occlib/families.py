@@ -2,27 +2,30 @@
 agreement predicates, biased measures, shift compressions, and the exact
 search certifying the extremal triangle-agreeing families on four vertices.
 
-A family is a set of edge masks of K_n.  The two predicates of interest are
-triangle-intersecting (every two members share a triangle, pairs with
-repetition) and the weaker triangle-agreeing (the edges on which two members
-agree contain a triangle).  Agreeing families are exactly the independent
-sets of a Cayley graph on the 2^C(n,2) masks whose generators are the
-complements of triangle-free graphs; on four vertices that graph is small
+A family is a set of edge masks of K_n, stored as its indicator on the cube
+{0,1}^E(K_n): one integer whose bit m is set when the graph of edge mask m is
+a member.  A shift, an up-set test, a measure and a junta are then a few
+big-integer operations per edge, with the masks of hypercube.low_masks and
+hypercube.layer_masks, and no loop over members.  The two predicates of
+interest are triangle-intersecting (every two members share a triangle, pairs
+with repetition) and the weaker triangle-agreeing (the edges on which two
+members agree contain a triangle).  Agreeing families are exactly the
+independent sets of a Cayley graph on the 2^C(n,2) masks whose generators are
+the complements of triangle-free graphs; on four vertices that graph is small
 enough to enumerate every maximum independent set exactly.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cutstats import class_catalogue
 from .graph import Graph, all_masks, canonical_key, edge_index
-from .hypercube import quadratic_form, walsh_support
+from .hypercube import indicator_bits, layer_masks, low_masks, quadratic_form, walsh_support
 from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, Spectrum, VerificationReport
 from .spectra import combined_lambda_min, hoffman_bound
 
@@ -47,51 +50,72 @@ __all__ = [
 F = Fraction
 
 
-@dataclass(frozen=True)
 class Family:
-    """A set of graphs on n labelled vertices, stored as edge masks."""
+    """A set of graphs on n labelled vertices, stored as its indicator bits:
+    bit m is set when the graph with edge mask m is a member."""
 
-    n: int
-    masks: frozenset
+    __slots__ = ("n", "bits")
 
     def __init__(self, n: int, masks: Iterable[int]):
-        masks = frozenset(int(m) for m in masks)
-        e = n * (n - 1) // 2
-        for m in masks:
-            if not 0 <= m < (1 << e):
-                raise ValueError(f"mask {m} out of range for n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "masks", masks)
+        self.n = n
+        self.bits = indicator_bits(n * (n - 1) // 2, masks)
 
     @classmethod
-    def _of_valid(cls, n: int, masks: frozenset) -> "Family":
-        """A family of masks already known to lie in range for n."""
+    def _packed(cls, n: int, bits: int) -> "Family":
+        """A family from an indicator already known to lie on the cube of K_n."""
         fam = object.__new__(cls)
-        object.__setattr__(fam, "n", n)
-        object.__setattr__(fam, "masks", masks)
+        fam.n, fam.bits = n, bits
         return fam
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Family):
+            return NotImplemented
+        return self.n == other.n and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
+
+    def __repr__(self) -> str:
+        return f"Family(n={self.n}, masks={list(self)})"
 
     @property
     def size(self) -> int:
-        return len(self.masks)
+        return self.bits.bit_count()
 
     @property
     def dim(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.masks
+    @property
+    def masks(self) -> frozenset:
+        """The members as a set of edge masks, decoded on demand."""
+        return frozenset(self)
 
-    def __iter__(self):
-        return iter(sorted(self.masks))
+    def __contains__(self, mask: int) -> bool:
+        return mask >= 0 and bool(self.bits >> mask & 1)
+
+    def __iter__(self) -> Iterator[int]:
+        """The member masks in increasing order."""
+        digits = bin(self.bits)[:1:-1]
+        m = digits.find("1")
+        while m >= 0:
+            yield m
+            m = digits.find("1", m + 1)
 
     def measure(self, p: Fraction) -> Fraction:
-        """mu_p, computed by grouping members by edge count."""
+        """mu_p: the members of each edge count k, counted on the layer mask
+        of k, weighed by p^k (1-p)^(dim-k); at p = 1/2 every member weighs
+        the same."""
         p = F(p)
-        if not 0 < p < 1:
+        a, b = p.numerator, p.denominator
+        if not 0 < a < b:
             raise ValueError("need 0 < p < 1")
-        weights = _member_weights(self.dim, p.numerator, p.denominator)
-        return F(sum(weights[m.bit_count()] for m in self.masks), p.denominator ** self.dim)
+        dim, bits = self.dim, self.bits
+        if 2 * a == b:
+            return F(bits.bit_count(), 1 << dim)
+        weights = _member_weights(dim, a, b)
+        hits = sum(w * (bits & layer).bit_count() for w, layer in zip(weights, layer_masks(dim)))
+        return F(hits, b ** dim)
 
 
 @lru_cache(maxsize=16)
@@ -103,34 +127,66 @@ def _member_weights(dim: int, a: int, b: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=8)
 def triangle_table(n: int) -> tuple[bool, ...]:
-    """mask -> does the graph contain a triangle, densely for all of K_n."""
+    """mask -> does the graph contain a triangle, densely for all of K_n: the
+    union of the umvirates of the triangles, unpacked."""
     if not 3 <= n <= 6:
         raise ValueError("dense triangle tables supported for 3 <= n <= 6")
-    return tuple(Graph(n, m).contains_triangle() for m in all_masks(n))
+    bits = 0
+    for t in triangle_masks(n):
+        bits |= umvirate(n, t).bits
+    return tuple(d == "1" for d in bin(bits)[:1:-1].ljust(1 << (n * (n - 1) // 2), "0"))
+
+
+def _pair_key(dim: int, agreeing: bool):
+    """The edge set two members must hold a triangle in: their intersection
+    or, when agreeing, the edges on which they agree."""
+    full = (1 << dim) - 1
+    return (lambda a, b: full & ~(a ^ b)) if agreeing else int.__and__
+
+
+@lru_cache(maxsize=4)
+def _partner_masks(n: int, agreeing: bool) -> tuple[int, ...]:
+    """For each mask a of K_n, n <= 4, the indicator of the masks b whose
+    pair key with a holds a triangle."""
+    table, key = triangle_table(n), _pair_key(n * (n - 1) // 2, agreeing)
+    masks = range(len(table))
+    return tuple(sum(1 << b for b in masks if table[key(a, b)]) for a in masks)
+
+
+def _every_pair(fam: Family, agreeing: bool) -> bool:
+    """Whether every two members, with repetition, intersect (or agree) in a
+    triangle.  On at most four vertices each member's partner mask is checked
+    against the indicator in one AND; above that the pairs of decoded members
+    are tested one by one."""
+    if fam.n <= 4:
+        partners, bits = _partner_masks(fam.n, agreeing), fam.bits
+        return all(not bits & ~partners[a] for a in fam)
+    table, key, ms = triangle_table(fam.n), _pair_key(fam.dim, agreeing), list(fam)
+    return all(table[key(a, b)] for i, a in enumerate(ms) for b in ms[i:])
 
 
 def is_triangle_intersecting(fam: Family) -> bool:
-    table = triangle_table(fam.n)
-    ms = sorted(fam.masks)
-    return all(table[a & b] for i, a in enumerate(ms) for b in ms[i:])
+    return _every_pair(fam, agreeing=False)
 
 
 def is_triangle_agreeing(fam: Family) -> bool:
-    table = triangle_table(fam.n)
-    full = (1 << fam.dim) - 1
-    ms = sorted(fam.masks)
-    return all(table[full & ~(a ^ b)] for i, a in enumerate(ms) for b in ms[i:])
+    return _every_pair(fam, agreeing=True)
 
 
 def junta(n: int, t_mask: int, s_mask: int) -> Family:
     """All graphs whose intersection with the edge set T equals S: S together
-    with any set of the free edges, those of K_n outside T."""
+    with any set of the free edges, those of K_n outside T, by doubling the
+    indicator once per free edge."""
     full = (1 << (n * (n - 1) // 2)) - 1
     if t_mask & ~full:
         raise ValueError(f"junta edges {t_mask} outside K_{n}")
     if s_mask & ~t_mask:
         raise ValueError("prescription must be a subset of the junta edges")
-    return Family._of_valid(n, frozenset(s_mask | f for f in _submasks(full & ~t_mask)))
+    bits = 1 << s_mask
+    for i in range(full.bit_length()):
+        if not t_mask >> i & 1:
+            bits |= bits << (1 << i)
+    return Family._packed(n, bits)
 
 
 def umvirate(n: int, t_mask: int) -> Family:
@@ -138,12 +194,19 @@ def umvirate(n: int, t_mask: int) -> Family:
     return junta(n, t_mask, t_mask)
 
 
-def triangle_masks(n: int) -> list[int]:
-    out = []
-    for a, b, c in combinations(range(n), 3):
-        out.append((1 << edge_index(a, b, n)) | (1 << edge_index(a, c, n))
-                   | (1 << edge_index(b, c, n)))
-    return out
+@lru_cache(maxsize=8)
+def triangle_masks(n: int) -> tuple[int, ...]:
+    """The edge masks of the C(n, 3) triangles of K_n."""
+    return tuple((1 << edge_index(a, b, n)) | (1 << edge_index(a, c, n))
+                 | (1 << edge_index(b, c, n)) for a, b, c in combinations(range(n), 3))
+
+
+def _shift_up(bits: int, e: int, low: int) -> int:
+    """The compression through edge e of an indicator, low = low_masks(dim)[e]:
+    the members without e whose slot above is free move up into it."""
+    h = 1 << e
+    mov = bits & low & ~(bits >> h)
+    return (bits & ~mov) | mov << h
 
 
 def compress(fam: Family, e_idx: int) -> Family:
@@ -152,31 +215,26 @@ def compress(fam: Family, e_idx: int) -> Family:
     Size is preserved; both triangle predicates are preserved because every
     output member is a superset of the member it replaced.
     """
-    bit = 1 << e_idx
-    if e_idx < 0 or bit >= (1 << fam.dim):
+    if not 0 <= e_idx < fam.dim:
         raise ValueError("edge index out of range")
-    out = set()
-    for m in fam.masks:
-        if not m & bit and (m | bit) not in fam.masks:
-            out.add(m | bit)
-        else:
-            out.add(m)
-    return Family._of_valid(fam.n, frozenset(out))
+    return Family._packed(fam.n, _shift_up(fam.bits, e_idx, low_masks(fam.dim)[e_idx]))
 
 
 def monotonize(fam: Family) -> Family:
     """Apply edge compressions until the family stabilizes."""
+    lows, bits = low_masks(fam.dim), fam.bits
     while True:
-        cur = fam
+        cur = bits
         for e in range(fam.dim):
-            cur = compress(cur, e)
-        if cur.masks == fam.masks:
-            return cur
-        fam = cur
+            cur = _shift_up(cur, e, lows[e])
+        if cur == bits:
+            return Family._packed(fam.n, cur)
+        bits = cur
 
 
 def is_upset(fam: Family) -> bool:
-    return all(m | (1 << e) in fam.masks for m in fam.masks for e in range(fam.dim))
+    bits, lows = fam.bits, low_masks(fam.dim)
+    return all(not ((bits & lows[e]) << (1 << e)) & ~bits for e in range(fam.dim))
 
 
 @lru_cache(maxsize=4)
@@ -278,8 +336,10 @@ def _combined_lambda(n: int, mask: int) -> Fraction:
 
 def _weight_off(support: Iterable[tuple[int, Fraction]], eigenvalue: dict,
                 lam_min: Fraction) -> Fraction:
-    """Fourier mass of the nonconstant characters whose eigenvalue is not lam_min."""
-    return F(sum(sq for mask, sq in support if mask and eigenvalue[mask] != lam_min))
+    """Fourier mass of the nonconstant characters whose eigenvalue is not
+    lam_min: the quadratic form of the 0/1 indicator of those characters."""
+    return quadratic_form(support, {mask: int(mask != 0 and lam != lam_min)
+                                    for mask, lam in eigenvalue.items()})
 
 
 def hoffman_audit(fam: Family) -> dict:
@@ -290,7 +350,7 @@ def hoffman_audit(fam: Family) -> dict:
     sums run over the nonzero squares only (8 for an umvirate), and the
     eigenvalue is read on those edge sets only.
     """
-    support = walsh_support(fam.n, F(1, 2), fam.masks)
+    support = walsh_support(fam.n, F(1, 2), fam.bits)
     lam = {mask: _combined_lambda(fam.n, mask) for mask, _ in support}
     qf = quadratic_form(support, lam)
     mu, w = fam.measure(F(1, 2)), _weight_off(support, lam, combined_lambda_min(fam.n))
@@ -309,7 +369,7 @@ def hoffman_audit(fam: Family) -> dict:
 def _random_family(n: int, rng: random.Random) -> Family:
     size = rng.randint(1, 1 << (n * (n - 1) // 2 - 1))
     top = (1 << (n * (n - 1) // 2)) - 1
-    return Family(n, {rng.randint(0, top) for _ in range(size)})
+    return Family(n, (rng.randint(0, top) for _ in range(size)))
 
 
 def _submasks(t: int):
@@ -331,7 +391,7 @@ def _random_agreeing_subfamily(n: int, rng: random.Random) -> Family:
         bits ^= low
         if rng.random() < 0.5:
             s |= low
-    base = sorted(junta(n, t, s).masks)
+    base = list(junta(n, t, s))
     keep = [m for m in base if rng.random() < 0.7]
     return Family(n, keep or base[:1])
 
@@ -348,27 +408,25 @@ def verify_family_claims(seed: int = 20260815, campaign_size: int = 1000) -> Ver
     rep.add("cayley:generator-count=41", len(gens) == 41)
     rep.add("cayley:41-regular", all(a.bit_count() == 41 for a in adj))
     rep.add("cayley:independent-iff-agreeing",
-            all((not adj[a] >> b & 1) == is_triangle_agreeing(Family(4, [a, b]))
+            all((not adj[a] >> b & 1) == is_triangle_agreeing(Family._packed(4, 1 << a | 1 << b))
                 for a in range(64) for b in range(64) if a != b))
 
     alpha, sets = maximum_independent_sets(adj)
     rep.add("cayley:alpha=8", alpha == 8)
     rep.add("cayley:32-maximum-sets", len(sets) == 32)
 
-    expected = {frozenset(junta(4, t, s).masks)
-                for t in triangle_masks(4) for s in _submasks(t)}
-    rep.add("cayley:maximum-sets-are-juntas", set(sets) == expected)
+    fams = [Family(4, s) for s in sets]
+    expected = {junta(4, t, s) for t in triangle_masks(4) for s in _submasks(t)}
+    rep.add("cayley:maximum-sets-are-juntas", set(fams) == expected)
 
     alpha2, sets2 = maximum_independent_sets(adj, seed=seed)
     rep.add("cayley:randomized-rerun-identical", alpha2 == alpha and set(sets2) == set(sets))
 
-    fams = [Family(4, s) for s in sets]
     rep.add("cayley:all-maximum-sets-agreeing", all(is_triangle_agreeing(f) for f in fams))
     intersecting = [f for f in fams if is_triangle_intersecting(f)]
     rep.add("cayley:exactly-4-intersecting-umvirates",
             len(intersecting) == 4 and
-            {f.masks for f in intersecting} == {frozenset(umvirate(4, t).masks)
-                                                for t in triangle_masks(4)})
+            set(intersecting) == {umvirate(4, t) for t in triangle_masks(4)})
 
     audits = [hoffman_audit(f) for f in fams]
     rep.add("hoffman:equality-on-maximum-sets",
@@ -376,13 +434,13 @@ def verify_family_claims(seed: int = 20260815, campaign_size: int = 1000) -> Ver
 
     # compression campaign
     ok_size = ok_measure_half = ok_measure_biased = ok_pred = ok_upset = True
-    third = F(1, 3)
+    half, third = F(1, 2), F(1, 3)
     for _ in range(campaign_size):
         fam = _random_family(4, rng)
         e = rng.randrange(6)
         shifted = compress(fam, e)
         ok_size &= shifted.size == fam.size
-        ok_measure_half &= shifted.measure(F(1, 2)) == fam.measure(F(1, 2))
+        ok_measure_half &= shifted.measure(half) == fam.measure(half)
         ok_measure_biased &= shifted.measure(third) <= fam.measure(third)
         agreeing = _random_agreeing_subfamily(4, rng)
         shifted2 = monotonize(agreeing)

@@ -9,9 +9,8 @@ transforms and the tensor operators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Graph",
@@ -48,19 +47,25 @@ def edge_index(i: int, j: int, n: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple graph on n labeled vertices, edge set stored as a bitmask."""
 
-    n: int
-    mask: int = 0
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"need 1 <= n <= {MAX_N}, got {self.n}")
-        e = self.n * (self.n - 1) // 2
-        if self.mask < 0 or self.mask >> e:
+    def __init__(self, n: int, mask: int = 0):
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"need 1 <= n <= {MAX_N}, got {n}")
+        if mask < 0 or mask >> (n * (n - 1) // 2):
             raise ValueError("edge mask out of range for this n")
+        self.n, self.mask = n, mask
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
 
     @staticmethod
     def from_edges(n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
@@ -216,8 +221,7 @@ def _bit_positions(mask: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Bridges plus biconnected blocks; every edge appears in exactly one part."""
 
     bridges: tuple[tuple[int, int], ...]

@@ -16,16 +16,19 @@ denominator, so each output is an integer times a rational scale that
 depends only on |S|.  At p = 1/2, ghat(S) is 2^|S| times the plain
 Walsh-Hadamard transform over 2^e.
 
-A family of graphs is transformed from its members alone.  When its
+A family of graphs is transformed from its indicator, packed as one integer
+with bit m set when the graph of edge mask m is a member.  When the
 indicator depends only on the edges in J, ghat(S) vanishes unless S lies in
 J, and on those S it is the transform of the 0/1 restriction to 2^|J|
 points, so walsh_support runs the butterfly there and never on the whole
-cube.
+cube.  Which edges the indicator depends on is read off the packed integer
+with a shift, an xor and a mask per edge (low_masks).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -33,6 +36,9 @@ __all__ = [
     "FunctionOnCube",
     "TensorOperator",
     "character",
+    "indicator_bits",
+    "layer_masks",
+    "low_masks",
     "apply_shift",
     "apply_shift_averaged",
     "quadratic_form",
@@ -188,31 +194,79 @@ class TensorOperator:
         return (-self.ratio) ** (s_mask & self._active()).bit_count()
 
 
-def walsh_support(n: int, p: Fraction, members: Iterable[int]) -> list[tuple[int, Fraction]]:
+def indicator_bits(dim: int, members: Iterable[int]) -> int:
+    """The indicator of a set of edge masks on the cube of dimension dim, as
+    one integer: bit m is set when m is a member."""
+    size = 1 << dim
+    bits = 0
+    for m in members:
+        if not 0 <= m < size:
+            raise ValueError(f"mask {m} out of range for a cube of dimension {dim}")
+        bits |= 1 << m
+    return bits
+
+
+@lru_cache(maxsize=16)
+def low_masks(d: int) -> tuple[int, ...]:
+    """Entry e, for e = 0..d, indicates the masks without coordinate e among
+    the 2^d masks of the cube of dimension d; entry d indicates every mask.
+    Each is built by doubling one block of 2^e ones."""
+    out = []
+    for e in range(d):
+        bits, width = (1 << (1 << e)) - 1, 1 << (e + 1)
+        while width < 1 << d:
+            bits |= bits << width
+            width <<= 1
+        out.append(bits)
+    return (*out, (1 << (1 << d)) - 1)
+
+
+@lru_cache(maxsize=4)
+def layer_masks(d: int) -> tuple[int, ...]:
+    """Indicators of the masks with k coordinates set on the cube of dimension
+    d, for k = 0..d, each built from the layers one dimension lower."""
+    layers = [1]
+    for i in range(d):
+        layers = [lo | hi << (1 << i) for lo, hi in zip(layers + [0], [0] + layers)]
+    return tuple(layers)
+
+
+def _span(bits: int) -> int:
+    """The least d with bits < 2^(2^d): the subcube whose masks hold every member."""
+    return (bits.bit_length() - 1).bit_length() if bits > 1 else 0
+
+
+def walsh_support(n: int, p: Fraction, members: int | Iterable[int]) -> list[tuple[int, Fraction]]:
     """(S, (p(1-p))^|S| * ghat(S)^2), the squared orthonormal coefficient,
     for every edge set S where it is nonzero, in increasing S, exactly, for
-    the indicator of the family of edge masks of K_n given by members.
+    the indicator of a family of edge masks of K_n: members is the packed
+    indicator (bit m set for member m) or an iterable of the member masks.
 
-    Edge i is relevant when flipping it takes some member out of the family.
-    The butterfly runs once, on the 0/1 restriction to the relevant edges J;
-    with p = a/b its output x at S makes the square
+    Edge i is relevant when flipping it takes some member out of the family:
+    ((X >> 2^i) ^ X) & low_masks(dim)[i] is nonzero for the packed indicator X.
+    The butterfly runs once, on the 0/1 restriction to the relevant edges J,
+    read by bit tests; with p = a/b its output x at S makes the square
     x^2 (a(b-a))^|S| / b^(2|J|)."""
     p = F(p)
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")
-    members = frozenset(members)
     dim = n * (n - 1) // 2
-    if members and (min(members) < 0 or max(members) >> dim):
-        raise ValueError(f"mask out of range for n={n}")
-    relevant = [i for i in range(dim) if not members.issuperset(map((1 << i).__xor__, members))]
+    bits = members if isinstance(members, int) else indicator_bits(dim, members)
+    if bits < 0 or bits >> (1 << dim):
+        raise ValueError(f"indicator out of range for n={n}")
+    d = _span(bits)
+    lows = low_masks(d)  # an edge past the span is relevant when there is a member
+    relevant = [i for i in range(dim) if ((bits >> (1 << i)) ^ bits) & lows[min(i, d)]]
     if len(relevant) > _MAX_COORDS:
         raise ValueError(f"family depends on {len(relevant)} edges, more than {_MAX_COORDS}")
     # points[y] sets the relevant edges picked by the bits of y, and no other
     points = [0]
     for i in relevant:
         points += [m | 1 << i for m in points]
+    raw = bits.to_bytes((max(bits.bit_length(), points[-1] + 1) + 7) // 8, "little")
     a, b = p.numerator, p.denominator
-    ints = _butterfly([int(m in members) for m in points], ((b - a, a), (1, -1)), len(points) - 1)
+    ints = _butterfly([raw[m >> 3] >> (m & 7) & 1 for m in points], ((b - a, a), (1, -1)),
+                      len(points) - 1)
     den = b ** (2 * len(relevant))
     var = [(a * (b - a)) ** k for k in range(len(relevant) + 1)]
     return [(points[y], F(x * x * var[y.bit_count()], den)) for y, x in enumerate(ints) if x]
@@ -220,5 +274,10 @@ def walsh_support(n: int, p: Fraction, members: Iterable[int]) -> list[tuple[int
 
 def quadratic_form(support: Iterable[tuple[int, Fraction]], eigenvalue: Mapping) -> Fraction:
     """Sum over the support, as walsh_support gives it, of the eigenvalue at
-    S times the squared orthonormal coefficient at S."""
-    return sum((eigenvalue[mask] * sq for mask, sq in support), _ZERO)
+    S times the squared orthonormal coefficient at S, summed as integers over
+    one common denominator."""
+    terms = [(eigenvalue[mask], sq) for mask, sq in support]
+    dens = [lam.denominator * sq.denominator for lam, sq in terms]
+    den = lcm(*dens)
+    return F(sum(lam.numerator * sq.numerator * (den // d) for (lam, sq), d in zip(terms, dens)),
+             den)

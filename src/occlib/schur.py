@@ -16,7 +16,6 @@ One evaluator, _cut_record, builds that record and types a 4-cut as a box
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -89,19 +88,29 @@ def has_odd_dependency_search(vs: "VectorSet") -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class VectorSet:
     """A set of nonzero vectors in GF(2)^n, packed as a bitmask with bit v
     set when vector v belongs to the set."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self):
-        if not 1 <= self.n <= _MAX_DIM:
+    def __init__(self, n: int, mask: int):
+        if not 1 <= n <= _MAX_DIM:
             raise ValueError(f"dimension must be 1..{_MAX_DIM}")
-        if self.mask < 0 or self.mask >> (1 << self.n) or self.mask & 1:
+        if mask < 0 or mask >> (1 << n) or mask & 1:
             raise ValueError("mask must select nonzero vectors of the space")
+        self.n, self.mask = n, mask
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VectorSet):
+            return NotImplemented
+        return self.n == other.n and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.mask))
+
+    def __repr__(self) -> str:
+        return f"VectorSet(n={self.n}, mask={self.mask})"
 
     @staticmethod
     def from_vectors(n: int, vectors: Iterable[int]) -> "VectorSet":

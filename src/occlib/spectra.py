@@ -16,10 +16,10 @@ each derived polynomial recorded in its certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .exact import (
     Polynomial,
@@ -204,7 +204,6 @@ def _skew_bias(p: Fraction) -> Fraction:
     return p
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """A linear functional of cut statistics with the sign base -p/(1-p).
 
@@ -217,8 +216,19 @@ class Spectrum:
     is a Spectrum applied to its CutStats.
     """
 
-    p: Fraction
-    weights: tuple
+    def __init__(self, p: Fraction, weights: tuple):
+        self.p, self.weights = p, weights
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return self.p == other.p and self.weights == other.weights
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.weights))
+
+    def __repr__(self) -> str:
+        return f"Spectrum(p={self.p!r}, weights={self.weights!r})"
 
     def value(self, x: Graph | CutStats) -> Fraction:
         """Eigenvalue of a graph, or of whatever the given statistics describe."""
@@ -285,8 +295,7 @@ def _skew1(p) -> Spectrum:
     return Spectrum(p, (F(1), *_coefficients(p), F(0), F(0)))
 
 
-@dataclass(frozen=True)
-class SolvedCoefficients:
+class SolvedCoefficients(NamedTuple):
     """Coefficients forced by pinning the tight graphs at -p^3/(1-p^3)."""
 
     p: Fraction
@@ -309,8 +318,7 @@ def solve_coefficients(p: Fraction) -> SolvedCoefficients:
     return SolvedCoefficients(p, *_pinned(p))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Hoffman-style measure bound nu = -lambda_min/(1 - lambda_min)."""
 
     lambda_min: Fraction
@@ -345,8 +353,7 @@ def hoffman_bound(lambda_min: Fraction, gamma: Fraction | None = None) -> BoundR
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     claim_id: str
     ok: bool
     detail: str = ""
@@ -355,11 +362,21 @@ class CheckResult:
         return {"claim_id": self.claim_id, "ok": self.ok, "detail": self.detail}
 
 
-@dataclass
 class VerificationReport:
-    name: str
-    checks: list[CheckResult] = field(default_factory=list)
-    certificates: list[SignCertificate] = field(default_factory=list)
+    """The checks of one campaign, in order, and the sign certificates they rest on."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks: list[CheckResult] = []
+        self.certificates: list[SignCertificate] = []
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return (self.name, self.checks, self.certificates) == \
+            (other.name, other.checks, other.certificates)
+
+    __hash__ = None  # mutable: checks are added as the campaign runs
 
     @property
     def ok(self) -> bool:

@@ -198,6 +198,19 @@ class TestExitCodes:
     def test_non_integer_campaign_size(self, capsys):
         self.usage_error(capsys, "verify", "families", "--campaign-size", "abc")
 
+    def test_builtin_table_takes_no_file(self, capsys, tmp_path):
+        # the FILE would be ignored, so the combination is refused
+        graphs = tmp_path / "k3.g6"
+        graphs.write_text("Bw\n", encoding="ascii")
+        self.usage_error(capsys, "cutstat", "--builtin", str(graphs))
+
+    @pytest.mark.parametrize("n", ["5", "6", "7"])
+    def test_max_independent_searches_k4_only(self, capsys, n):
+        self.usage_error(capsys, "families", "max-independent", "--n", n)
+
+    def test_bound_check_past_seven_vertices(self, capsys):
+        self.usage_error(capsys, "families", "bound-check", "--n", "8")
+
     @pytest.mark.parametrize("word, message", [
         ("?", "zero vertices"),
         ("B\x7f", "data byte out of range"),
@@ -338,6 +351,20 @@ class TestFamiliesCommand:
         assert all(a["ok"] and a["quadratic_form"] == "0" and a["w"] == "0"
                    and a["mu"] == a["nu"] == "1/8" for a in audits)
         assert elapsed < 2.0, f"bound-check --n 6 took {elapsed:.2f} s"
+
+    def test_bound_check_k7(self, capsys):
+        # the 35 umvirates of K7, each 2^18 members, audited from the packed
+        # indicator without decoding a member
+        rc, out, _ = run(capsys, "families", "bound-check", "--n", "7",
+                         "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert (payload["lambda_min"], payload["nu"]) == ("-1/7", "1/8")
+        assert payload["family_size_bound"] == str(2 ** 18)
+        audits = payload["umvirate_audits"]
+        assert len(audits) == 35
+        assert all(a["ok"] and a["quadratic_form"] == "0" and a["w"] == "0"
+                   and a["mu"] == a["nu"] == "1/8" for a in audits)
 
 
 class TestHoffman:

@@ -1,8 +1,11 @@
+import hashlib
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occlib.families import (
     Family,
@@ -27,6 +30,59 @@ from occlib.hypercube import walsh_support
 from occlib.spectra import Spectrum, combined_lambda_min
 
 T012 = triangle_masks(4)[0]
+
+
+# Member-set oracles: the frozenset implementations that the packed store
+# replaced, kept to check it.
+
+def oracle_compress(masks, e):
+    bit = 1 << e
+    return frozenset(m | bit if not m & bit and (m | bit) not in masks else m for m in masks)
+
+
+def oracle_monotonize(dim, masks):
+    while True:
+        cur = masks
+        for e in range(dim):
+            cur = oracle_compress(cur, e)
+        if cur == masks:
+            return cur
+        masks = cur
+
+
+def oracle_is_upset(dim, masks):
+    return all(m | (1 << e) in masks for m in masks for e in range(dim))
+
+
+def oracle_measure(dim, masks, p):
+    return sum((p ** m.bit_count() * (1 - p) ** (dim - m.bit_count()) for m in masks), F(0))
+
+
+def oracle_intersecting(n, masks):
+    ms = sorted(masks)
+    return all(Graph(n, a & b).contains_triangle() for i, a in enumerate(ms) for b in ms[i:])
+
+
+def oracle_agreeing(n, masks):
+    full = (1 << (n * (n - 1) // 2)) - 1
+    ms = sorted(masks)
+    return all(Graph(n, full & ~(a ^ b)).contains_triangle()
+               for i, a in enumerate(ms) for b in ms[i:])
+
+
+@st.composite
+def small_families(draw):
+    """(n, masks) on K4 or K5: a random set of masks, or a random part of a
+    junta on a triangle, which is always agreeing and often intersecting."""
+    n = draw(st.sampled_from([4, 5]))
+    dim = n * (n - 1) // 2
+    if draw(st.booleans()):
+        masks = draw(st.frozensets(st.integers(0, (1 << dim) - 1), max_size=40))
+    else:
+        t = draw(st.sampled_from(triangle_masks(n)))
+        members = sorted(junta(n, t, t & draw(st.integers(0, (1 << dim) - 1))).masks)
+        masks = frozenset(draw(st.lists(st.sampled_from(members), max_size=40)))
+    return n, masks
 
 
 def adjacency_from_edges(n, edges):
@@ -109,11 +165,12 @@ class TestPredicates:
                 junta(4, t, 0)
 
     def test_junta_matches_filter_definition(self):
-        for n in (3, 4, 5):
-            for t in triangle_masks(n):
-                for s in families._submasks(t):
-                    want = Family(n, (m for m in all_masks(n) if m & t == s))
-                    assert junta(n, t, s) == want, (n, t, s)
+        cases = [(n, t, s) for n in (3, 4, 5) for t in triangle_masks(n)
+                 for s in families._submasks(t)]
+        t6 = triangle_masks(6)[7]  # twelve free edges to double over
+        for n, t, s in cases + [(6, t6, 0), (6, t6, t6 & -t6), (6, t6, t6)]:
+            want = Family(n, (m for m in all_masks(n) if m & t == s))
+            assert junta(n, t, s) == want, (n, t, s)
 
     def test_triangle_table_against_graphs(self):
         table = triangle_table(4)
@@ -173,7 +230,67 @@ class TestCompression:
             fam = Family(n, {rng.randrange(1 << dim) for _ in range(40)})
             shifted = compress(fam, rng.randrange(dim))
             assert shifted == Family(n, shifted.masks) and shifted.n == n
-            assert isinstance(shifted.masks, frozenset)
+            # the store is the packed indicator; the member set is derived from it
+            assert shifted.bits == sum(1 << m for m in shifted.masks)
+            assert isinstance(shifted.bits, int) and not hasattr(shifted, "__dict__")
+
+
+class TestPackedAgainstOracles:
+    """Every packed operation against the frozenset code it replaced."""
+
+    @given(small_families())
+    @settings(max_examples=150, deadline=None)
+    def test_store_round_trip(self, fam_case):
+        n, masks = fam_case
+        fam = Family(n, masks)
+        assert fam.masks == masks and list(fam) == sorted(masks)
+        assert fam.size == len(masks)
+        assert all(m in fam for m in masks)
+        assert sum(m in fam for m in range(1 << fam.dim)) == len(masks)
+
+    @given(small_families(), st.integers(0, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_compress_monotonize_upset(self, fam_case, e):
+        n, masks = fam_case
+        fam, dim = Family(n, masks), n * (n - 1) // 2
+        e %= dim
+        assert compress(fam, e).masks == oracle_compress(masks, e)
+        mono = monotonize(fam)
+        assert mono.masks == oracle_monotonize(dim, masks)
+        assert is_upset(fam) == oracle_is_upset(dim, masks)
+        assert is_upset(mono) and oracle_is_upset(dim, mono.masks)
+
+    @given(small_families(), st.sampled_from([F(1, 2), F(1, 3), F(2, 7), F(31, 125)]))
+    @settings(max_examples=150, deadline=None)
+    def test_measure(self, fam_case, p):
+        n, masks = fam_case
+        assert Family(n, masks).measure(p) == oracle_measure(n * (n - 1) // 2, masks, p)
+
+    @given(small_families())
+    @settings(max_examples=150, deadline=None)
+    def test_predicates(self, fam_case):
+        n, masks = fam_case
+        fam = Family(n, masks)
+        assert is_triangle_intersecting(fam) == oracle_intersecting(n, masks)
+        assert is_triangle_agreeing(fam) == oracle_agreeing(n, masks)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_upset_fails_along_each_single_edge(self, n):
+        # the complement of one edge is closed upwards along every other edge
+        dim = n * (n - 1) // 2
+        full = (1 << dim) - 1
+        assert is_upset(Family(n, [full]))
+        for e in range(dim):
+            fam = Family(n, [full ^ 1 << e])
+            assert not is_upset(fam) and not oracle_is_upset(dim, fam.masks)
+            assert compress(fam, e).masks == oracle_compress(fam.masks, e) == {full}
+
+    def test_predicates_on_every_k4_pair(self):
+        for a in range(64):
+            for b in range(a, 64):
+                fam = Family(4, [a, b])
+                assert is_triangle_intersecting(fam) == oracle_intersecting(4, {a, b})
+                assert is_triangle_agreeing(fam) == oracle_agreeing(4, {a, b})
 
 
 class TestSearch:
@@ -256,6 +373,31 @@ class TestHoffmanAudit:
                    for a in audits)
         assert elapsed < 2.0, f"ten n = 5 umvirate audits took {elapsed:.2f} s"
 
+    def test_n6_umvirate_audits_within_budget(self):
+        # the 20 audits of bound-check --n 6, catalogue warm
+        combined_lambda_min(6)
+        start = time.perf_counter()
+        audits = [hoffman_audit(umvirate(6, t)) for t in triangle_masks(6)]
+        elapsed = time.perf_counter() - start
+        assert all(a["ok"] and a["quadratic_form"] == 0 and a["mu"] == F(1, 8)
+                   for a in audits)
+        assert elapsed < 0.1, f"twenty n = 6 umvirate audits took {elapsed:.3f} s"
+
+    def test_n7_umvirate_audits_within_budget(self):
+        # all 35 umvirates of K7 (2^18 members each) from the packed indicator;
+        # the eigenvalue lookups and lambda_min over the 7-vertex catalogue
+        # are timed too
+        combined_lambda_min.cache_clear()
+        families._combined_lambda.cache_clear()
+        start = time.perf_counter()
+        lam_min = combined_lambda_min(7)
+        audits = [hoffman_audit(umvirate(7, t)) for t in triangle_masks(7)]
+        elapsed = time.perf_counter() - start
+        assert lam_min == F(-1, 7) and len(audits) == 35
+        assert all(a["ok"] and a["quadratic_form"] == 0 and a["w"] == 0
+                   and a["mu"] == a["nu"] == F(1, 8) for a in audits)
+        assert elapsed < 1.0, f"35 n = 7 umvirate audits took {elapsed:.2f} s"
+
     def test_triangle_table_up_to_six_vertices(self):
         # labelled triangle-free graphs on 4, 5, 6 vertices (OEIS A006785)
         for n, free in ((4, 41), (5, 388), (6, 5789)):
@@ -269,6 +411,20 @@ class TestCampaign:
         rep = verify_family_claims(campaign_size=150)
         assert rep.ok, rep.failing()
         assert len(rep.checks) == 24
+
+    def test_seeded_families_unchanged(self):
+        # the first 50 draws of the campaign at its default seed: random
+        # family, edge, agreeing subfamily; the digest was taken from the
+        # member-set store, so the packed store consumes the same random stream
+        rng = random.Random(20260815)
+        h = hashlib.sha256()
+        for _ in range(50):
+            fam = families._random_family(4, rng)
+            e = rng.randrange(6)
+            agreeing = families._random_agreeing_subfamily(4, rng)
+            h.update(repr((sorted(fam.masks), e, sorted(agreeing.masks))).encode())
+        assert h.hexdigest() == \
+            "e09eb7c681f168e19e2c7f2de93aca192c07eb359e83718fb62e8284ffe5c8a9"
 
     def test_deterministic(self):
         a = verify_family_claims(campaign_size=40)

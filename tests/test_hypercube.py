@@ -14,6 +14,9 @@ from occlib.hypercube import (
     apply_shift,
     apply_shift_averaged,
     character,
+    indicator_bits,
+    layer_masks,
+    low_masks,
     quadratic_form,
     walsh_support,
 )
@@ -233,6 +236,31 @@ class TestWalshSupport:
         support = walsh_support(4, p, [0b011010])
         assert support == oracle_support(4, p, [0b011010])
         assert support[-1][0] == 63
+
+    @pytest.mark.parametrize("n,p", [(4, F(1, 2)), (4, F(2, 5)), (5, F(1, 3))])
+    def test_packed_indicator_equals_member_list(self, n, p):
+        # a seeded family and a junta, given as the packed integer and as masks
+        tri = triangle_masks(n)
+        for members in (random_members(n, 7), list(junta(n, tri[-1], tri[-1] & 3))):
+            bits = indicator_bits(n * (n - 1) // 2, members)
+            assert walsh_support(n, p, bits) == walsh_support(n, p, members) \
+                == oracle_support(n, p, members)
+        with pytest.raises(ValueError):
+            walsh_support(4, p, 1 << 64)
+        with pytest.raises(ValueError):
+            walsh_support(4, p, -1)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 6])
+    def test_cube_masks_match_definitions(self, d):
+        masks = range(1 << d)
+        lows = low_masks(d)
+        assert len(lows) == d + 1
+        for e, low in enumerate(lows):
+            assert low == sum(1 << m for m in masks if not m >> e & 1)
+        layers = layer_masks(d)
+        assert len(layers) == d + 1
+        for k, layer in enumerate(layers):
+            assert layer == sum(1 << m for m in masks if m.bit_count() == k)
 
     def test_order_and_range(self):
         assert walsh_support(3, F(1, 3), iter([5, 1])) == walsh_support(3, F(1, 3), [1, 5])
