@@ -186,21 +186,27 @@ def cmd_cutstat(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The options of `occ verify` that each campaign reads, with the value each
+# takes when it is not given.  Any other one given is a usage error: it would
+# read as a claim verified under a setting the campaign never used.
+VERIFY_READS = {"uniform": {}, "smallp": {}, "lemmas": {},
+                "skew": {"plo": TAU, "phi": Fraction(1, 2)}, "schur": {"seed": 20260815},
+                "families": {"seed": 20260815, "campaign_size": 1000}}
+
+
 def cmd_verify(args, argv) -> int:
     started = time.perf_counter()
-    seed = args.seed
     if args.claims == "schur":
-        report = verify_oldc_claims(seed=seed)
+        report = verify_oldc_claims(seed=args.seed)
     elif args.claims == "families":
-        report = verify_family_claims(seed=seed, campaign_size=args.campaign_size)
-    else:  # the deterministic campaigns report seed null
-        seed = None
-        if args.claims == "skew":
-            report = verify_skew_cases(args.plo, args.phi)
-        else:
-            report = {"uniform": verify_uniform_claims, "smallp": verify_smallp,
-                      "lemmas": verify_cut_lemmas}[args.claims]()
-    return _finish_campaign(args, argv, report, seed, started)
+        report = verify_family_claims(seed=args.seed, campaign_size=args.campaign_size)
+    elif args.claims == "skew":
+        report = verify_skew_cases(args.plo, args.phi)
+    else:
+        report = {"uniform": verify_uniform_claims, "smallp": verify_smallp,
+                  "lemmas": verify_cut_lemmas}[args.claims]()
+    # the deterministic campaigns read no seed and report seed null
+    return _finish_campaign(args, argv, report, args.seed, started)
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a verification campaign")
     p.add_argument("claims",
                    choices=("uniform", "skew", "smallp", "schur", "families", "lemmas"))
-    p.add_argument("--plo", type=parse_rational, default=TAU,
-                   help="lower endpoint for the skew campaign")
-    p.add_argument("--phi", type=parse_rational, default=Fraction(1, 2),
-                   help="upper endpoint for the skew campaign")
-    p.add_argument("--seed", type=int, default=20260815)
-    p.add_argument("--campaign-size", type=positive_int, default=1000,
-                   help="random-family sample size for the families campaign")
+    p.add_argument("--plo", type=parse_rational,
+                   help="lower endpoint for the skew campaign (default 31/125)")
+    p.add_argument("--phi", type=parse_rational,
+                   help="upper endpoint for the skew campaign (default 1/2)")
+    p.add_argument("--seed", type=int,
+                   help="seed of the schur and families campaigns (default 20260815)")
+    p.add_argument("--campaign-size", type=positive_int,
+                   help="random-family sample size for the families campaign (default 1000)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("families", parents=[common],
                        help="independent-set search and measure-bound audits")
     p.add_argument("action", choices=("max-independent", "bound-check"))
     p.add_argument("--seed", type=int, default=None,
-                   help="shuffle the branching order of the search")
+                   help="shuffle the branching order of max-independent")
     p.add_argument("--n", type=int, choices=(4, 5, 6, 7), default=4,
                    help="vertex count for bound-check; max-independent searches K4 only")
     p.set_defaults(func=cmd_families)
@@ -348,9 +355,17 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.command == "verify" and args.claims == "skew"
-            and not 0 < args.plo < args.phi <= Fraction(1, 2)):
-        parser.error("the skew interval needs 0 < --plo < --phi <= 1/2")
+    if args.command == "verify":
+        reads = VERIFY_READS[args.claims]
+        for opt in ("plo", "phi", "seed", "campaign_size"):
+            if opt not in reads and getattr(args, opt) is not None:
+                parser.error(f"verify {args.claims} does not read --{opt.replace('_', '-')}")
+            if getattr(args, opt) is None:
+                setattr(args, opt, reads.get(opt))
+        if args.claims == "skew" and not 0 < args.plo < args.phi <= Fraction(1, 2):
+            parser.error("the skew interval needs 0 < --plo < --phi <= 1/2")
+    if args.command == "families" and args.action == "bound-check" and args.seed is not None:
+        parser.error("families bound-check does not read --seed")
     if args.command == "cutstat" and args.builtin and args.files:
         parser.error("--builtin prints the built-in table and takes no FILE")
     if args.command == "families" and args.action == "max-independent" and args.n != 4:

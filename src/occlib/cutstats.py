@@ -38,6 +38,7 @@ from .graph import (
     BlockDecomposition,
     Graph,
     _bit_positions,
+    _component_masks,
     _vertex_stars,
     block_decomposition,
     edge_pairs,
@@ -270,23 +271,6 @@ def _four_cycle_cuts(adj: list[int], todo: int) -> int:
                     if set(ac).isdisjoint(bd):
                         total += 1 << len(parts) - len(ac) - len(bd)
     return total
-
-
-def _component_masks(adj: list[int], todo: int) -> list[int]:
-    """The vertex masks of the components of the graph on the vertices in the
-    mask todo with neighbour masks adj."""
-    parts = []
-    while todo:
-        part, grow = 0, todo & -todo
-        while grow:
-            part |= grow
-            reach = 0
-            for w in _bit_positions(grow):
-                reach |= adj[w]
-            grow = reach & ~part
-        parts.append(part)
-        todo &= ~part
-    return parts
 
 
 def _frontier_stats(g: Graph, plan: tuple[list[int], list[int], list[int]]) -> CutStats:

@@ -9,10 +9,12 @@ big-integer operations per edge, with the masks of hypercube.low_masks and
 hypercube.layer_masks, and no loop over members.  The two predicates of
 interest are triangle-intersecting (every two members share a triangle, pairs
 with repetition) and the weaker triangle-agreeing (the edges on which two
-members agree contain a triangle).  Agreeing families are exactly the
-independent sets of a Cayley graph on the 2^C(n,2) masks whose generators are
-the complements of triangle-free graphs; on four vertices that graph is small
-enough to enumerate every maximum independent set exactly.
+members agree contain a triangle); each is one AND per member, against the
+union of the juntas of the masks that share (or agree on) a triangle with it.
+Agreeing families are exactly the independent sets of a Cayley graph on the
+2^C(n,2) masks whose generators are the complements of triangle-free graphs;
+on four vertices that graph is small enough to enumerate every maximum
+independent set exactly.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .cutstats import class_catalogue
-from .graph import Graph, all_masks, canonical_key, edge_index
+from .graph import Graph, _bit_positions, all_masks, canonical_key, edge_index
 from .hypercube import indicator_bits, layer_masks, low_masks, quadratic_form, walsh_support
 from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, Spectrum, VerificationReport
 from .spectra import combined_lambda_min, hoffman_bound
 
 __all__ = [
     "Family",
-    "triangle_table",
     "is_triangle_intersecting",
     "is_triangle_agreeing",
     "junta",
@@ -125,44 +126,23 @@ def _member_weights(dim: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(a ** k * (b - a) ** (dim - k) for k in range(dim + 1))
 
 
-@lru_cache(maxsize=8)
-def triangle_table(n: int) -> tuple[bool, ...]:
-    """mask -> does the graph contain a triangle, densely for all of K_n: the
-    union of the umvirates of the triangles, unpacked."""
-    if not 3 <= n <= 6:
-        raise ValueError("dense triangle tables supported for 3 <= n <= 6")
+@lru_cache(maxsize=4096)
+def _partners(n: int, a: int, agreeing: bool) -> int:
+    """The indicator of the masks b that intersect a in a triangle T or, when
+    agreeing, agree with a on one: the union of the juntas b & T = a & T over
+    the triangles T of K_n, only those inside a when intersecting."""
     bits = 0
     for t in triangle_masks(n):
-        bits |= umvirate(n, t).bits
-    return tuple(d == "1" for d in bin(bits)[:1:-1].ljust(1 << (n * (n - 1) // 2), "0"))
-
-
-def _pair_key(dim: int, agreeing: bool):
-    """The edge set two members must hold a triangle in: their intersection
-    or, when agreeing, the edges on which they agree."""
-    full = (1 << dim) - 1
-    return (lambda a, b: full & ~(a ^ b)) if agreeing else int.__and__
-
-
-@lru_cache(maxsize=4)
-def _partner_masks(n: int, agreeing: bool) -> tuple[int, ...]:
-    """For each mask a of K_n, n <= 4, the indicator of the masks b whose
-    pair key with a holds a triangle."""
-    table, key = triangle_table(n), _pair_key(n * (n - 1) // 2, agreeing)
-    masks = range(len(table))
-    return tuple(sum(1 << b for b in masks if table[key(a, b)]) for a in masks)
+        if agreeing or a & t == t:
+            bits |= junta(n, t, a & t).bits
+    return bits
 
 
 def _every_pair(fam: Family, agreeing: bool) -> bool:
     """Whether every two members, with repetition, intersect (or agree) in a
-    triangle.  On at most four vertices each member's partner mask is checked
-    against the indicator in one AND; above that the pairs of decoded members
-    are tested one by one."""
-    if fam.n <= 4:
-        partners, bits = _partner_masks(fam.n, agreeing), fam.bits
-        return all(not bits & ~partners[a] for a in fam)
-    table, key, ms = triangle_table(fam.n), _pair_key(fam.dim, agreeing), list(fam)
-    return all(table[key(a, b)] for i, a in enumerate(ms) for b in ms[i:])
+    triangle: each member's partner indicator holds the whole family."""
+    bits = fam.bits
+    return all(not bits & ~_partners(fam.n, a, agreeing) for a in fam)
 
 
 def is_triangle_intersecting(fam: Family) -> bool:
@@ -239,11 +219,13 @@ def is_upset(fam: Family) -> bool:
 
 @lru_cache(maxsize=4)
 def agreement_generators(n: int = 4) -> tuple[int, ...]:
-    """Complements of the triangle-free graphs: two masks are
-    agreement-free neighbours exactly when their difference is one of these."""
-    table = triangle_table(n)
+    """Complements of the triangle-free graphs, read off the union of the
+    umvirates of the triangles (the partners of K_n when intersecting): two
+    masks are agreement-free neighbours exactly when their difference is one
+    of these."""
     full = (1 << (n * (n - 1) // 2)) - 1
-    return tuple(full ^ b for b in all_masks(n) if not table[b])
+    has_triangle = _partners(n, full, False)
+    return tuple(full ^ b for b in all_masks(n) if not has_triangle >> b & 1)
 
 
 @lru_cache(maxsize=4)
@@ -291,10 +273,7 @@ def maximum_independent_sets(adj: Sequence[int], seed: int | None = None) -> tup
     pos = {v: i for i, v in enumerate(order)}
     radj = [0] * nverts
     for v in range(nverts):
-        bits = adj[v]
-        while bits:
-            u = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
+        for u in _bit_positions(adj[v]):
             radj[pos[v]] |= 1 << pos[u]
 
     best_size = 0
@@ -315,14 +294,7 @@ def maximum_independent_sets(adj: Sequence[int], seed: int | None = None) -> tup
         rec(cur, cur_size, cand & ~(1 << v))
 
     rec(0, 0, (1 << nverts) - 1)
-    out = []
-    for bits in best:
-        members = set()
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            members.add(order[i])
-        out.append(frozenset(members))
+    out = [frozenset(order[i] for i in _bit_positions(bits)) for bits in best]
     return best_size, sorted(out, key=sorted)
 
 
@@ -384,13 +356,7 @@ def _submasks(t: int):
 def _random_agreeing_subfamily(n: int, rng: random.Random) -> Family:
     tri = triangle_masks(n)
     t = tri[rng.randrange(len(tri))]
-    s = 0
-    bits = t
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        if rng.random() < 0.5:
-            s |= low
+    s = sum(1 << i for i in _bit_positions(t) if rng.random() < 0.5)
     base = list(junta(n, t, s))
     keep = [m for m in base if rng.random() < 0.7]
     return Family(n, keep or base[:1])

@@ -115,25 +115,7 @@ class Graph:
 
     def component_count(self) -> int:
         """Connected components among non-isolated vertices."""
-        adj = self.adjacency()
-        todo = self.touched_vertices()
-        count = 0
-        while todo:
-            count += 1
-            start = todo & -todo
-            frontier = start
-            seen = 0
-            while frontier:
-                seen |= frontier
-                nxt = 0
-                f = frontier
-                while f:
-                    vtx = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= adj[vtx]
-                frontier = nxt & ~seen
-            todo &= ~seen
-        return count
+        return len(_component_masks(self.adjacency(), self.touched_vertices()))
 
     def is_bipartite(self) -> bool:
         """True when the graph carries no odd cycle."""
@@ -214,6 +196,23 @@ def _bit_positions(mask: int) -> list[int]:
         out.append((mask & -mask).bit_length() - 1)
         mask &= mask - 1
     return out
+
+
+def _component_masks(adj: list[int], todo: int) -> list[int]:
+    """The vertex masks of the components of the graph on the vertices in the
+    mask todo with neighbour masks adj."""
+    parts = []
+    while todo:
+        part, grow = 0, todo & -todo
+        while grow:
+            part |= grow
+            reach = 0
+            for w in _bit_positions(grow):
+                reach |= adj[w]
+            grow = reach & ~part
+        parts.append(part)
+        todo &= ~part
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exact p-biased Fourier analysis on the cube of graphs on n labelled
-vertices, and the shift-averaging tensor operators acting there.
+vertices, and the tensor operators acting there.  At p = 1/2 the operator
+T_B flips every edge off B, so it is a shift of the cube, and its average
+over the colouring cuts B of K_n is the averaged shift of the cut lemmas.
 
 Every value is a Fraction.  Characters are taken in the rational basis
 psi_S = chi_S / sqrt(p(1-p))^|S|, where chi_S is the orthonormal p-biased
@@ -39,8 +41,6 @@ __all__ = [
     "indicator_bits",
     "layer_masks",
     "low_masks",
-    "apply_shift",
-    "apply_shift_averaged",
     "quadratic_form",
     "walsh_support",
 ]
@@ -128,26 +128,6 @@ def character(n: int, p: Fraction, s_mask: int) -> FunctionOnCube:
                                  for mask in range(1 << e)])
 
 
-def apply_shift(f: FunctionOnCube, b_mask: int) -> FunctionOnCube:
-    """Uniform-measure shift: g(G) = f(G xor complement(B)).
-
-    Only measure-preserving at p = 1/2, so that is required.
-    """
-    if f.p != F(1, 2):
-        raise ValueError("shift operators act on the uniform cube")
-    full = (1 << f._dim) - 1
-    flip = full & ~b_mask
-    return f._like([f.values[mask ^ flip] for mask in range(1 << f._dim)])
-
-
-def apply_shift_averaged(f: FunctionOnCube, b_masks: Sequence[int]) -> FunctionOnCube:
-    """Average of apply_shift over a collection of edge sets, exactly."""
-    if not b_masks:
-        raise ValueError("empty shift collection")
-    shifted = [apply_shift(f, b).values for b in b_masks]
-    return f._like([sum(col) / len(b_masks) for col in zip(*shifted)])
-
-
 class TensorOperator:
     """Product operator acting on one edge coordinate at a time.
 
@@ -156,7 +136,8 @@ class TensorOperator:
     left alone.  The (present, present) entry is zero, which is the whole
     point: the matrix entry between two graphs vanishes exactly when they
     share an edge off B.  Characters are eigenvectors with eigenvalue
-    (-r)^(|S| off B).
+    (-r)^(|S| off B).  At p = 1/2, M swaps absent and present, so
+    (T_B f)(G) = f(G xor E'), with E' the edges off B.
     """
 
     def __init__(self, n: int, p: Fraction, b_mask: int = 0):
@@ -236,11 +217,11 @@ def _span(bits: int) -> int:
     return (bits.bit_length() - 1).bit_length() if bits > 1 else 0
 
 
-def walsh_support(n: int, p: Fraction, members: int | Iterable[int]) -> list[tuple[int, Fraction]]:
+def walsh_support(n: int, p: Fraction, bits: int) -> list[tuple[int, Fraction]]:
     """(S, (p(1-p))^|S| * ghat(S)^2), the squared orthonormal coefficient,
     for every edge set S where it is nonzero, in increasing S, exactly, for
-    the indicator of a family of edge masks of K_n: members is the packed
-    indicator (bit m set for member m) or an iterable of the member masks.
+    the indicator of a family of edge masks of K_n, packed in bits (bit m set
+    for member m; indicator_bits packs a list of masks).
 
     Edge i is relevant when flipping it takes some member out of the family:
     ((X >> 2^i) ^ X) & low_masks(dim)[i] is nonzero for the packed indicator X.
@@ -251,7 +232,6 @@ def walsh_support(n: int, p: Fraction, members: int | Iterable[int]) -> list[tup
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")
     dim = n * (n - 1) // 2
-    bits = members if isinstance(members, int) else indicator_bits(dim, members)
     if bits < 0 or bits >> (1 << dim):
         raise ValueError(f"indicator out of range for n={n}")
     d = _span(bits)

@@ -211,6 +211,22 @@ class TestExitCodes:
     def test_bound_check_past_seven_vertices(self, capsys):
         self.usage_error(capsys, "families", "bound-check", "--n", "8")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "uniform", "--plo", "6/25"),
+        ("verify", "smallp", "--phi", "1/3"),
+        ("verify", "families", "--plo", "1/4", "--phi", "1/3"),
+        ("verify", "schur", "--campaign-size", "5"),
+        ("verify", "lemmas", "--campaign-size", "5"),
+        ("verify", "uniform", "--seed", "3"),
+        ("verify", "skew", "--seed", "3"),
+        ("verify", "smallp", "--seed", "3"),
+        ("verify", "lemmas", "--seed", "3"),
+        ("families", "bound-check", "--seed", "3"),
+    ], ids=lambda argv: "-".join(argv))
+    def test_option_the_command_does_not_read(self, capsys, argv):
+        # an ignored setting would read as a claim verified under it
+        self.usage_error(capsys, *argv)
+
     @pytest.mark.parametrize("word, message", [
         ("?", "zero vertices"),
         ("B\x7f", "data byte out of range"),

@@ -20,7 +20,6 @@ from occlib.families import (
     maximum_independent_sets,
     monotonize,
     triangle_masks,
-    triangle_table,
     umvirate,
     verify_family_claims,
 )
@@ -130,7 +129,7 @@ class TestFamilyBasics:
             fam = Family(4, {rng.randint(0, 63) for _ in range(rng.randint(1, 20))})
             p = F(rng.randint(1, 4), 5)
             # the empty Walsh coefficient is the expectation, so its square is mu^2
-            assert walsh_support(4, p, fam.masks)[0] == (0, fam.measure(p) ** 2)
+            assert walsh_support(4, p, fam.bits)[0] == (0, fam.measure(p) ** 2)
 
 
 class TestPredicates:
@@ -172,10 +171,12 @@ class TestPredicates:
             want = Family(n, (m for m in all_masks(n) if m & t == s))
             assert junta(n, t, s) == want, (n, t, s)
 
-    def test_triangle_table_against_graphs(self):
-        table = triangle_table(4)
+    def test_triangle_union_against_graphs(self):
+        # the generators are the complements of the masks outside the union
+        # of the umvirates of the triangles
+        free = {63 ^ g for g in agreement_generators(4)}
         for m in range(64):
-            assert table[m] == Graph(4, m).contains_triangle()
+            assert (m not in free) == Graph(4, m).contains_triangle()
 
 
 class TestCompression:
@@ -284,6 +285,21 @@ class TestPackedAgainstOracles:
             fam = Family(n, [full ^ 1 << e])
             assert not is_upset(fam) and not oracle_is_upset(dim, fam.masks)
             assert compress(fam, e).masks == oracle_compress(fam.masks, e) == {full}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_predicates_on_k6_junta_parts(self, seed):
+        # a part of a junta on a triangle of K6, at times with one random mask
+        # added: every member's partner indicator has 2^15 bits
+        rng = random.Random(seed)
+        t = rng.choice(triangle_masks(6))
+        s = t if seed % 3 == 0 else t & rng.randrange(1 << 15)
+        members = list(junta(6, t, s))
+        masks = set(rng.sample(members, rng.randint(1, 12)))
+        if seed % 2:
+            masks.add(rng.randrange(1 << 15))
+        fam = Family(6, masks)
+        assert is_triangle_intersecting(fam) == oracle_intersecting(6, masks)
+        assert is_triangle_agreeing(fam) == oracle_agreeing(6, masks)
 
     def test_predicates_on_every_k4_pair(self):
         for a in range(64):
@@ -398,12 +414,11 @@ class TestHoffmanAudit:
                    and a["mu"] == a["nu"] == F(1, 8) for a in audits)
         assert elapsed < 1.0, f"35 n = 7 umvirate audits took {elapsed:.2f} s"
 
-    def test_triangle_table_up_to_six_vertices(self):
-        # labelled triangle-free graphs on 4, 5, 6 vertices (OEIS A006785)
+    def test_triangle_free_counts_up_to_six_vertices(self):
+        # labelled triangle-free graphs on 4, 5, 6 vertices (OEIS A006785),
+        # off the union of the umvirates of the triangles
         for n, free in ((4, 41), (5, 388), (6, 5789)):
-            assert triangle_table(n).count(False) == free
-        with pytest.raises(ValueError):
-            triangle_table(7)
+            assert len(agreement_generators(n)) == free
 
 
 class TestCampaign:

@@ -11,8 +11,6 @@ from occlib.hypercube import (
     FunctionOnCube,
     TensorOperator,
     _apply_rational,
-    apply_shift,
-    apply_shift_averaged,
     character,
     indicator_bits,
     layer_masks,
@@ -96,7 +94,7 @@ class TestWalsh:
         p = F(2, 7)
         members = random_members(3, 5)
         f = indicator(3, p, members)
-        assert sum(sq for _, sq in walsh_support(3, p, members)) == inner(f, f)
+        assert sum(sq for _, sq in walsh_support(3, p, packed(3, members))) == inner(f, f)
 
     def test_characters_orthonormal(self):
         # psi_S = chi_S / sqrt(p(1-p))^|S|, so <psi_S, psi_S> = (p(1-p))^-|S|
@@ -149,6 +147,11 @@ def walsh(f):
     return reference_butterfly(f.values, walsh_matrix(f.p), len(f.values) - 1)
 
 
+def packed(n, members):
+    """The packed indicator of a list of edge masks of K_n."""
+    return indicator_bits(n * (n - 1) // 2, members)
+
+
 def random_members(n, seed):
     """A seeded family: each edge mask of K_n is a member with probability 1/2."""
     rng = random.Random(seed)
@@ -186,7 +189,7 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("n,p,seed", KERNEL_CASES)
     def test_squares_parseval_and_quadratic_form(self, n, p, seed):
         members = random_members(n, seed)
-        support = walsh_support(n, p, members)
+        support = walsh_support(n, p, packed(n, members))
         assert support == oracle_support(n, p, members)
         f = indicator(n, p, members)
         assert sum(sq for _, sq in support) == inner(f, f)
@@ -218,33 +221,32 @@ class TestIntegerKernel:
 
 
 class TestWalshSupport:
-    """walsh_support reads a family's members and transforms only the edges it
-    depends on; the reference butterfly on the dense indicator is the oracle."""
+    """walsh_support reads a family's packed indicator and transforms only the
+    edges it depends on; the reference butterfly on the dense indicator is the
+    oracle."""
 
     @pytest.mark.parametrize("n,p", [(3, F(1, 3)), (4, F(1, 2)), (4, F(1, 3)), (5, F(1, 2))])
     def test_umvirates_and_a_prescribed_junta(self, n, p):
         tri = triangle_masks(n)
         for fam in [junta(n, tri[0], tri[0] & -tri[0])] + [umvirate(n, t) for t in tri]:
-            assert walsh_support(n, p, fam.masks) == oracle_support(n, p, fam.masks)
+            assert walsh_support(n, p, fam.bits) == oracle_support(n, p, fam.masks)
 
     @pytest.mark.parametrize("p", [F(1, 2), F(2, 5)])
     def test_empty_full_and_dependent_on_every_edge(self, p):
         full = list(all_masks(4))
-        assert walsh_support(4, p, []) == oracle_support(4, p, []) == []
-        assert walsh_support(4, p, full) == oracle_support(4, p, full) == [(0, F(1))]
+        assert walsh_support(4, p, 0) == oracle_support(4, p, []) == []
+        assert walsh_support(4, p, packed(4, full)) == oracle_support(4, p, full) == [(0, F(1))]
         # a single graph moves under every edge flip
-        support = walsh_support(4, p, [0b011010])
+        support = walsh_support(4, p, 1 << 0b011010)
         assert support == oracle_support(4, p, [0b011010])
         assert support[-1][0] == 63
 
     @pytest.mark.parametrize("n,p", [(4, F(1, 2)), (4, F(2, 5)), (5, F(1, 3))])
     def test_packed_indicator_equals_member_list(self, n, p):
-        # a seeded family and a junta, given as the packed integer and as masks
+        # a seeded family and a junta, packed from their member lists
         tri = triangle_masks(n)
         for members in (random_members(n, 7), list(junta(n, tri[-1], tri[-1] & 3))):
-            bits = indicator_bits(n * (n - 1) // 2, members)
-            assert walsh_support(n, p, bits) == walsh_support(n, p, members) \
-                == oracle_support(n, p, members)
+            assert walsh_support(n, p, packed(n, members)) == oracle_support(n, p, members)
         with pytest.raises(ValueError):
             walsh_support(4, p, 1 << 64)
         with pytest.raises(ValueError):
@@ -262,12 +264,11 @@ class TestWalshSupport:
         for k, layer in enumerate(layers):
             assert layer == sum(1 << m for m in masks if m.bit_count() == k)
 
-    def test_order_and_range(self):
-        assert walsh_support(3, F(1, 3), iter([5, 1])) == walsh_support(3, F(1, 3), [1, 5])
+    def test_range_and_bias(self):
         with pytest.raises(ValueError):
-            walsh_support(3, F(1, 3), [8])
+            walsh_support(3, F(1, 3), 1 << 8)
         with pytest.raises(ValueError):
-            walsh_support(3, F(1), [1])
+            walsh_support(3, F(1), 1 << 1)
 
     def test_refuses_more_than_fifteen_relevant_edges(self):
         # Family(7, [0]) depends on all 21 edges of K7; the refusal comes
@@ -276,32 +277,40 @@ class TestWalshSupport:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError):
-                walsh_support(7, F(1, 2), fam.masks)
+                walsh_support(7, F(1, 2), fam.bits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
 
+def apply_shift(f, b_mask):
+    """The uniform-measure shift, kept as an oracle: g(G) = f(G xor E'), with
+    E' the edges off B."""
+    flip = (len(f.values) - 1) & ~b_mask
+    return [f.values[mask ^ flip] for mask in range(len(f.values))]
+
+
 class TestShiftOperators:
     def test_shift_is_xor_with_complement(self):
         f = FunctionOnCube(3, F(1, 2), [F(m) for m in range(8)])
-        g = apply_shift(f, 0b011)
+        g = TensorOperator(3, F(1, 2), 0b011).apply(f)
         assert g.values[0] == F(0 ^ 0b100)
 
-    def test_shift_requires_uniform(self):
-        f = FunctionOnCube(3, F(1, 3), [F(0)] * 8)
-        with pytest.raises(ValueError):
-            apply_shift(f, 0)
-        with pytest.raises(ValueError):
-            apply_shift_averaged(FunctionOnCube(3, F(1, 2), [F(0)] * 8), [])
+    def test_tensor_operator_at_half_is_the_shift(self):
+        # at p = 1/2, T_B flips every edge off B, for every colouring cut of K4
+        f = random_function(4, F(1, 2), 13)
+        for b in coloring_cuts(4):
+            assert TensorOperator(4, F(1, 2), b).apply(f).values == apply_shift(f, b)
 
     def test_averaged_eigenvalues_from_cut_pgf(self):
-        # averaging the shifts over all bipartition cuts of K4 multiplies the
+        # averaging T_B over all bipartition cuts B of K4 multiplies the
         # coefficient at S by (-1)^|S| Q_S(-1)
         rng = random.Random(9)
         f = FunctionOnCube(4, F(1, 2), [F(rng.randint(-3, 3)) for _ in range(64)])
-        av = apply_shift_averaged(f, coloring_cuts(4))
+        cuts = coloring_cuts(4)
+        images = [TensorOperator(4, F(1, 2), b).apply(f).values for b in cuts]
+        av = FunctionOnCube(4, F(1, 2), [sum(col) / len(cuts) for col in zip(*images)])
         avh, fh = walsh(av), walsh(f)
         for s in range(64):
             g = Graph(4, s)
@@ -370,13 +379,14 @@ class TestTensorOperator:
             else:
                 want = F(0)
             assert uh[s] == want
-        assert quadratic_form(walsh_support(4, F(1, 2), members), combined_by_mask(4)) == 0
+        assert quadratic_form(walsh_support(4, F(1, 2), packed(4, members)),
+                              combined_by_mask(4)) == 0
 
     def test_quadratic_form_rational_at_biased_p(self):
         members = [m for m in range(8) if m & 0b001]
         f = indicator(3, F(1, 3), members)
         lam = {m: TensorOperator(3, F(1, 3)).eigenvalue(m) for m in range(8)}
-        q = quadratic_form(walsh_support(3, F(1, 3), members), lam)
+        q = quadratic_form(walsh_support(3, F(1, 3), packed(3, members)), lam)
         # independently: <f, Mf> under the measure
         op = TensorOperator(3, F(1, 3))
         assert q == inner(f, op.apply(f))

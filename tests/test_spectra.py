@@ -405,11 +405,11 @@ class TestCampaigns:
 
     def test_cut_lemma_claims_fail_with_the_failing_graphs(self, monkeypatch):
         assert spectra.verify_cut_lemmas().ok
-        # a checker that rejects q2 on the triangle, and a shift average that
-        # returns its input, each turn exactly their own claim red
+        # a checker that rejects q2 on the triangle, and tensor operators that
+        # return their input, each turn exactly their own claim red
         monkeypatch.setattr(spectra, "check_cut_lemmas",
                             lambda g, stats: ["q2<=3/4"] if write_graph6(g) == "Bw" else [])
-        monkeypatch.setattr(spectra, "apply_shift_averaged", lambda f, cuts: f)
+        monkeypatch.setattr(spectra.TensorOperator, "apply", lambda op, f: f)
         bad = {c.claim_id: c.detail for c in spectra.verify_cut_lemmas().checks if not c.ok}
         assert bad == {"cut-lemma:q2<=3/4": "Bw",
                        "shift-average:K4:psi_S-eigenvalue=(-1)^|S|Q_S(-1)": "1,2,3,4,5"}
