@@ -3,7 +3,9 @@ campaigns, family searches, and the measure bound calculator.
 
 Exit codes: 0 when every requested claim holds, 1 when a verification
 campaign reports a failing claim, 2 for usage or input errors.  All rational
-output is exact, rendered as num/den.
+output is exact, rendered as num/den.  Each command builds its JSON payload,
+CSV rows and text lines, and `_write` alone turns the one --format asks for
+into output, to --out FILE or stdout.
 """
 
 from __future__ import annotations
@@ -62,61 +64,47 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write(args, payload, csv_rows, text_lines) -> None:
+    """Write a command's output in its --format to --out or stdout: the
+    payload as indented JSON, the rows through a csv writer, or the text
+    lines, each ended by a newline."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows(csv_rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(text_lines) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-# ---------------------------------------------------------------------------
-# renderers
-# ---------------------------------------------------------------------------
-
-
-def render_report(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["claim_id", "ok", "detail"])
-        for check in payload["report"]["checks"]:
-            writer.writerow([check["claim_id"],
-                             "pass" if check["ok"] else "fail",
-                             check["detail"]])
-        return buf.getvalue()
-    lines = [f"campaign {payload['campaign']} (occlib {payload['version']})"]
-    for check in payload["report"]["checks"]:
-        mark = "PASS" if check["ok"] else "FAIL"
-        suffix = f"  {check['detail']}" if check["detail"] else ""
-        lines.append(f"{mark} {check['claim_id']}{suffix}")
-    certs = payload["report"]["certificates"]
-    if certs:
-        good = sum(1 for c in certs if c["status"] == "pass")
-        lines.append(f"certificates: {good}/{len(certs)} pass")
-    n = len(payload["report"]["checks"])
-    lines.append(f"result: {'PASS' if payload['ok'] else 'FAIL'} ({n} checks)")
-    lines.append(f"runtime: {payload['runtime_seconds']}s")
-    return "\n".join(lines) + "\n"
-
-
-def campaign_payload(argv: list[str], report, seed, runtime: float) -> dict:
-    return {
+def _finish_campaign(args, argv, report, seed, started) -> int:
+    payload = {
         "campaign": report.name,
         "command": "occ " + " ".join(argv),
         "version": __version__,
         "seed": seed,
         "ok": report.ok,
         "report": report.to_json_dict(),
-        "runtime_seconds": round(runtime, 3),
+        "runtime_seconds": round(time.perf_counter() - started, 3),
     }
-
-
-def _finish_campaign(args, argv, report, seed, started) -> int:
-    payload = campaign_payload(argv, report, seed, time.perf_counter() - started)
-    _emit(render_report(payload, args.format), args.out)
+    rows = [["claim_id", "ok", "detail"]]
+    lines = [f"campaign {report.name} (occlib {__version__})"]
+    for check in report.checks:
+        rows.append([check.claim_id, "pass" if check.ok else "fail", check.detail])
+        suffix = f"  {check.detail}" if check.detail else ""
+        lines.append(f"{'PASS' if check.ok else 'FAIL'} {check.claim_id}{suffix}")
+    certs = report.certificates
+    if certs:
+        lines.append(f"certificates: {sum(c.passed for c in certs)}/{len(certs)} pass")
+    lines.append(f"result: {'PASS' if report.ok else 'FAIL'} ({len(report.checks)} checks)")
+    lines.append(f"runtime: {payload['runtime_seconds']}s")
+    _write(args, payload, rows, lines)
     return 0 if report.ok else 1
 
 
@@ -157,27 +145,13 @@ def _cutstat_row(name: str, g: Graph) -> dict:
 
 def cmd_cutstat(args, argv) -> int:
     rows = _cutstat_rows(args)
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "graph6", "vertices", "edges", "q",
-                         "lambda1", "lambda2", "combined"])
-        for r in rows:
-            writer.writerow([r["name"], r["graph6"], r["vertices"], r["edges"],
-                             " ".join(r["q"]), r["lambda1"], r["lambda2"],
-                             r["combined"]])
-        text = buf.getvalue()
-    else:
-        lines = []
-        for r in rows:
-            lines.append(f"{r['name']}  {r['graph6']}  v={r['vertices']} "
-                         f"e={r['edges']}  q=[{', '.join(r['q'])}]  "
-                         f"l1={r['lambda1']} l2={r['lambda2']} "
-                         f"lc={r['combined']}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    csv_rows = [["name", "graph6", "vertices", "edges", "q", "lambda1", "lambda2", "combined"]]
+    csv_rows += [[r["name"], r["graph6"], r["vertices"], r["edges"], " ".join(r["q"]),
+                  r["lambda1"], r["lambda2"], r["combined"]] for r in rows]
+    lines = [f"{r['name']}  {r['graph6']}  v={r['vertices']} e={r['edges']}  "
+             f"q=[{', '.join(r['q'])}]  l1={r['lambda1']} l2={r['lambda2']} lc={r['combined']}"
+             for r in rows]
+    _write(args, rows, csv_rows, lines)
     return 0
 
 
@@ -245,27 +219,17 @@ def cmd_families(args, argv) -> int:
             ],
         }
         ok = all(a["ok"] and a["mu"] == a["nu"] == bound.nu for a in audits)
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for k, v in payload.items():
-            writer.writerow([k, json.dumps(v) if isinstance(v, (list, dict)) else v])
-        text = buf.getvalue()
-    else:
-        lines = []
-        for k, v in payload.items():
-            if isinstance(v, list) and k == "sets":
-                lines.append(f"{k}:")
-                lines.extend("  " + " ".join(str(m) for m in s) for s in v)
-            elif isinstance(v, list):
-                lines.append(f"{k}:")
-                lines.extend("  " + json.dumps(item) for item in v)
-            else:
-                lines.append(f"{k}: {v}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    rows = [[k, json.dumps(v) if isinstance(v, (list, dict)) else v]
+            for k, v in payload.items()]
+    lines = []
+    for k, v in payload.items():
+        if isinstance(v, list):
+            lines.append(f"{k}:")
+            lines.extend("  " + (" ".join(map(str, item)) if k == "sets" else json.dumps(item))
+                         for item in v)
+        else:
+            lines.append(f"{k}: {v}")
+    _write(args, payload, rows, lines)
     return 0 if ok else 1
 
 
@@ -276,17 +240,8 @@ def cmd_families(args, argv) -> int:
 
 def cmd_hoffman(args, argv) -> int:
     payload = hoffman_bound(args.lambda_min, args.gap).to_json_dict()
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(list(payload))
-        writer.writerow(list(payload.values()))
-        text = buf.getvalue()
-    else:
-        text = "\n".join(f"{k}: {v}" for k, v in payload.items()) + "\n"
-    _emit(text, args.out)
+    _write(args, payload, [list(payload), list(payload.values())],
+           [f"{k}: {v}" for k, v in payload.items()])
     return 0
 
 

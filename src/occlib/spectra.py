@@ -11,7 +11,10 @@ The verification campaigns check the claimed minima and spectral gaps three
 independent ways: exhaustively over all isomorphism classes with at most 7
 non-isolated vertices, by exact identities between rational functions of p,
 and by Sturm sign certificates for every case of the size-based analysis,
-each derived polynomial recorded in its certificate.
+each derived polynomial recorded in its certificate.  One rule turns a
+certificate into its claim, in `_certify`: the certificate passed, its
+witness sign is the expected one, and each endpoint root is required,
+forbidden or allowed as the case states.
 """
 
 from __future__ import annotations
@@ -587,16 +590,24 @@ def _skew_cases(spec: Spectrum, t: RationalFunction) -> list[tuple[str, Rational
     return cases
 
 
-def _certify_case(case_id: str, rf: RationalFunction, p_lo: Fraction, p_hi: Fraction,
-                  witness: Fraction, eq_at_half: bool) -> tuple[SignCertificate, bool]:
-    poly = rf.sign_polynomial()
-    cert = certify_sign(poly, p_lo, p_hi, witness, case_id)
-    ok = cert.passed and cert.witness_sign > 0 and not cert.zero_at_lower
-    if cert.zero_at_upper:
-        ok = ok and eq_at_half and p_hi == F(1, 2)
-    elif eq_at_half and p_hi == F(1, 2):
-        ok = False  # the expected equality at 1/2 must actually occur
-    return cert, ok
+def _certify(rep: VerificationReport, case_id: str, rf: RationalFunction, lo: Fraction,
+             hi: Fraction, witness: Fraction, sign: int = 1, at_lo: bool | None = False,
+             at_hi: bool | None = False) -> None:
+    """Certify the sign of rf on [lo, hi] and add the claim certificate:<case_id>.
+
+    The claim holds when the certificate passes with witness sign `sign` and
+    each endpoint root matches its rule: True requires a root there, False
+    allows none, None allows either.  A failing claim carries the bracket
+    the certificate localized."""
+    cert = certify_sign(rf.sign_polynomial(), lo, hi, witness, case_id)
+    rep.certificates.append(cert)
+    ok = (cert.passed and cert.witness_sign == sign
+          and at_lo in (None, cert.zero_at_lower) and at_hi in (None, cert.zero_at_upper))
+    detail = ""
+    if not ok and cert.failure_bracket is not None:
+        x1, x2, _, _ = cert.failure_bracket
+        detail = f"sign change in [{frac_str(x1)}, {frac_str(x2)}]"
+    rep.add(f"certificate:{case_id}", ok, detail)
 
 
 def verify_skew_cases(p_lo: Fraction, p_hi: Fraction) -> VerificationReport:
@@ -622,13 +633,7 @@ def verify_skew_cases(p_lo: Fraction, p_hi: Fraction) -> VerificationReport:
         rep.add(f"identity:lambda({name})=-p^3/(1-p^3)", spec.value(refs[name]) == -t)
 
     for case_id, rf, eq_half in _skew_cases(spec, t):
-        cert, ok = _certify_case(case_id, rf, p_lo, p_hi, witness, eq_half)
-        rep.certificates.append(cert)
-        detail = ""
-        if not ok and cert.failure_bracket is not None:
-            x1, x2, s1, s2 = cert.failure_bracket
-            detail = f"sign change in [{frac_str(x1)}, {frac_str(x2)}]"
-        rep.add(f"certificate:{case_id}", ok, detail)
+        _certify(rep, case_id, rf, p_lo, p_hi, witness, at_hi=eq_half and p_hi == F(1, 2))
 
     # exhaustive spot checks at sampled biases: arithmetic over the catalogue
     samples = sorted({p_lo, p_hi} | ({witness} if p_lo <= witness <= p_hi else set()))
@@ -668,16 +673,10 @@ def verify_smallp() -> VerificationReport:
     # derivative of g simplifies exactly; certify it negative on (0, 1/4]
     dnum = g_fn.num.derivative() * g_fn.den - g_fn.num * g_fn.den.derivative()
     gprime = RationalFunction(dnum, g_fn.den * g_fn.den)
-    cert = certify_sign(gprime.sign_polynomial(), F(0), F(1, 4), F(1, 8), "smallp:g-decreasing")
-    rep.certificates.append(cert)
-    rep.add("certificate:smallp:g-decreasing",
-            cert.passed and cert.witness_sign < 0 and cert.zero_at_lower and not cert.zero_at_upper)
+    _certify(rep, "smallp:g-decreasing", gprime, F(0), F(1, 4), F(1, 8), sign=-1, at_lo=True)
 
     # g positive strictly below 1/4, zero exactly at 1/4
-    certg = certify_sign(g_fn.sign_polynomial(), F(0), F(1, 4), F(1, 8), "smallp:g-positive")
-    rep.certificates.append(certg)
-    rep.add("certificate:smallp:g-positive",
-            certg.passed and certg.witness_sign > 0 and certg.zero_at_upper)
+    _certify(rep, "smallp:g-positive", g_fn, F(0), F(1, 4), F(1, 8), at_lo=None, at_hi=True)
 
     # gap identity: -lambda_min - |lambda_5| = (-lambda_min) * g exactly
     lam5 = _lambda_smallp(5, p)
@@ -687,27 +686,16 @@ def verify_smallp() -> VerificationReport:
 
     witness = F(1, 8)
     # lambda_5 < 0:  p^5 (6 - 4p + p^2) style numerator, zero only at p = 0
-    cert5 = certify_sign((-lam5).sign_polynomial(), F(0), TAU, witness, "smallp:lambda5<0")
-    rep.certificates.append(cert5)
-    rep.add("certificate:smallp:lambda5<0",
-            cert5.passed and cert5.witness_sign > 0 and cert5.zero_at_lower and not cert5.zero_at_upper)
+    _certify(rep, "smallp:lambda5<0", -lam5, F(0), TAU, witness, at_lo=True)
 
     # even sizes 4..100: eigenvalue nonnegative (bracket positive)
     for k in range(4, 101, 2):
-        ck = certify_sign(_smallp_bracket(k, p).sign_polynomial(), F(0), TAU, witness,
-                          f"smallp:even-bracket-{k}>0")
-        rep.certificates.append(ck)
-        rep.add(f"certificate:smallp:even-bracket-{k}>0",
-                ck.passed and ck.witness_sign > 0 and not ck.zero_at_lower and not ck.zero_at_upper)
+        _certify(rep, f"smallp:even-bracket-{k}>0", _smallp_bracket(k, p), F(0), TAU, witness)
 
     # odd sizes 5..97: magnitudes strictly decay two steps at a time
     for k in range(5, 98, 2):
         decay = _smallp_bracket(k, p) - ratio ** 2 * _smallp_bracket(k + 2, p)
-        ck = certify_sign(decay.sign_polynomial(), F(0), TAU, witness,
-                          f"smallp:odd-decay-{k}")
-        rep.certificates.append(ck)
-        rep.add(f"certificate:smallp:odd-decay-{k}",
-                ck.passed and ck.witness_sign > 0 and not ck.zero_at_upper)
+        _certify(rep, f"smallp:odd-decay-{k}", decay, F(0), TAU, witness, at_lo=None)
 
     # sampled exact evaluations
     for ps in (F(1, 8), F(1, 5), TAU):

@@ -165,6 +165,38 @@ class TestReportDigests:
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv, code, fmt, digest", [
+        (("verify", "smallp"), 0, "text",
+         "3a3d6ae53de6f685fc6a190d65b9dbaa4d3ab09b64fa49ba2990d6fc93ec6fb3"),
+        (("verify", "smallp"), 0, "csv",
+         "df677b2f0764e1396445af6cea3f4ed3eb8e3811b0da73a555b29ef3ef59ce54"),
+        (("verify", "skew", "--plo", "6/25", "--phi", "31/125"), 1, "text",
+         "9d0dd915ecce4b9351c6bd4e0e2b91743f32d7d54842dc5bb814c6ca92b87c1b"),
+        (("verify", "skew", "--plo", "6/25", "--phi", "31/125"), 1, "csv",
+         "d1b5565a1efee055cf9e3dff9a667485a6b67d68d93fa04c6ba8db5f67029ada"),
+        (("families", "bound-check", "--n", "5"), 0, "text",
+         "324efe94dc131c604aa315b59ded1f0b3830ce34acbbea6cc1ec17a806f983db"),
+        (("families", "bound-check", "--n", "5"), 0, "csv",
+         "1193f34db9a561750970c751b4d4ae05f8048e49fe3195bbdf01bd3d1cca8b6e"),
+        (("families", "max-independent", "--seed", "1"), 0, "text",
+         "1f079341565b5a8fe5c389e1595bcc5108944246dec037f606b8803be982601c"),
+        (("families", "max-independent", "--seed", "1"), 0, "csv",
+         "febe642c59b950ee6678330fcb89d6c586db86abbe3bbbe52bf3e13dfc6899a0"),
+        (("hoffman", "--lambda-min=-1/7", "--gap", "1/952"), 0, "text",
+         "8893e9f49f5c08277c57b15d6b72d5c0728e6ff28186561853dedcb4261e224a"),
+        (("hoffman", "--lambda-min=-1/7", "--gap", "1/952"), 0, "csv",
+         "dbe467bd8f64cd06d3f946e51ecefe7b2515518db8726a8afe26649518aeef11"),
+    ], ids=["smallp-text", "smallp-csv", "skew-below-tau-text", "skew-below-tau-csv",
+            "bound-check-n5-text", "bound-check-n5-csv", "max-independent-text",
+            "max-independent-csv", "hoffman-text", "hoffman-csv"])
+    def test_text_and_csv_digest(self, capsys, argv, code, fmt, digest):
+        # the text of a campaign ends in a runtime line, which is left out
+        rc, out, _ = run(capsys, *argv, "--format", fmt)
+        out = "".join(line for line in out.splitlines(keepends=True)
+                      if not line.startswith("runtime: "))
+        assert rc == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_cutstat_file_json_digest(self, capsys, tmp_path):
         # a triangle among isolated vertices, C5, a triangle bridged to a
         # chorded 4-cycle, and the 3 x 4 grid
@@ -175,6 +207,39 @@ class TestReportDigests:
         payload = json.dumps(json.loads(out), indent=2)
         assert hashlib.sha256(payload.encode()).hexdigest() == (
             "2663cc7b293efc9b759607c6a5ef1db5d2fbfcbba35671cb2ed85d20d01b1446")
+
+
+class TestOutFile:
+    """--out FILE receives exactly what stdout would, for each command that
+    writes through the one writer; a campaign's runtime and command line are
+    the only parts that may differ between the two runs."""
+
+    @staticmethod
+    def comparable(text, fmt):
+        if fmt == "json" and text.startswith("{"):
+            payload = json.loads(text)
+            payload.pop("runtime_seconds", None)
+            payload.pop("command", None)
+            return payload
+        return [line for line in text.splitlines(keepends=True)
+                if not line.startswith("runtime: ")]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "skew", "--plo", "6/25", "--phi", "31/125"),
+        ("cutstat", "--builtin"),
+        ("families", "bound-check", "--n", "5"),
+        ("hoffman", "--lambda-min=-1/7", "--gap", "1/952"),
+    ], ids=["campaign", "cutstat", "families", "hoffman"])
+    def test_out_file_matches_stdout(self, capsys, tmp_path, argv, fmt):
+        rc, out, _ = run(capsys, *argv, "--format", fmt)
+        dest = tmp_path / "out"
+        rc_file, out_file, err = run(capsys, *argv, "--format", fmt, "--out", str(dest))
+        assert (rc_file, out_file, err) == (rc, "", "")
+        written = dest.read_bytes().decode()
+        assert self.comparable(written, fmt) == self.comparable(out, fmt)
+        if argv[0] != "verify":
+            assert written == out
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -177,6 +178,20 @@ class TestPredicates:
         free = {63 ^ g for g in agreement_generators(4)}
         for m in range(64):
             assert (m not in free) == Graph(4, m).contains_triangle()
+
+
+    def test_partner_cache_stays_small_at_six_vertices(self):
+        # 1024 members of a K6 umvirate ask for 1024 partner indicators of
+        # 2^15 bits each, 4 MiB in all; the cache keeps a bounded number
+        fam = Family(6, sorted(umvirate(6, triangle_masks(6)[0]))[:1024])
+        families._partners.cache_clear()
+        tracemalloc.start()
+        try:
+            assert is_triangle_intersecting(fam)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 << 20, f"{held / 2 ** 20:.1f} MiB held"
 
 
 class TestCompression:

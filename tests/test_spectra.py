@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from occlib import spectra
 from occlib.cutstats import class_catalogue, cut_profile
-from occlib.exact import RationalFunction
+from occlib.exact import RationalFunction, frac_str
 from occlib.graph import Graph, canonical_key, enumerate_unlabeled, write_graph6
 from occlib.spectra import (
     COMBINE_WEIGHT,
@@ -337,6 +337,51 @@ class TestCatalogue:
         catalogue = class_catalogue()
         assert [e.graph for e in catalogue.values()] == list(reps)
         assert list(catalogue) == [canonical_key(g) for g in reps]
+
+
+class TestCertificateRule:
+    """spectra._certify: the claim of one sign certificate under its sign and
+    endpoint rules (True: a root required, False: none allowed, None: either)."""
+
+    X = RationalFunction.x()
+
+    def claim(self, rf, lo=F(0), hi=F(1, 4), **rules):
+        rep = spectra.VerificationReport("rule")
+        spectra._certify(rep, "case", rf, lo, hi, F(1, 8), **rules)
+        (cert,), (check,) = rep.certificates, rep.checks
+        assert cert.case_id == "case" and check.claim_id == "certificate:case"
+        return check
+
+    @pytest.mark.parametrize("at_lo, ok", [(True, True), (False, False), (None, True)])
+    def test_root_at_lower_endpoint(self, at_lo, ok):
+        # x on [0, 1/4]: positive inside, zero at 0 only
+        assert self.claim(self.X, at_lo=at_lo).ok is ok
+
+    @pytest.mark.parametrize("at_hi, ok", [(True, True), (False, False), (None, True)])
+    def test_root_at_upper_endpoint(self, at_hi, ok):
+        # 1/4 - x on [0, 1/4]: positive inside, zero at 1/4 only
+        assert self.claim(F(1, 4) - self.X, at_hi=at_hi).ok is ok
+
+    def test_required_root_that_is_absent(self):
+        # x + 1 has no root on [0, 1/4]: a required endpoint root fails the claim
+        assert self.claim(self.X + 1).ok
+        assert not self.claim(self.X + 1, at_lo=True).ok
+        assert not self.claim(self.X + 1, at_hi=True).ok
+
+    def test_witness_sign(self):
+        assert self.claim(-self.X, sign=-1, at_lo=True).ok
+        check = self.claim(self.X, sign=-1, at_lo=True)
+        assert not check.ok and check.detail == ""
+
+    def test_failing_certificate_carries_its_bracket(self):
+        # 3x - 1 changes sign at 1/3, inside [0, 1/2]
+        rep = spectra.VerificationReport("rule")
+        spectra._certify(rep, "case", 3 * self.X - 1, F(0), F(1, 2), F(1, 8))
+        (cert,), (check,) = rep.certificates, rep.checks
+        assert cert.status == "fail" and not check.ok
+        x1, x2, _, _ = cert.failure_bracket
+        assert x1 < F(1, 3) < x2
+        assert check.detail == f"sign change in [{frac_str(x1)}, {frac_str(x2)}]"
 
 
 class TestCampaigns:
