@@ -8,7 +8,8 @@ drawn on the non-isolated vertices, so isolated vertices never affect any
 statistic.
 
 Three exact routes compute the size distribution:
-  - enumeration of all 2^(v-1) colorings (cut_profile, which needs v <= 24);
+  - enumeration of all 2^(v-1) colorings (needs v <= 24), each cut the xor
+    of the stars of the vertices on one side;
   - the bridge/block product formula
         Q_G(X) = (1/2 + X/2)^m * prod_blocks Q_block(X)
     where m counts bridge edges, with each block's law from the DP below;
@@ -48,7 +49,6 @@ from .graph import (
 __all__ = [
     "CutStats",
     "ClassEntry",
-    "cut_profile",
     "cut_stats",
     "class_catalogue",
     "cut_distribution_bruteforce",
@@ -84,28 +84,6 @@ def _cut_mask_table(v: int) -> tuple[int, ...]:
 def _edge_ends(v: int) -> tuple[int, ...]:
     """Vertex mask of the two endpoints of each edge of K_v."""
     return tuple(1 << i | 1 << j for i, j in edge_pairs(v))
-
-
-def cut_profile(g: Graph) -> tuple[Graph, dict[int, int], int]:
-    """Exact multiset of cut masks of g.
-
-    Returns (core, counts, total): core is g with isolated vertices removed,
-    counts maps each achievable cut mask (in core edge coordinates) to the
-    number of colorings producing it, and total is the number of colorings
-    considered (2^(v-1), one per unordered bipartition; 1 for edgeless g).
-    """
-    core = g.strip_isolated()
-    if core.mask == 0:
-        return core, {0: 1}, 1
-    if core.n > _MAX_BRUTE_V:
-        raise ValueError(f"brute-force cut profile needs v <= {_MAX_BRUTE_V}")
-    table = _cut_mask_table(core.n)
-    counts: dict[int, int] = {}
-    gm = core.mask
-    for cm in table:
-        key = gm & cm
-        counts[key] = counts.get(key, 0) + 1
-    return core, counts, len(table)
 
 
 class CutStats(NamedTuple):
@@ -158,28 +136,34 @@ def cut_stats(g: Graph) -> CutStats:
 
 
 def _enumerated_stats(g: Graph) -> CutStats:
-    """The cut statistics of g from its cut profile, every 4-cut typed by the
-    vertices it touches."""
-    core, profile, total = cut_profile(g)
-    ends = _edge_ends(core.n)
+    """The cut statistics of g by enumeration, one coloring at a time.  With
+    the least non-isolated vertex on side 0, the cut of each of the 2^(v-1)
+    colorings is the xor of the stars in g of the vertices on side 1; it is
+    counted by its size, and a 4-cut is typed by the vertices it touches.
+    ValueError past v = 24 (2^23 colorings)."""
+    touched = _bit_positions(g.touched_vertices())
+    if len(touched) > _MAX_BRUTE_V:
+        raise ValueError(f"enumerating the cuts needs v <= {_MAX_BRUTE_V}, got v = {len(touched)}")
+    stars, ends = _vertex_stars(g.n), _edge_ends(g.n)
+    cuts = xor_span([g.mask & stars[u] for u in touched[1:]])
     counts = [0] * (g.edge_count + 1)
     forest4 = cycle4 = 0
-    for mask, c in profile.items():
-        k = mask.bit_count()
-        counts[k] += c
+    for cut in cuts:
+        k = cut.bit_count()
+        counts[k] += 1
         if k == 4:
             # a cut is bipartite: 4 of its edges on 4 vertices form a 4-cycle,
             # 4 edges on 5 or more vertices a forest
-            touched = 0
-            while mask:
-                low = mask & -mask
-                touched |= ends[low.bit_length() - 1]
-                mask ^= low
-            if touched.bit_count() == 4:
-                cycle4 += c
+            ends4 = 0
+            while cut:
+                low = cut & -cut
+                ends4 |= ends[low.bit_length() - 1]
+                cut ^= low
+            if ends4.bit_count() == 4:
+                cycle4 += 1
             else:
-                forest4 += c
-    return CutStats(tuple(counts), forest4, cycle4, total)
+                forest4 += 1
+    return CutStats(tuple(counts), forest4, cycle4, len(cuts))
 
 
 def _elimination_order(g: Graph) -> tuple[list[int], list[int], list[int]]:
@@ -320,11 +304,16 @@ class ClassEntry(NamedTuple):
     stats: CutStats
 
 
-@lru_cache(maxsize=None)
-def class_catalogue(max_vertices: int = 7) -> dict[tuple[int, int], ClassEntry]:
+def class_catalogue(max_vertices: int) -> dict[tuple[int, int], ClassEntry]:
     """Every class with at most max_vertices non-isolated vertices, by key, in
-    the order of enumerate_unlabeled; built once per process and size.  The
-    representatives are canonical cores, so each key is (v, mask) as is."""
+    the order of enumerate_unlabeled; built once per process and size, by
+    position or by keyword.  The representatives are canonical cores, so
+    each key is (v, mask) as is."""
+    return _class_catalogue(max_vertices)
+
+
+@lru_cache(maxsize=None)
+def _class_catalogue(max_vertices: int) -> dict[tuple[int, int], ClassEntry]:
     return {e.key: e for e in (ClassEntry(g, (g.v, g.mask), cut_stats(g))
                                for g in enumerate_unlabeled(max_vertices))}
 

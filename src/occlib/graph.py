@@ -301,13 +301,13 @@ def canonical_form(g: Graph) -> int:
 
     The edges among the new labels k..n-1 are exactly the top C(n-k, 2) bits,
     and placing label k adds the block of bits (k, k+1) .. (k, n-1) right
-    below them.  So labels are assigned from n-1 downward, level by level,
-    keeping every partial labelling whose blocks tie with the smallest so
-    far.  Twins (equal neighbourhoods apart from each other) are placed in
-    index order, since swapping two twins is an automorphism, and partial
-    labellings that leave the same state behind are merged.  The canonicity
-    test of enumerate_unlabeled runs the same search against a bound,
-    depth-first, and stops at the first block below the bound's.
+    below them.  So labels are assigned from n-1 downward, keeping every
+    partial labelling whose blocks tie with the smallest so far.  Twins
+    (equal neighbourhoods apart from each other) are placed in index order,
+    since swapping two twins is an automorphism, and partial labellings that
+    leave the same state behind are merged.  The canonicity test of the
+    orderly generation (_cores) runs the same search against a bound and
+    stops at the first block below the bound's.
     """
     if g.n > _CANON_MAX_N:
         raise ValueError(f"canonical form search needs n <= {_CANON_MAX_N}")
@@ -321,19 +321,21 @@ def _label_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
     """Tables of the canonical search on n vertices.
 
     A search state holds, for each unplaced vertex w, the labels of its
-    placed neighbours as an n-bit field at bit n*w of one integer.
-    fields[s] covers the fields of the vertex set s, spread[s] sets bit 0 of
-    the field of each vertex in s, and shifts[k] is the bit position of the
-    block of label k in an edge mask.
+    placed neighbours as an n-bit field at bit (n+1)*w of one integer; the
+    bit above each field is a guard bit, clear in every state.  fields[s]
+    covers the fields of the vertex set s, spread[s] sets bit 0 of the field
+    of each vertex in s (so x * spread[s] repeats x in each of those
+    fields), and shifts[k] is the bit position of the block of label k in an
+    edge mask.  Built on first use.
     """
-    ones = (1 << n) - 1
+    width, ones = n + 1, (1 << n) - 1
     fields = [0] * (1 << n)
     spread = [0] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s
         w = low.bit_length() - 1
-        fields[s] = fields[s ^ low] | ones << (n * w)
-        spread[s] = spread[s ^ low] | 1 << (n * w)
+        fields[s] = fields[s ^ low] | ones << (width * w)
+        spread[s] = spread[s ^ low] | 1 << (width * w)
     shifts = tuple(edge_index(k, k + 1, n) if k < n - 1 else 0 for k in range(n))
     return tuple(fields), tuple(spread), shifts
 
@@ -341,14 +343,17 @@ def _label_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
 def _twin_rule(n: int, adj: list[int]) -> list[int]:
     """Per vertex, the lower-index twins that must be placed before it:
     non-adjacent twins have equal neighbourhoods, adjacent twins equal
-    closed neighbourhoods."""
+    closed neighbourhoods.  No open neighbourhood N(w) equals a closed one
+    N[u]: u would lie in N(w), so w in N(u), which lies in N[u] = N(w).  So
+    both kinds of key share one table."""
     needs = []
     earlier: dict[int, int] = {}
     for u in range(n):
-        open_key, closed_key = adj[u] << 1, (adj[u] | 1 << u) << 1 | 1
+        bit = 1 << u
+        open_key, closed_key = adj[u], adj[u] | bit
         needs.append(earlier.get(open_key, 0) | earlier.get(closed_key, 0))
-        earlier[open_key] = earlier.get(open_key, 0) | 1 << u
-        earlier[closed_key] = earlier.get(closed_key, 0) | 1 << u
+        earlier[open_key] = earlier.get(open_key, 0) | bit
+        earlier[closed_key] = earlier.get(closed_key, 0) | bit
     return needs
 
 
@@ -357,54 +362,37 @@ def _least_relabelling(n: int, adj: list[int], bound: int | None = None) -> int 
 
     A state is (labels, free): the placed-neighbour label fields of the free
     (unplaced) vertices, and the free vertex mask; its level k is the next
-    label to assign, one less than the number of free vertices.  Without a
-    bound the states are expanded level by level and the minimum is
-    returned.  With a bound the states are walked depth-first from a stack,
-    keeping only those whose blocks tie with the bound's, and the search
-    returns None at the first block strictly below the bound's block at the
-    same label: the bound is then not the minimum of its class.  A bound
-    taken from the class itself is never below the minimum, so if no block
-    undercuts it the minimum is the bound and the bound is returned.
+    label to assign, one less than the number of free vertices.  At level k
+    only labels k+1..n-1 are placed, so a field is its vertex's block shifted
+    up by k+1 bits, and blocks compare as fields.  Every field is compared
+    with a value x at once: subtracting the fields from x repeated in each
+    field with its guard bit set leaves the guard bit of exactly the fields
+    <= x (Lamport, CACM 1975), so one subtraction marks the fields below a
+    block and one the fields equal to or below it.  Only the tied vertices
+    are walked, and only they are held to the twin rule: a twin the rule
+    holds back has the same field as its free lower-index twin.
+
+    The states are walked depth-first from a stack, keeping only those whose
+    blocks tie with the least block known at each label.  With a bound those
+    are the bound's blocks, and the search returns None at the first block
+    strictly below one of them: the bound is then not the minimum of its
+    class.  A bound taken from the class itself is never below the minimum,
+    so if no block undercuts it the bound is returned.  Without a bound a
+    label's block is first known when a state reaches it, and a block below
+    it replaces it and forgets what is known below that label; the states
+    on the stack are then all at that label or above, and every state met
+    below it is met afresh.  The known blocks make up the minimum.
     """
     needs = _twin_rule(n, adj)
     fields, spread_of, shifts = _label_tables(n)
     spread = [spread_of[a] for a in adj]
-
-    def place(labels: int, free: int, k: int, best: int, out: list) -> int:
-        # offer label k to every free vertex the twin rule allows; return the
-        # least block if it is below best, else best, and append to out the
-        # child state of each vertex whose block equals the returned value
-        # (out is cleared on a new minimum, which ends a bounded search)
-        low = (1 << (n - 1 - k)) - 1
-        f = free
-        while f:
-            bit = f & -f
-            f ^= bit
-            u = bit.bit_length() - 1
-            if needs[u] & free:
-                continue
-            block = labels >> (u * n + k + 1) & low
-            if block <= best:
-                if block < best:
-                    best = block
-                    out.clear()
-                if k:
-                    rest = free ^ bit
-                    out.append(((labels | spread[u] << k) & fields[rest], rest))
-        return best
-
-    start = (0, (1 << n) - 1)
+    width, ones = n + 1, (1 << n) - 1
+    # the least block known at each label, as a field; None while unknown
     if bound is None:
-        states = [start]
-        value = 0
-        for k in range(n - 1, -1, -1):
-            best, ties = 1 << n, []
-            for labels, free in states:
-                best = place(labels, free, k, best, ties)
-            value |= best << shifts[k]
-            states = set(ties)
-        return value
-    stack = [start]
+        wants = [None] * n
+    else:
+        wants = [(bound >> shifts[k] & ((1 << (n - 1 - k)) - 1)) << k + 1 for k in range(n)]
+    stack = [(0, (1 << n) - 1)]
     seen = set()
     while stack:
         state = stack.pop()
@@ -413,10 +401,33 @@ def _least_relabelling(n: int, adj: list[int], bound: int | None = None) -> int 
         seen.add(state)
         labels, free = state
         k = free.bit_count() - 1
-        want = bound >> shifts[k] & ((1 << (n - 1 - k)) - 1)
-        if place(labels, free, k, want, stack) < want:
-            return None
-    return bound
+        least = wants[k]
+        if least is None:
+            least = wants[k] = labels >> width * ((free & -free).bit_length() - 1) & ones
+        rep = spread_of[free]
+        guards = rep << n
+        below = ((least - 1) * rep | guards) - labels & guards if least else 0
+        if below:
+            if bound is not None:
+                return None
+            least = wants[k] = min(labels >> (pos - n) & ones for pos in _bit_positions(below))
+            wants[:k] = [None] * k
+            # a state below label k met under the old block may recur under
+            # the new one, from a labelling whose placed blocks differ
+            seen = {s for s in seen if s[1].bit_count() > k}
+        if k:
+            ties = ((least * rep | guards) - labels & guards) >> n
+            while ties:
+                bit = ties & -ties
+                ties ^= bit
+                u = bit.bit_length() // width
+                if needs[u] & free:
+                    continue
+                rest = free ^ 1 << u
+                stack.append(((labels | spread[u] << k) & fields[rest], rest))
+    if bound is not None:
+        return bound
+    return sum(least >> k + 1 << shifts[k] for k, least in enumerate(wants))
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
@@ -429,19 +440,30 @@ def canonical_key(g: Graph) -> tuple[int, int]:
 def enumerate_unlabeled(max_vertices: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of graphs without isolated
     vertices on at most max_vertices vertices (the empty graph included),
-    each with its canonical mask, sorted by (v, edge count, mask).
-
-    Orderly generation downward from K_n: setting the lowest zero bit of a
-    canonical mask gives another canonical mask, so every canonical mask but
-    K_n's has exactly one canonical parent.  A canonical mask's children are
-    therefore the canonical masks among it with one of the bits below its
-    lowest zero bit cleared, and each class is met exactly once.  Isolated
-    vertices take the top labels of a canonical mask, so stripping them
-    leaves the core's canonical mask.
-    """
+    each with its canonical mask, sorted by (v, edge count, mask).  The
+    classes on v vertices come from _cores(v), built once per process."""
     if not 1 <= max_vertices <= 7:
         raise ValueError("exhaustive enumeration supported for 1..7 vertices")
-    n = max_vertices
+    reps = [Graph(1, 0)]
+    for v in range(2, max_vertices + 1):
+        reps += sorted((Graph(v, m) for m in _cores(v)), key=lambda g: (g.edge_count, g.mask))
+    return tuple(reps)
+
+
+@lru_cache(maxsize=None)
+def _cores(n: int) -> tuple[int, ...]:
+    """The canonical masks of the graphs on n >= 2 vertices without an
+    isolated vertex.
+
+    Orderly generation downward from K_n (Read, 1978; McKay, J. Algorithms
+    1998): setting the lowest zero bit of a canonical mask gives another
+    canonical mask, so every canonical mask but K_n's has exactly one
+    canonical parent.  A canonical mask's children are therefore the
+    canonical masks among it with one of the bits below its lowest zero bit
+    cleared, and each class is met exactly once.  Adding an edge isolates no
+    vertex, so the masks without an isolated vertex form a subtree under K_n,
+    and a child that would isolate a vertex is not tested.
+    """
     pairs = edge_pairs(n)
     full = (1 << len(pairs)) - 1
     found = [full]
@@ -451,6 +473,8 @@ def enumerate_unlabeled(max_vertices: int) -> tuple[Graph, ...]:
         lowest_zero = (~mask & (mask + 1)).bit_length() - 1
         for b in range(lowest_zero):
             i, j = pairs[b]
+            if adj[i] == 1 << j or adj[j] == 1 << i:
+                continue
             child = list(adj)
             child[i] ^= 1 << j
             child[j] ^= 1 << i
@@ -458,9 +482,7 @@ def enumerate_unlabeled(max_vertices: int) -> tuple[Graph, ...]:
             if _least_relabelling(n, child, cmask) is not None:
                 found.append(cmask)
                 todo.append((cmask, child))
-    reps = [Graph(n, m).strip_isolated() for m in found]
-    reps.sort(key=lambda g: (g.v, g.edge_count, g.mask))
-    return tuple(reps)
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

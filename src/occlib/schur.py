@@ -188,27 +188,30 @@ def lift_graph(g: Graph) -> VectorSet:
 
 
 def _dense_tables(n: int):
-    """Per-mask xor-sum and rank over all subsets of the nonzero vectors,
-    built by stripping the lowest vector."""
+    """Per-mask xor-sum and rank over all subsets of the nonzero vectors of
+    GF(2)^n, built by stripping the lowest vector.  The span of a subset is
+    held as a 2^n-bit set, bit x set when x is in it; a vector outside the
+    span doubles it by its coset, the span translated by xor with v, which
+    swaps the halves of each block of 2^i bits for each bit i of v.  The rank
+    is log2 of the span's size."""
     size = 1 << (1 << n)
+    halves = [sum(1 << x for x in range(1 << n) if not x >> i & 1) for i in range(n)]
     xs = [0] * size
-    rank = [0] * size
-    basis: list[tuple[int, ...]] = [()] * size
+    span = [1] * size  # the span of the empty set is {0}
     for m in range(2, size, 2):
         low = m & -m
         v = low.bit_length() - 1
         rest = m ^ low
         xs[m] = xs[rest] ^ v
-        red = v
-        for x in basis[rest]:
-            red = min(red, red ^ x)
-        if red:
-            basis[m] = tuple(sorted(basis[rest] + (red,), reverse=True))
-            rank[m] = rank[rest] + 1
-        else:
-            basis[m] = basis[rest]
-            rank[m] = rank[rest]
-    return xs, rank
+        s = span[rest]
+        if not s >> v & 1:
+            coset = s
+            for i, lower in enumerate(halves):
+                if v >> i & 1:
+                    coset = (coset & lower) << (1 << i) | coset >> (1 << i) & lower
+            s |= coset
+        span[m] = s
+    return xs, [s.bit_count().bit_length() - 1 for s in span]
 
 
 def verify_oldc_claims(seed: int = 20260815) -> VerificationReport:

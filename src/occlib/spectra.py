@@ -404,7 +404,7 @@ class VerificationReport:
 def _four_forest_keys() -> frozenset:
     """All 8 isomorphism classes of 4-edge forests; the 4-matching spans
     8 vertices and sits outside the 7-vertex enumeration."""
-    keys = {key for key, e in class_catalogue().items()
+    keys = {key for key, e in class_catalogue(7).items()
             if e.stats.size == 4 and e.graph.is_forest()}
     keys.add(canonical_key(reference_graphs()["matching4"]))
     return frozenset(keys)
@@ -443,7 +443,7 @@ def verify_uniform_claims() -> VerificationReport:
     """Exhaustive verification of the uniform spectra over all isomorphism
     classes with at most 7 non-isolated vertices."""
     rep = VerificationReport("uniform-claims")
-    catalogue = class_catalogue()
+    catalogue = class_catalogue(7)
     refs = reference_graphs()
     t1 = tight_uniform_keys()
     tc = tight_combined_keys()
@@ -637,7 +637,7 @@ def verify_skew_cases(p_lo: Fraction, p_hi: Fraction) -> VerificationReport:
 
     # exhaustive spot checks at sampled biases: arithmetic over the catalogue
     samples = sorted({p_lo, p_hi} | ({witness} if p_lo <= witness <= p_hi else set()))
-    catalogue = class_catalogue()
+    catalogue = class_catalogue(7)
     tight_small = tight_combined_keys()          # edge, path2, 2-forest, triangle
     tight_half = tight_uniform_keys()            # adds 4-forests and K4minus at 1/2
     for p in samples:
@@ -723,10 +723,12 @@ def verify_cut_lemmas() -> VerificationReport:
     claim per lemma, and the law that ties the cube to the cut laws: on K4 at
     p = 1/2, averaging the tensor operators T_B over the 8 colouring cuts B,
     each of which flips every edge off B, multiplies psi_S by
-    (-1)^|S| Q_S(-1), for all 64 characters."""
+    (-1)^|S| Q_S(-1), for all 64 characters.  It is checked per operator:
+    T_B psi_S = (-1)^|S off B| psi_S for each B and S, and the mean of those
+    signs over the 8 cuts is (-1)^|S| Q_S(-1), compared in integers."""
     rep = VerificationReport("cut-lemmas")
     failing = {lemma: [] for lemma in CUT_LEMMAS}
-    for e in class_catalogue().values():
+    for e in class_catalogue(7).values():
         if e.stats.size:
             for lemma in check_cut_lemmas(e.graph, e.stats):
                 failing[lemma].append(write_graph6(e.graph))
@@ -734,13 +736,16 @@ def verify_cut_lemmas() -> VerificationReport:
         rep.add(f"cut-lemma:{lemma}", not bad, ",".join(bad[:5]))
 
     bad = []
-    shifts = [TensorOperator(4, F(1, 2), b) for b in _cut_mask_table(4)]
+    cuts = _cut_mask_table(4)
+    shifts = [TensorOperator(4, F(1, 2), b) for b in cuts]
     for s in range(64):
-        stats = cut_stats(Graph(4, s))  # lam = (-1)^|S| Q_S(-1)
-        lam = F(sum((-1) ** (stats.size + k) * c for k, c in enumerate(stats.counts)), stats.total)
         psi = character(4, F(1, 2), s)
-        images = [op.apply(psi).values for op in shifts]
-        if [sum(col) / len(shifts) for col in zip(*images)] != [lam * x for x in psi.values]:
+        images = {1: psi.values, -1: [-x for x in psi.values]}
+        signs = [(-1) ** (s & ~b).bit_count() for b in cuts]
+        eigen = all(op.apply(psi).values == images[sign] for op, sign in zip(shifts, signs))
+        stats = cut_stats(Graph(4, s))  # law / total = (-1)^|S| Q_S(-1)
+        law = sum((-1) ** (stats.size + k) * c for k, c in enumerate(stats.counts))
+        if not eigen or sum(signs) * stats.total != len(cuts) * law:
             bad.append(str(s))
     rep.add("shift-average:K4:psi_S-eigenvalue=(-1)^|S|Q_S(-1)", not bad, ",".join(bad[:5]))
     return rep

@@ -19,7 +19,6 @@ from occlib.cutstats import (
     class_catalogue,
     cut_distribution_blocks,
     cut_distribution_bruteforce,
-    cut_profile,
     cut_stats,
 )
 from occlib.exact import Polynomial
@@ -199,8 +198,8 @@ def _cycle_counts(length):
 
 
 class TestFrontierDP:
-    """The frontier DP over an elimination order against cut_profile
-    enumeration, and past the v <= 24 cap of enumeration against closed forms."""
+    """The frontier DP over an elimination order against enumeration, and
+    past the v <= 24 cap of enumeration against closed forms."""
 
     def test_every_catalogue_class(self):
         for entry in class_catalogue(7).values():
@@ -242,7 +241,7 @@ class TestFrontierDP:
     def test_long_cycles(self, length):
         g = Graph.from_edges(length, _cycle_edges(list(range(length))))
         with pytest.raises(ValueError, match="v <= 24"):
-            cut_profile(g)
+            _enumerated_stats(g)
         counts = _cycle_counts(length)  # every 4 of its edges form a forest
         assert cut_stats(g) == CutStats(tuple(counts), counts[4], 0, 2 ** (length - 1))
 

@@ -35,8 +35,43 @@ TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 @lru_cache(maxsize=None)
 def brute_force_form(g):
     """Independent oracle for canonical forms: the least relabelled mask
-    over all n! vertex permutations."""
-    return min(g.permute(sigma).mask for sigma in itertools.permutations(range(g.n)))
+    over all n! vertex permutations, with labels given from n-1 down.  The
+    edges among the labels k..n-1 are the top bits of a mask, so a partial
+    labelling whose top bits already exceed those of the least mask found
+    is dropped: every completion of it is larger."""
+    n, adj = g.n, g.adjacency()
+    e = n * (n - 1) // 2
+    label = [0] * n
+    least = 1 << e  # above every mask
+
+    def extend(k, free, mask):
+        nonlocal least
+        if k < 0:
+            least = min(least, mask)
+            return
+        top = edge_index(k, k + 1, n) if k < n - 1 else e
+        for u in range(n):
+            if free >> u & 1:
+                m = mask
+                for w in range(n):
+                    if adj[u] >> w & 1 and not free >> w & 1:
+                        m |= 1 << edge_index(k, label[w], n)
+                if m >> top <= least >> top:
+                    label[u] = k
+                    extend(k - 1, free ^ 1 << u, m)
+
+    extend(n - 1, (1 << n) - 1, 0)
+    return least
+
+
+def test_brute_force_form_is_the_least_over_all_permutations():
+    # the pruned oracle against a plain scan of all n! relabellings
+    rng = random.Random(3)
+    for n in range(1, 7):
+        for _ in range(30):
+            g = Graph(n, rng.getrandbits(len(edge_pairs(n))))
+            plain = min(g.permute(sigma).mask for sigma in itertools.permutations(range(n)))
+            assert brute_force_form(g) == plain, (n, g.mask)
 
 
 class TestBasics:
@@ -237,9 +272,12 @@ class TestEnumeration:
         for n in range(1, 8):
             assert enumerate_unlabeled(n) == self.augmentation_bfs(n), n
 
+    def test_catalogue_is_built_once_however_its_size_is_spelled(self):
+        assert class_catalogue(7) is class_catalogue(max_vertices=7)
+
     def test_catalogue_keys_are_recomputed_canonical_keys(self):
         canonical_form.cache_clear()
-        catalogue = class_catalogue()
+        catalogue = class_catalogue(7)
         assert len(catalogue) == 1044
         for key, entry in catalogue.items():
             assert key == canonical_key(entry.graph), entry.graph
@@ -263,6 +301,24 @@ class TestEnumeration:
                 g = Graph(n, rng.getrandbits(len(edge_pairs(n))))
                 for h in (g, Graph(n, canonical_form(g))):
                     assert self.bounded_agrees(h), (n, h.mask)
+
+    @pytest.mark.parametrize("n, count", [(5, None), (6, 300), (7, 150), (8, 200)])
+    def test_word_parallel_bounded_search_matches_brute_force(self, n, count):
+        # every K5 mask, or count seeded masks each with its least relabelling,
+        # so that both answers occur in each sample
+        if count is None:
+            masks = range(1 << len(edge_pairs(n)))
+        else:
+            rng = random.Random(43 + n)
+            sample = [Graph(n, rng.getrandbits(len(edge_pairs(n)))) for _ in range(count)]
+            masks = [m for g in sample for m in (g.mask, brute_force_form(g))]
+        answers = set()
+        for mask in masks:
+            g = Graph(n, mask)
+            got = _least_relabelling(n, g.adjacency(), mask)
+            assert got == (mask if brute_force_form(g) == mask else None), (n, mask)
+            answers.add(got)
+        assert None in answers and len(answers) > 1
 
     @staticmethod
     def both_searches_match_brute_force(g):

@@ -50,6 +50,19 @@ def gf2_rank(vectors) -> int:
     return len(basis)
 
 
+def echelon_rank(vectors, n: int) -> int:
+    """Rank over GF(2) by row echelon form: for each bit from the top, one
+    row holding it becomes the pivot and is cleared from the other rows."""
+    rows, rank = list(vectors), 0
+    for bit in reversed(range(n)):
+        at = next((i for i, r in enumerate(rows) if r >> bit & 1), None)
+        if at is not None:
+            pivot = rows.pop(at)
+            rows = [r ^ pivot if r >> bit & 1 else r for r in rows]
+            rank += 1
+    return rank
+
+
 def rank_typed_stats(vs: VectorSet) -> CutStats:
     """The cut statistics of vs from the inner-product definition of a cut,
     each 4-cut typed by its rank: 4 for an independent set, 3 for a box."""
@@ -176,6 +189,11 @@ class TestVectorSetBasics:
         assert BOX.mask in _boxes(3)
         assert VectorSet.from_vectors(4, [1, 2, 12, 15]).mask in _boxes(4)
         assert INDEP4.mask not in _boxes(4)
+
+    def test_dense_ranks_match_echelon_elimination_in_dimension_four(self):
+        xs, rank = _dense_tables(4)
+        for m in range(0, 1 << 16, 2):
+            assert rank[m] == echelon_rank(VectorSet(4, m).vectors(), 4), m
 
     def test_dense_tables_match_oracle(self):
         xs, rank = _dense_tables(3)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occlib import spectra
-from occlib.cutstats import class_catalogue, cut_profile
+from occlib.cutstats import class_catalogue
 from occlib.exact import RationalFunction, frac_str
-from occlib.graph import Graph, canonical_key, enumerate_unlabeled, write_graph6
+from occlib.graph import Graph, canonical_key, edge_index, enumerate_unlabeled, write_graph6
 from occlib.spectra import (
     COMBINE_WEIGHT,
     GAP_COMBINED,
@@ -300,25 +300,36 @@ class TestSpectrumAlgebra:
 
 class TestCatalogue:
     @staticmethod
-    def direct(g, weights, base):
-        """(lambda1, lambda2) straight from one cut profile: weights are the
+    def cut_masks(g):
+        """The cut of every coloring of the non-isolated vertices of g with
+        the least of them on side 0: the edges whose ends differ in color."""
+        verts = [u for u in range(g.n) if g.touched_vertices() >> u & 1]
+        sides = [sum(1 << u for t, u in enumerate(verts[1:]) if bits >> t & 1)
+                 for bits in range(1 << max(len(verts) - 1, 0))]
+        return [sum(1 << edge_index(i, j, g.n) for i, j in g.edges() if (side >> i ^ side >> j) & 1)
+                for side in sides]
+
+    @classmethod
+    def direct(cls, g, weights, base):
+        """(lambda1, lambda2) straight from the cuts of g: weights are the
         coefficients of q0..q3, base the sign base."""
-        core, profile, total = cut_profile(g)
+        cuts = cls.cut_masks(g)
+        total = len(cuts)
         q = [F(0)] * 4
         forest = cycle = F(0)
-        for mask, c in profile.items():
+        for mask in cuts:
             k = mask.bit_count()
             if k < 4:
-                q[k] += F(c, total)
-            elif k == 4 and Graph(core.n, mask).is_forest():
-                forest += F(c, total)
+                q[k] += F(1, total)
+            elif k == 4 and Graph(g.n, mask).is_forest():
+                forest += F(1, total)
             elif k == 4:
-                cycle += F(c, total)
+                cycle += F(1, total)
         sign = base ** g.edge_count
         return sign * sum(w * qk for w, qk in zip(weights, q)), sign * (forest - cycle)
 
     def test_matches_direct_recomputation_up_to_six_vertices(self):
-        entries = [e for e in class_catalogue().values() if e.graph.v <= 6]
+        entries = [e for e in class_catalogue(7).values() if e.graph.v <= 6]
         assert len(entries) == 156
         uniform = (1, F(-5, 7), F(-1, 7), F(3, 28))
         p = F(3, 8)
@@ -334,7 +345,7 @@ class TestCatalogue:
 
     def test_keys_and_order_follow_the_enumeration(self):
         reps = enumerate_unlabeled(7)
-        catalogue = class_catalogue()
+        catalogue = class_catalogue(7)
         assert [e.graph for e in catalogue.values()] == list(reps)
         assert list(catalogue) == [canonical_key(g) for g in reps]
 
@@ -458,3 +469,12 @@ class TestCampaigns:
         bad = {c.claim_id: c.detail for c in spectra.verify_cut_lemmas().checks if not c.ok}
         assert bad == {"cut-lemma:q2<=3/4": "Bw",
                        "shift-average:K4:psi_S-eigenvalue=(-1)^|S|Q_S(-1)": "1,2,3,4,5"}
+
+    def test_shift_average_claim_fails_on_a_wrong_cut_law(self, monkeypatch):
+        # the operators are right, but the triangle S = 11 of K4 gets the law
+        # of a 2-edge path, whose signed mean is 0, not -1
+        real = spectra.cut_stats
+        monkeypatch.setattr(spectra, "cut_stats",
+                            lambda g: real(Graph(g.n, g.mask ^ 1) if g.mask == 11 else g))
+        bad = {c.claim_id: c.detail for c in spectra.verify_cut_lemmas().checks if not c.ok}
+        assert bad == {"shift-average:K4:psi_S-eigenvalue=(-1)^|S|Q_S(-1)": "11"}
