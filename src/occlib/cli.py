@@ -6,6 +6,12 @@ campaign reports a failing claim, 2 for usage or input errors.  All rational
 output is exact, rendered as num/den.  Each command builds its JSON payload,
 CSV rows and text lines, and `_write` alone turns the one --format asks for
 into output, to --out FILE or stdout.
+
+Each verify campaign and each families action has its own sub-parser, which
+declares the options its runner reads, with their defaults, and binds the
+runner; argparse refuses any other option, so a setting never reads as
+verified when the command ignored it.  Options follow the campaign or
+action name.
 """
 
 from __future__ import annotations
@@ -48,10 +54,20 @@ __all__ = ["build_parser", "main"]
 
 
 def parse_rational(text: str) -> Fraction:
+    # A larger value, or one a report derives from it, can pass CPython's
+    # 4300-digit limit on printing an int after the campaign has run.  A text
+    # that long, or an exponent of 5 digits (Fraction spends seconds on
+    # 1e-10000000), is refused before Fraction parses it.
+    too_large = argparse.ArgumentTypeError(f"numerator or denominator above 10^1000: {text!r}")
+    if len(text) > 4300 or len(text.lower().partition("e")[2].lstrip("+-0")) > 4:
+        raise too_large
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    if max(abs(value.numerator), value.denominator) > 10 ** 1000:
+        raise too_large
+    return value
 
 
 def positive_int(text: str) -> int:
@@ -81,31 +97,6 @@ def _write(args, payload, csv_rows, text_lines) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _finish_campaign(args, argv, report, seed, started) -> int:
-    payload = {
-        "campaign": report.name,
-        "command": "occ " + " ".join(argv),
-        "version": __version__,
-        "seed": seed,
-        "ok": report.ok,
-        "report": report.to_json_dict(),
-        "runtime_seconds": round(time.perf_counter() - started, 3),
-    }
-    rows = [["claim_id", "ok", "detail"]]
-    lines = [f"campaign {report.name} (occlib {__version__})"]
-    for check in report.checks:
-        rows.append([check.claim_id, "pass" if check.ok else "fail", check.detail])
-        suffix = f"  {check.detail}" if check.detail else ""
-        lines.append(f"{'PASS' if check.ok else 'FAIL'} {check.claim_id}{suffix}")
-    certs = report.certificates
-    if certs:
-        lines.append(f"certificates: {sum(c.passed for c in certs)}/{len(certs)} pass")
-    lines.append(f"result: {'PASS' if report.ok else 'FAIL'} ({len(report.checks)} checks)")
-    lines.append(f"runtime: {payload['runtime_seconds']}s")
-    _write(args, payload, rows, lines)
-    return 0 if report.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -160,27 +151,32 @@ def cmd_cutstat(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 
-# The options of `occ verify` that each campaign reads, with the value each
-# takes when it is not given.  Any other one given is a usage error: it would
-# read as a claim verified under a setting the campaign never used.
-VERIFY_READS = {"uniform": {}, "smallp": {}, "lemmas": {},
-                "skew": {"plo": TAU, "phi": Fraction(1, 2)}, "schur": {"seed": 20260815},
-                "families": {"seed": 20260815, "campaign_size": 1000}}
-
-
 def cmd_verify(args, argv) -> int:
     started = time.perf_counter()
-    if args.claims == "schur":
-        report = verify_oldc_claims(seed=args.seed)
-    elif args.claims == "families":
-        report = verify_family_claims(seed=args.seed, campaign_size=args.campaign_size)
-    elif args.claims == "skew":
-        report = verify_skew_cases(args.plo, args.phi)
-    else:
-        report = {"uniform": verify_uniform_claims, "smallp": verify_smallp,
-                  "lemmas": verify_cut_lemmas}[args.claims]()
-    # the deterministic campaigns read no seed and report seed null
-    return _finish_campaign(args, argv, report, args.seed, started)
+    report = args.campaign(args)
+    payload = {
+        "campaign": report.name,
+        "command": "occ " + " ".join(argv),
+        "version": __version__,
+        # the deterministic campaigns read no seed and report seed null
+        "seed": vars(args).get("seed"),
+        "ok": report.ok,
+        "report": report.to_json_dict(),
+        "runtime_seconds": round(time.perf_counter() - started, 3),
+    }
+    rows = [["claim_id", "ok", "detail"]]
+    lines = [f"campaign {report.name} (occlib {__version__})"]
+    for check in report.checks:
+        rows.append([check.claim_id, "pass" if check.ok else "fail", check.detail])
+        suffix = f"  {check.detail}" if check.detail else ""
+        lines.append(f"{'PASS' if check.ok else 'FAIL'} {check.claim_id}{suffix}")
+    certs = report.certificates
+    if certs:
+        lines.append(f"certificates: {sum(c.passed for c in certs)}/{len(certs)} pass")
+    lines.append(f"result: {'PASS' if report.ok else 'FAIL'} ({len(report.checks)} checks)")
+    lines.append(f"runtime: {payload['runtime_seconds']}s")
+    _write(args, payload, rows, lines)
+    return 0 if report.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,49 +184,47 @@ def cmd_verify(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_families(args, argv) -> int:
-    if args.action == "max-independent":
-        adj = agreement_cayley(4)
-        alpha, sets = maximum_independent_sets(adj, seed=args.seed)
-        fams = [Family(4, s) for s in sets]
-        intersecting = sum(1 for f in fams if is_triangle_intersecting(f))
-        payload = {
-            "alpha": alpha,
-            "maximum_sets": len(sets),
-            "triangle_intersecting": intersecting,
-            "sets": [sorted(s) for s in sets],
-        }
-        ok = True
-    else:  # bound-check
-        n = args.n
-        lam_min = combined_lambda_min(n)
-        bound = hoffman_bound(lam_min)
-        audits = [hoffman_audit(umvirate(n, t)) for t in triangle_masks(n)]
-        dim = n * (n - 1) // 2
-        payload = {
-            "n": n,
-            "lambda_min": frac_str(lam_min),
-            "nu": frac_str(bound.nu),
-            "family_size_bound": str(2 ** dim * bound.nu),
-            "umvirate_audits": [
-                {k: (frac_str(v) if isinstance(v, Fraction) else v)
-                 for k, v in audit.items()}
-                for audit in audits
-            ],
-        }
-        ok = all(a["ok"] and a["mu"] == a["nu"] == bound.nu for a in audits)
+def _write_fields(args, payload) -> None:
+    """Write a payload of named fields: one csv row per field, a list or dict
+    as JSON, and one text line per field, with the items of a list below it,
+    a list item as its entries and any other item as JSON."""
     rows = [[k, json.dumps(v) if isinstance(v, (list, dict)) else v]
             for k, v in payload.items()]
     lines = []
     for k, v in payload.items():
         if isinstance(v, list):
             lines.append(f"{k}:")
-            lines.extend("  " + (" ".join(map(str, item)) if k == "sets" else json.dumps(item))
-                         for item in v)
+            lines.extend("  " + (" ".join(map(str, item)) if isinstance(item, list)
+                                 else json.dumps(item)) for item in v)
         else:
             lines.append(f"{k}: {v}")
     _write(args, payload, rows, lines)
-    return 0 if ok else 1
+
+
+def cmd_max_independent(args, argv) -> int:
+    alpha, sets = maximum_independent_sets(agreement_cayley(4), seed=args.seed)
+    _write_fields(args, {
+        "alpha": alpha,
+        "maximum_sets": len(sets),
+        "triangle_intersecting": sum(is_triangle_intersecting(Family(4, s)) for s in sets),
+        "sets": [sorted(s) for s in sets],
+    })
+    return 0
+
+
+def cmd_bound_check(args, argv) -> int:
+    n = args.n
+    bound = hoffman_bound(combined_lambda_min(n))
+    audits = [hoffman_audit(umvirate(n, t)) for t in triangle_masks(n)]
+    _write_fields(args, {
+        "n": n,
+        "lambda_min": frac_str(bound.lambda_min),
+        "nu": frac_str(bound.nu),
+        "family_size_bound": str(2 ** (n * (n - 1) // 2) * bound.nu),
+        "umvirate_audits": [{k: (frac_str(v) if isinstance(v, Fraction) else v)
+                             for k, v in audit.items()} for audit in audits],
+    })
+    return 0 if all(a["ok"] and a["mu"] == a["nu"] == bound.nu for a in audits) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -273,28 +267,39 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files of graph6 strings (default: stdin)")
     p.set_defaults(func=cmd_cutstat)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a verification campaign")
-    p.add_argument("claims",
-                   choices=("uniform", "skew", "smallp", "schur", "families", "lemmas"))
-    p.add_argument("--plo", type=parse_rational,
-                   help="lower endpoint for the skew campaign (default 31/125)")
-    p.add_argument("--phi", type=parse_rational,
-                   help="upper endpoint for the skew campaign (default 1/2)")
-    p.add_argument("--seed", type=int,
-                   help="seed of the schur and families campaigns (default 20260815)")
-    p.add_argument("--campaign-size", type=positive_int,
-                   help="random-family sample size for the families campaign (default 1000)")
-    p.set_defaults(func=cmd_verify)
+    p = sub.add_parser("verify", help="run a verification campaign")
+    campaigns = p.add_subparsers(dest="claims", required=True)
 
-    p = sub.add_parser("families", parents=[common],
-                       help="independent-set search and measure-bound audits")
-    p.add_argument("action", choices=("max-independent", "bound-check"))
-    p.add_argument("--seed", type=int, default=None,
-                   help="shuffle the branching order of max-independent")
-    p.add_argument("--n", type=int, choices=(4, 5, 6, 7), default=4,
-                   help="vertex count for bound-check; max-independent searches K4 only")
-    p.set_defaults(func=cmd_families)
+    def campaign(name, run):
+        c = campaigns.add_parser(name, parents=[common])
+        c.set_defaults(func=cmd_verify, campaign=run)
+        return c
+
+    campaign("uniform", lambda a: verify_uniform_claims())
+    c = campaign("skew", lambda a: verify_skew_cases(a.plo, a.phi))
+    c.add_argument("--plo", type=parse_rational, default=TAU, metavar="NUM/DEN",
+                   help="lower endpoint (default %(default)s)")
+    c.add_argument("--phi", type=parse_rational, default=Fraction(1, 2), metavar="NUM/DEN",
+                   help="upper endpoint (default %(default)s)")
+    campaign("smallp", lambda a: verify_smallp())
+    c = campaign("schur", lambda a: verify_oldc_claims(seed=a.seed))
+    c.add_argument("--seed", type=int, default=20260815, help="seed (default %(default)s)")
+    c = campaign("families", lambda a: verify_family_claims(seed=a.seed,
+                                                            campaign_size=a.campaign_size))
+    c.add_argument("--seed", type=int, default=20260815, help="seed (default %(default)s)")
+    c.add_argument("--campaign-size", type=positive_int, default=1000,
+                   help="random-family sample size (default %(default)s)")
+    campaign("lemmas", lambda a: verify_cut_lemmas())
+
+    p = sub.add_parser("families", help="independent-set search and measure-bound audits")
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("max-independent", parents=[common])
+    a.add_argument("--seed", type=int, help="shuffle the branching order")
+    a.set_defaults(func=cmd_max_independent)
+    a = actions.add_parser("bound-check", parents=[common])
+    a.add_argument("--n", type=int, choices=(4, 5, 6, 7), default=4,
+                   help="vertex count (default %(default)s)")
+    a.set_defaults(func=cmd_bound_check)
 
     p = sub.add_parser("hoffman", parents=[common],
                        help="measure bound nu = -lambda/(1 - lambda)")
@@ -310,21 +315,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        reads = VERIFY_READS[args.claims]
-        for opt in ("plo", "phi", "seed", "campaign_size"):
-            if opt not in reads and getattr(args, opt) is not None:
-                parser.error(f"verify {args.claims} does not read --{opt.replace('_', '-')}")
-            if getattr(args, opt) is None:
-                setattr(args, opt, reads.get(opt))
-        if args.claims == "skew" and not 0 < args.plo < args.phi <= Fraction(1, 2):
-            parser.error("the skew interval needs 0 < --plo < --phi <= 1/2")
-    if args.command == "families" and args.action == "bound-check" and args.seed is not None:
-        parser.error("families bound-check does not read --seed")
+    if args.command == "verify" and args.claims == "skew" and not (
+            0 < args.plo < args.phi <= Fraction(1, 2)):
+        parser.error("the skew interval needs 0 < --plo < --phi <= 1/2")
     if args.command == "cutstat" and args.builtin and args.files:
         parser.error("--builtin prints the built-in table and takes no FILE")
-    if args.command == "families" and args.action == "max-independent" and args.n != 4:
-        parser.error("max-independent searches the agreement graph of K4 only: --n must be 4")
     try:
         return args.func(args, argv)
     except (ValueError, OSError) as exc:

@@ -493,15 +493,18 @@ def _shrink(sf: Polynomial, chain: Sequence[Polynomial], a: Fraction, b: Fractio
             upper: bool) -> Fraction:
     """Smallest-k shift of the lower (or upper) endpoint by 2^-k past its root,
     skipping no roots: the discarded segment holds exactly that endpoint root,
-    which the half-open count (a, cand] misses and (cand, b] includes."""
-    for k in range(_MAX_ENDPOINT_SHIFT + 1):
+    which the half-open count (a, cand] misses and (cand, b] includes.  The
+    ladder starts at the first 2^-k below b - a and takes 65 steps."""
+    width = b - a
+    first = (width.denominator // width.numerator).bit_length()
+    for k in range(first, first + _MAX_ENDPOINT_SHIFT + 1):
         cand = b - Fraction(1, 2 ** k) if upper else a + Fraction(1, 2 ** k)
         if a < cand < b and _sign(sf, cand):
             if (count_roots(sf, cand, b, chain) == 1 if upper
                     else count_roots(sf, a, cand, chain) == 0):
                 return cand
     end = f"upper endpoint {b}" if upper else f"lower endpoint {a}"
-    raise CertificateError(f"cannot shift {end} off a root within 2^-{_MAX_ENDPOINT_SHIFT}")
+    raise CertificateError(f"cannot shift {end} off a root within 2^-{k} of it")
 
 
 def _locate_failure(sf: Polynomial, p: Polynomial, chain: Sequence[Polynomial],

@@ -212,11 +212,6 @@ def layer_masks(d: int) -> tuple[int, ...]:
     return tuple(layers)
 
 
-def _span(bits: int) -> int:
-    """The least d with bits < 2^(2^d): the subcube whose masks hold every member."""
-    return (bits.bit_length() - 1).bit_length() if bits > 1 else 0
-
-
 def walsh_support(n: int, p: Fraction, bits: int) -> list[tuple[int, Fraction]]:
     """(S, (p(1-p))^|S| * ghat(S)^2), the squared orthonormal coefficient,
     for every edge set S where it is nonzero, in increasing S, exactly, for
@@ -234,9 +229,8 @@ def walsh_support(n: int, p: Fraction, bits: int) -> list[tuple[int, Fraction]]:
     dim = n * (n - 1) // 2
     if bits < 0 or bits >> (1 << dim):
         raise ValueError(f"indicator out of range for n={n}")
-    d = _span(bits)
-    lows = low_masks(d)  # an edge past the span is relevant when there is a member
-    relevant = [i for i in range(dim) if ((bits >> (1 << i)) ^ bits) & lows[min(i, d)]]
+    lows = low_masks(dim)
+    relevant = [i for i in range(dim) if ((bits >> (1 << i)) ^ bits) & lows[i]]
     if len(relevant) > _MAX_COORDS:
         raise ValueError(f"family depends on {len(relevant)} edges, more than {_MAX_COORDS}")
     # points[y] sets the relevant edges picked by the bits of y, and no other

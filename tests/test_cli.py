@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import occlib
-from occlib.cli import main, parse_rational
+from occlib.cli import build_parser, main, parse_rational
 from occlib.graph import Graph, write_graph6
 
 
@@ -41,6 +42,7 @@ class TestParsing:
         from fractions import Fraction
         assert parse_rational("31/125") == Fraction(31, 125)
         assert parse_rational("0.25") == Fraction(1, 4)
+        assert parse_rational("1e-1000") == Fraction(1, 10 ** 1000)
 
 
 class TestCutstat:
@@ -287,10 +289,60 @@ class TestExitCodes:
         ("verify", "smallp", "--seed", "3"),
         ("verify", "lemmas", "--seed", "3"),
         ("families", "bound-check", "--seed", "3"),
+        ("families", "max-independent", "--n", "4"),
     ], ids=lambda argv: "-".join(argv))
     def test_option_the_command_does_not_read(self, capsys, argv):
         # an ignored setting would read as a claim verified under it
         self.usage_error(capsys, *argv)
+
+    def test_each_command_declares_the_options_it_reads(self):
+        # the README's table of the options each command reads
+        def leaves(parser, path):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield path, {o for a in parser._actions for o in a.option_strings}
+            for sub in subs:
+                for name, child in sub.choices.items():
+                    yield from leaves(child, f"{path} {name}".strip())
+
+        common = {"-h", "--help", "--format", "--out"}
+        assert {path: opts - common for path, opts in leaves(build_parser(), "")} == {
+            "cutstat": {"--builtin"},
+            "verify uniform": set(), "verify smallp": set(), "verify lemmas": set(),
+            "verify skew": {"--plo", "--phi"},
+            "verify schur": {"--seed"},
+            "verify families": {"--seed", "--campaign-size"},
+            "families max-independent": {"--seed"},
+            "families bound-check": {"--n"},
+            "hoffman": {"--lambda-min", "--gap"},
+        }
+
+    def test_skew_interval_narrower_than_2_to_the_minus_64(self, capsys):
+        # 0 < plo < phi = 1/2 holds; each certificate with a root at 1/2 is
+        # shifted off it by 2^-67, the first power of 2 below the width 10^-20
+        rc, out, err = run(capsys, "verify", "skew", "--plo", "0.49999999999999999999",
+                           "--format", "json")
+        assert rc == 0 and err == ""
+        shifted = [Fraction(c["certified_interval"][1])
+                   for c in json.loads(out)["report"]["certificates"] if c["zero_at_upper"]]
+        assert shifted and set(shifted) == {Fraction(1, 2) - Fraction(1, 2 ** 67)}
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "skew", "--plo", "1e-5000"),
+        ("verify", "skew", "--plo", "1e-4299"),
+        ("verify", "skew", "--plo", "1e-10000000"),
+        ("hoffman", "--lambda-min=-1e-5000"),
+        ("hoffman", "--lambda-min=-1/" + "1" * 5000),
+    ], ids=["skew-plo", "skew-plo-4299", "skew-plo-long-exponent", "hoffman",
+            "hoffman-long-denominator"])
+    def test_huge_rational_is_refused_before_any_work(self, capsys, argv):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "error:" in captured.err and "10^1000" in captured.err
 
     @pytest.mark.parametrize("word, message", [
         ("?", "zero vertices"),

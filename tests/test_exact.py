@@ -228,12 +228,20 @@ class TestCertificates:
         c = certify_sign(p, F(1, 4), F(1, 2), F(1, 3))
         assert not c.passed
 
-    def test_unshiftable_endpoint_raises(self):
-        # roots densely flank the endpoint shifts: 1/2 - 2^-k for every k <= 64
-        # cannot be cleared because the allowed region is empty
+    def test_narrow_interval_shifts_its_upper_endpoint(self):
+        # every shift 2^-k with k <= 70 is wider than the interval: the ladder
+        # starts at the first one inside it
         p = from_roots([F(1, 2)])
+        c = certify_sign(p, F(1, 2) - F(1, 2 ** 70), F(1, 2), F(1, 2) - F(1, 2 ** 71))
+        assert c.passed and c.zero_at_upper
+        assert c.certified_hi == F(1, 2) - F(1, 2 ** 71)
+
+    def test_second_root_next_to_the_endpoint_raises(self):
+        # the root 1/2 - 2^-70 lies within 2^-64 (b - a) of the endpoint root
+        # 1/2, so each of the 65 shifts keeps both roots on its right
+        p = from_roots([F(1, 2), F(1, 2) - F(1, 2 ** 70)])
         with pytest.raises(CertificateError):
-            certify_sign(p, F(1, 2) - F(1, 2 ** 70), F(1, 2), F(1, 2) - F(1, 2 ** 71))
+            certify_sign(p, 0, F(1, 2), F(1, 4))
 
     def test_even_multiplicity_failure_still_reports_bracket(self):
         p = from_roots([F(1, 3), F(1, 3)])
