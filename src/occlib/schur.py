@@ -11,17 +11,29 @@ CutStats record as a graph's, so its eigenvalues are spectra.Spectrum values.
 One evaluator, _cut_record, builds that record and types a 4-cut as a box
 (the image of a 4-cycle) when its mask is in _boxes(n).  Graphs type their
 4-cuts by a separate rule, so the lift claims compare two typings.
+
+The exhaustive scan visits no subset on its own.  Each per-subset quantity
+(xor-sum, rank, cut counts, box count, essentials, the two odd-dependency
+deciders) is a plane: one 2^15-bit integer, bit m standing for the subset
+with mask 2m, which is the packing of a family on the cube of dimension 15,
+so hypercube.low_masks and layer_masks select subsets by member and by
+size.  Counts are bit-sliced over several planes.  The claims are ANDs and
+popcounts of planes; the subsets fall into 45 groups of equal size, zero
+sum, rank and counts, and each group's record is _cut_record of its least
+member.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache, reduce
+from operator import and_, xor
+from typing import Iterable, NamedTuple, Sequence
 
 from .cutstats import CutStats, cut_stats, reference_graphs, xor_span
 from .graph import Graph, edge_pairs, enumerate_unlabeled
+from .hypercube import layer_masks, low_masks
 from .spectra import (
     GAP_COMBINED,
     GAP_UNIFORM,
@@ -187,72 +199,159 @@ def lift_graph(g: Graph) -> VectorSet:
 # ---------------------------------------------------------------------------
 
 
-def _dense_tables(n: int):
-    """Per-mask xor-sum and rank over all subsets of the nonzero vectors of
-    GF(2)^n, built by stripping the lowest vector.  The span of a subset is
-    held as a 2^n-bit set, bit x set when x is in it; a vector outside the
-    span doubles it by its coset, the span translated by xor with v, which
-    swaps the halves of each block of 2^i bits for each bit i of v.  The rank
-    is log2 of the span's size."""
-    size = 1 << (1 << n)
-    halves = [sum(1 << x for x in range(1 << n) if not x >> i & 1) for i in range(n)]
-    xs = [0] * size
-    span = [1] * size  # the span of the empty set is {0}
-    for m in range(2, size, 2):
-        low = m & -m
-        v = low.bit_length() - 1
-        rest = m ^ low
-        xs[m] = xs[rest] ^ v
-        s = span[rest]
-        if not s >> v & 1:
-            coset = s
-            for i, lower in enumerate(halves):
-                if v >> i & 1:
-                    coset = (coset & lower) << (1 << i) | coset >> (1 << i) & lower
-            s |= coset
-        span[m] = s
-    return xs, [s.bit_count().bit_length() - 1 for s in span]
+def _add_plane(counter: list[int], plane: int) -> None:
+    """Add the 0/1 plane into the bit-sliced counter, whose entry i holds
+    bit i of the count at every position, by ripple carry."""
+    for i, bit in enumerate(counter):
+        if not plane:
+            return
+        counter[i], plane = bit ^ plane, bit & plane
+    if plane:
+        counter.append(plane)
 
 
-def verify_oldc_claims(seed: int = 20260815) -> VerificationReport:
-    """Exhaustive verification of the vector-set spectra in dimension four,
-    plus decider cross-checks, graph-lift consistency, and the dimension-two
-    family exhaust.  The 2^15 subsets have few distinct cut records; each
-    record is evaluated once by the spectra, and each (structural type,
-    record) pair that occurs is checked once."""
-    rep = VerificationReport("oldc-claims")
-    rng = random.Random(seed)
-    pm, boxes = _parity_masks(4), _boxes(4)
-    xs, rank = _dense_tables(4)
+def _count_equals(counter: Sequence[int], k: int, full: int) -> int:
+    """The plane of the positions of full where the bit-sliced counter reads k."""
+    if k >> len(counter):
+        return 0
+    for i, bit in enumerate(counter):
+        full = full & bit if k >> i & 1 else full ^ (full & bit)
+    return full
 
-    pairs = set()  # (size, zero xor-sum, rank) of a subset, and its cut record
+
+def _closure_planes(labels: int, steps: Sequence[int]) -> list[int]:
+    """Entry l: the subsets of the steps reaching label l, where a subset
+    reaches the xor of the steps of any of its own subsets.  A subset that
+    adds step t reaches l when its rest reaches l or l ^ t, so each step
+    doubles the planes; label 0 is reached by the empty subset."""
+    planes, width = [1] + [0] * (labels - 1), 1
+    for t in steps:
+        planes = [p | (p | planes[lab ^ t]) << width for lab, p in enumerate(planes)]
+        width <<= 1
+    return planes
+
+
+class _Planes(NamedTuple):
+    """Per-subset quantities of all subsets of the d = 2^n - 1 nonzero vectors
+    of GF(2)^n, each packed as a 2^d-bit integer in which bit m stands for the
+    subset with mask 2m: the packing of a family on the cube of dimension d,
+    vector v being coordinate v - 1.  Counts are bit-sliced: entry i of a
+    counter holds bit i of the count."""
+
+    n: int
+    boxes: frozenset[int]         # the box table the box counts were read from
+    zero_sum: int                 # the members sum to zero
+    rank: tuple[int, ...]         # entry r: the members have rank r
+    cuts: tuple[list[int], ...]   # entry k: the number of hyperplanes cutting k members
+    box_cuts: list[int]           # the number of hyperplanes whose cut is in boxes
+    odd_zero_sum: int             # some odd number of members sums to zero
+    held: int                     # some hyperplane cuts every member
+
+
+def _scan_planes(n: int, boxes: frozenset[int]) -> _Planes:
+    """The planes of every subset of the nonzero vectors of GF(2)^n.  The
+    rank is read off the span, built by doubling over the vectors (u is in
+    the span of S and v when u or u ^ v is in the span of S), never from the
+    cut counts, which the q0 identity compares it with."""
+    d = (1 << n) - 1
+    lows, layers = low_masks(d), layer_masks(d)
+    full = lows[d]
+    member = [0] + [full ^ low for low in lows[:d]]  # entry v: v is a member
+
+    def members(mask: int) -> list[int]:
+        return [member[v] for v in range(1, d + 1) if mask >> v & 1]
+
+    nonzero_sum = 0
+    for b in range(n):  # bit b of the xor-sum: the parity of the members in the cut by e_b
+        nonzero_sum |= reduce(xor, members(_parity_masks(n)[1 << b]))
+    span_size: list[int] = []
+    for plane in _closure_planes(1 << n, range(1, d + 1))[1:]:
+        _add_plane(span_size, plane)
+    # labels are (size parity, xor-sum): one vector more flips the parity
+    odd_zero_sum = _closure_planes(2 << n, [1 << n | v for v in range(1, d + 1)])[1 << n]
+    cuts: tuple[list[int], ...] = tuple([] for _ in range((1 << (n - 1)) + 1))
+    box_cuts: list[int] = []
+    held = 0
+    box_planes = {box: reduce(and_, members(box)) for box in boxes}
+    for w_mask in _parity_masks(n):
+        cut_size: list[int] = []
+        for plane in members(w_mask):
+            _add_plane(cut_size, plane)
+        for k, counter in enumerate(cuts):
+            at_k = _count_equals(cut_size, k, full)
+            _add_plane(counter, at_k)
+            held |= at_k & layers[k]
+        four = _count_equals(cut_size, 4, full)
+        if four:
+            inside = 0
+            for box, plane in box_planes.items():
+                if not box & ~w_mask:
+                    inside |= plane
+            _add_plane(box_cuts, four & inside)
+    return _Planes(n, boxes, full & ~nonzero_sum,
+                   tuple(_count_equals(span_size, (1 << r) - 1, full) for r in range(n + 1)),
+                   cuts, box_cuts, odd_zero_sum, held)
+
+
+def _essential_counts(planes: _Planes) -> list[int]:
+    """Bit-sliced count of the members whose removal drops the rank.  The
+    rank without v at mask 2m is the rank at m - 2^(v-1): the rank planes
+    shifted by 2^(v-1) under the masks without v, the cube's shift law."""
+    d = (1 << planes.n) - 1
+    lows = low_masks(d)
+    counter: list[int] = []
+    for v in range(1, d + 1):
+        low, step = lows[v - 1], 1 << (v - 1)
+        kept = 0
+        for plane in planes.rank:
+            kept |= plane & (plane & low) << step
+        _add_plane(counter, (lows[d] ^ low) & ~kept)
+    return counter
+
+
+def _record_groups(planes: _Planes) -> list[int]:
+    """The nonempty subsets grouped by (size, zero sum, rank, cut counts, box
+    count), one plane per group, by splitting every group on every plane.
+    The size and the counts fix the cut record, so a group has one record."""
+    d = (1 << planes.n) - 1
+    groups = [low_masks(d)[d] ^ 1]
+    for plane in (*layer_masks(d), planes.zero_sum, *planes.rank,
+                  *(bit for counter in planes.cuts for bit in counter), *planes.box_cuts):
+        split = []
+        for g in groups:
+            inside = g & plane
+            split += (inside, g ^ inside)
+        groups = [g for g in split if g]
+    return groups
+
+
+def _scan_claims(planes: _Planes) -> list[tuple[str, bool]]:
+    """The claims of the exhaustive scan, evaluated from its planes.  Each
+    (size, zero sum, rank) and cut record that occurs is checked once, the
+    record being _cut_record of the group's least member."""
+    n = planes.n
+    d = (1 << n) - 1
+    full, layers = low_masks(d)[d], layer_masks(d)
+    rank, zero = planes.rank, planes.zero_sum
+    essentials = _essential_counts(planes)
     q_identities = True
-    m1_sizes = True
-    m0_types = True
-    for mask in range(2, 1 << 16, 2):
-        record = _cut_record(mask, pm, boxes)
-        size = mask.bit_count()
-        r = rank[mask]
-        pairs.add(((size, xs[mask] == 0, r), record))
-        c = record[0]
-        if c[0] << r != 16:
-            q_identities = False
-        essentials = 0
-        rest = mask
-        while rest:  # one rank lookup per member vector
-            low = rest & -rest
-            essentials += rank[mask ^ low] < r
-            rest ^= low
-        if c[1] != essentials * c[0]:
-            q_identities = False
-        if essentials == 1 and not (size == 1 or size >= 4):
-            m1_sizes = False
-        if essentials == 0 and 1 <= size <= 5:
-            if not ((size == 3 and xs[mask] == 0)
-                    or (size == 4 and xs[mask] == 0)
-                    or (size == 5 and r == 4 and xs[mask] == 0)
-                    or (size == 5 and r == 3)):
-                m0_types = False
+    for r, at_r in enumerate(rank):
+        q_identities &= not at_r & ~_count_equals(planes.cuts[0], 1 << (n - r), full)
+        for e in range(1 << len(essentials)):
+            q_identities &= not (at_r & _count_equals(essentials, e, full)
+                                 & ~_count_equals(planes.cuts[1], e << (n - r), full))
+    m1_sizes = not _count_equals(essentials, 1, full) & (layers[2] | layers[3])
+    allowed = zero & (layers[3] | layers[4] | layers[5] & rank[4]) | layers[5] & rank[3]
+    m0_types = not (_count_equals(essentials, 0, full) & ~allowed
+                    & (layers[1] | layers[2] | layers[3] | layers[4] | layers[5]))
+
+    pm = _parity_masks(n)
+    pairs = set()  # (size, zero xor-sum, rank) of a subset, and its cut record
+    for group in _record_groups(planes):
+        m = (group & -group).bit_length() - 1
+        r = next(r for r, at_r in enumerate(rank) if at_r >> m & 1)
+        pairs.add(((m.bit_count(), bool(zero >> m & 1), r),
+                   _cut_record(m << 1, pm, planes.boxes)))
 
     s1, s2, sc = Spectrum.uniform1(), Spectrum.uniform2(), Spectrum.combined()
     values = {}
@@ -284,19 +383,33 @@ def verify_oldc_claims(seed: int = 20260815) -> VerificationReport:
         if not is_tight_comb:
             combined_gap_ok &= lc >= LAMBDA_MIN_UNIFORM + GAP_COMBINED
 
-    rep.add("lambda1:min=-1/7", min_ok)
-    rep.add("lambda1:tight-set-structural", tight1)
-    seven_sets = sum(1 for m in range(2, 1 << 16, 2) if rank[m] == 3 and m.bit_count() == 7)
-    rep.add("lambda1:gap-1/56-attained-by-punctured-3-spaces", gap_ok and seven_sets == 15)
-    rep.add("lambda2:typed-values", l2_ok)
-    rep.add("combined:tight-set-structural", tight_c)
-    rep.add("combined:gap=1/952", combined_gap_ok)
-    rep.add("cut-identities:q0-and-q1", q_identities)
-    rep.add("structure:one-essential-sizes", m1_sizes)
-    rep.add("structure:no-essential-small-types", m0_types)
-    rep.add("structure:schur-triple-count=35",
-            sum(1 for m in range(2, 1 << 16, 2)
-                if xs[m] == 0 and m.bit_count() == 3) == 35)
+    return [
+        ("lambda1:min=-1/7", min_ok),
+        ("lambda1:tight-set-structural", tight1),
+        ("lambda1:gap-1/56-attained-by-punctured-3-spaces",
+         gap_ok and (rank[3] & layers[7]).bit_count() == 15),
+        ("lambda2:typed-values", l2_ok),
+        ("combined:tight-set-structural", tight_c),
+        ("combined:gap=1/952", combined_gap_ok),
+        ("cut-identities:q0-and-q1", q_identities),
+        ("structure:one-essential-sizes", m1_sizes),
+        ("structure:no-essential-small-types", m0_types),
+        ("structure:schur-triple-count=35", (zero & layers[3]).bit_count() == 35),
+    ]
+
+
+def verify_oldc_claims(seed: int = 20260815) -> VerificationReport:
+    """Exhaustive verification of the vector-set spectra in dimension four,
+    plus decider cross-checks, graph-lift consistency, and the dimension-two
+    family exhaust.  The 2^15 subsets are scanned as planes (_scan_planes);
+    they have few distinct cut records, and each (structural type, record)
+    pair that occurs is checked once."""
+    rep = VerificationReport("oldc-claims")
+    rng = random.Random(seed)
+    planes = _scan_planes(4, _boxes(4))
+    for claim_id, ok in _scan_claims(planes):
+        rep.add(claim_id, ok)
+    s1, s2 = Spectrum.uniform1(), Spectrum.uniform2()
 
     # the punctured 3-space: cuts are empty or boxes, nothing in between
     s7 = VectorSet.from_vectors(3, range(1, 8))
@@ -314,6 +427,8 @@ def verify_oldc_claims(seed: int = 20260815) -> VerificationReport:
     sample = [rng.randrange(0, 1 << 16) & ~1 for _ in range(400)]
     ok = ok and all(has_odd_dependency(VectorSet(4, m)) ==
                     has_odd_dependency_search(VectorSet(4, m)) for m in sample)
+    # and on every subset of dimension 4, primal against dual as planes
+    ok = ok and planes.odd_zero_sum == low_masks(15)[15] & ~planes.held
     rep.add("deciders:search-equals-solvability", ok)
 
     # graph lifts: cut law, spectra and cycle parity all transfer

@@ -7,11 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from occlib.cutstats import CutStats, cut_distribution_bruteforce
 from occlib.graph import Graph, enumerate_unlabeled, random_graph
+from occlib.hypercube import layer_masks
 from occlib.schur import (
     VectorSet,
     _boxes,
-    _dense_tables,
+    _cut_record,
+    _essential_counts,
     _parity_masks,
+    _record_groups,
+    _scan_claims,
+    _scan_planes,
     has_odd_dependency,
     has_odd_dependency_search,
     lift_graph,
@@ -190,19 +195,88 @@ class TestVectorSetBasics:
         assert VectorSet.from_vectors(4, [1, 2, 12, 15]).mask in _boxes(4)
         assert INDEP4.mask not in _boxes(4)
 
-    def test_dense_ranks_match_echelon_elimination_in_dimension_four(self):
-        xs, rank = _dense_tables(4)
-        for m in range(0, 1 << 16, 2):
-            assert rank[m] == echelon_rank(VectorSet(4, m).vectors(), 4), m
 
-    def test_dense_tables_match_oracle(self):
-        xs, rank = _dense_tables(3)
-        for m in range(0, 256, 2):
-            vecs = VectorSet(3, m).vectors()
+class TestScanPlanes:
+    """The planes of the dimension-4 scan, decoded at each of the 2^15
+    positions, against per-mask oracles; and claims that a wrong plane must
+    turn false."""
+
+    @staticmethod
+    def decode(plane: int) -> str:
+        """Character m is '1' when bit m of the plane is set."""
+        return f"{plane:0{1 << 15}b}"[::-1]
+
+    def counts(self, counter) -> list[int]:
+        bits = [self.decode(plane) for plane in counter]
+        return [sum(int(b[m]) << i for i, b in enumerate(bits)) for m in range(1 << 15)]
+
+    def test_planes_match_per_mask_oracle(self):
+        pm, boxes = _parity_masks(4), _boxes(4)
+        planes = _scan_planes(4, boxes)
+        layers = [self.decode(layer) for layer in layer_masks(15)]
+        zero, odd, held = (self.decode(p) for p in (planes.zero_sum, planes.odd_zero_sum,
+                                                    planes.held))
+        rank = [self.decode(p) for p in planes.rank]
+        cuts = [self.counts(c) for c in planes.cuts]
+        box_cuts = self.counts(planes.box_cuts)
+        essentials = self.counts(_essential_counts(planes))
+        ranks = {m: echelon_rank(VectorSet(4, m).vectors(), 4) for m in range(0, 1 << 16, 2)}
+        for m in range(1, 1 << 15):
+            vs = VectorSet(4, m << 1)
+            vecs = vs.vectors()
             acc = 0
             for v in vecs:
                 acc ^= v
-            assert (xs[m], rank[m]) == (acc, gf2_rank(vecs)), m
+            r = ranks[vs.mask]
+            counts, _, box = _cut_record(vs.mask, pm, boxes)
+            assert [k for k, layer in enumerate(layers) if layer[m] == "1"] == [len(vecs)], m
+            assert (zero[m] == "1") == (acc == 0), m
+            assert [k for k, plane in enumerate(rank) if plane[m] == "1"] == [r], m
+            assert essentials[m] == sum(ranks[vs.mask ^ 1 << v] < r for v in vecs), m
+            padded = [*counts, *[0] * 9]  # a hyperplane cuts at most 8 vectors
+            assert [c[m] for c in cuts] == padded[:9] and not any(padded[9:]), m
+            assert box_cuts[m] == box, m
+            assert (odd[m] == "1") == (held[m] == "0") == has_odd_dependency(vs), m
+
+    def test_every_mask_has_its_groups_record(self):
+        pm, boxes = _parity_masks(4), _boxes(4)
+        groups = _record_groups(_scan_planes(4, boxes))
+        assert len(groups) == 45
+        covered = 0
+        for group in groups:
+            assert not group & covered
+            covered |= group
+            least = (group & -group).bit_length() - 1
+            record = _cut_record(least << 1, pm, boxes)
+            members = self.decode(group)
+            assert all(_cut_record(m << 1, pm, boxes) == record
+                       for m in range(1 << 15) if members[m] == "1"), least
+        assert covered == (1 << (1 << 15)) - 2
+
+    @staticmethod
+    def failing(planes) -> set[str]:
+        return {claim_id for claim_id, ok in _scan_claims(planes) if not ok}
+
+    @pytest.mark.parametrize("m", [1, 3, 0b111, 0b1000000010110, (1 << 15) - 1])
+    def test_flipped_cut_count_fails_q_identities(self, m):
+        planes = _scan_planes(4, _boxes(4))
+        ones = planes.cuts[1]
+        cuts = list(planes.cuts)
+        cuts[1] = [ones[0] ^ 1 << m, *ones[1:]]
+        assert "cut-identities:q0-and-q1" in self.failing(planes._replace(cuts=tuple(cuts)))
+
+    def test_missing_box_fails_a_spectral_claim(self):
+        boxes = _boxes(4)
+        for box in (min(boxes), max(boxes), VectorSet.from_vectors(4, [1, 2, 12, 15]).mask):
+            failing = self.failing(_scan_planes(4, boxes - {box}))
+            assert any(c.startswith(("lambda", "combined")) for c in failing), box
+
+    def test_shifted_rank_fails_essential_structure(self):
+        planes = _scan_planes(4, _boxes(4))
+        full = (1 << (1 << 15)) - 1
+        shifted = tuple(plane << 1 & full for plane in planes.rank)
+        assert self.failing(planes._replace(rank=shifted)) & {
+            "structure:one-essential-sizes", "structure:no-essential-small-types"}
 
 
 class TestSpectra:
