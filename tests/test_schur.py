@@ -195,6 +195,26 @@ class TestVectorSetBasics:
         assert VectorSet.from_vectors(4, [1, 2, 12, 15]).mask in _boxes(4)
         assert INDEP4.mask not in _boxes(4)
 
+    @staticmethod
+    def rank_at(planes, m: int) -> list[int]:
+        """The ranks whose plane holds the subset of mask 2m (one, when right)."""
+        return [r for r, plane in enumerate(planes.rank) if plane >> m & 1]
+
+    def test_dense_ranks_match_echelon_elimination_in_dimension_four(self):
+        planes = _scan_planes(4, _boxes(4))
+        for m in range(1 << 15):
+            assert self.rank_at(planes, m) == [echelon_rank(VectorSet(4, m << 1).vectors(), 4)], m
+
+    def test_dense_tables_match_oracle(self):
+        planes = _scan_planes(3, _boxes(3))
+        for m in range(1 << 7):
+            vecs = VectorSet(3, m << 1).vectors()
+            acc = 0
+            for v in vecs:
+                acc ^= v
+            assert (planes.zero_sum >> m & 1, self.rank_at(planes, m)) == (
+                int(acc == 0), [gf2_rank(vecs)]), m
+
 
 class TestScanPlanes:
     """The planes of the dimension-4 scan, decoded at each of the 2^15
@@ -216,7 +236,6 @@ class TestScanPlanes:
         layers = [self.decode(layer) for layer in layer_masks(15)]
         zero, odd, held = (self.decode(p) for p in (planes.zero_sum, planes.odd_zero_sum,
                                                     planes.held))
-        rank = [self.decode(p) for p in planes.rank]
         cuts = [self.counts(c) for c in planes.cuts]
         box_cuts = self.counts(planes.box_cuts)
         essentials = self.counts(_essential_counts(planes))
@@ -231,7 +250,6 @@ class TestScanPlanes:
             counts, _, box = _cut_record(vs.mask, pm, boxes)
             assert [k for k, layer in enumerate(layers) if layer[m] == "1"] == [len(vecs)], m
             assert (zero[m] == "1") == (acc == 0), m
-            assert [k for k, plane in enumerate(rank) if plane[m] == "1"] == [r], m
             assert essentials[m] == sum(ranks[vs.mask ^ 1 << v] < r for v in vecs), m
             padded = [*counts, *[0] * 9]  # a hyperplane cuts at most 8 vectors
             assert [c[m] for c in cuts] == padded[:9] and not any(padded[9:]), m
