@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import factorial
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -305,9 +306,9 @@ def canonical_form(g: Graph) -> int:
     partial labelling whose blocks tie with the smallest so far.  Twins
     (equal neighbourhoods apart from each other) are placed in index order,
     since swapping two twins is an automorphism, and partial labellings that
-    leave the same state behind are merged.  The canonicity test of the
-    orderly generation (_cores) runs the same search against a bound and
-    stops at the first block below the bound's.
+    leave the same state behind are merged.  The orderly generation (_cores)
+    does not search: it decides canonicity on bit planes over all n!
+    relabellings at once (_automorphisms).
     """
     if g.n > _CANON_MAX_N:
         raise ValueError(f"canonical form search needs n <= {_CANON_MAX_N}")
@@ -357,7 +358,7 @@ def _twin_rule(n: int, adj: list[int]) -> list[int]:
     return needs
 
 
-def _least_relabelling(n: int, adj: list[int], bound: int | None = None) -> int | None:
+def _least_relabelling(n: int, adj: list[int]) -> int:
     """The search behind canonical_form, on neighbour bitmasks.
 
     A state is (labels, free): the placed-neighbour label fields of the free
@@ -373,25 +374,18 @@ def _least_relabelling(n: int, adj: list[int], bound: int | None = None) -> int 
     holds back has the same field as its free lower-index twin.
 
     The states are walked depth-first from a stack, keeping only those whose
-    blocks tie with the least block known at each label.  With a bound those
-    are the bound's blocks, and the search returns None at the first block
-    strictly below one of them: the bound is then not the minimum of its
-    class.  A bound taken from the class itself is never below the minimum,
-    so if no block undercuts it the bound is returned.  Without a bound a
-    label's block is first known when a state reaches it, and a block below
-    it replaces it and forgets what is known below that label; the states
-    on the stack are then all at that label or above, and every state met
-    below it is met afresh.  The known blocks make up the minimum.
+    blocks tie with the least block known at each label.  A label's block is
+    first known when a state reaches it, and a block below it replaces it
+    and forgets what is known below that label; the states on the stack are
+    then all at that label or above, and every state met below it is met
+    afresh.  The known blocks make up the minimum.
     """
     needs = _twin_rule(n, adj)
     fields, spread_of, shifts = _label_tables(n)
     spread = [spread_of[a] for a in adj]
     width, ones = n + 1, (1 << n) - 1
     # the least block known at each label, as a field; None while unknown
-    if bound is None:
-        wants = [None] * n
-    else:
-        wants = [(bound >> shifts[k] & ((1 << (n - 1 - k)) - 1)) << k + 1 for k in range(n)]
+    wants = [None] * n
     stack = [(0, (1 << n) - 1)]
     seen = set()
     while stack:
@@ -408,8 +402,6 @@ def _least_relabelling(n: int, adj: list[int], bound: int | None = None) -> int 
         guards = rep << n
         below = ((least - 1) * rep | guards) - labels & guards if least else 0
         if below:
-            if bound is not None:
-                return None
             least = wants[k] = min(labels >> (pos - n) & ones for pos in _bit_positions(below))
             wants[:k] = [None] * k
             # a state below label k met under the old block may recur under
@@ -425,9 +417,69 @@ def _least_relabelling(n: int, adj: list[int], bound: int | None = None) -> int 
                     continue
                 rest = free ^ 1 << u
                 stack.append(((labels | spread[u] << k) & fields[rest], rest))
-    if bound is not None:
-        return bound
     return sum(least >> k + 1 << shifts[k] for k, least in enumerate(wants))
+
+
+@lru_cache(maxsize=None)
+def _vertex_planes(n: int) -> tuple[tuple[int, ...], ...]:
+    """A[a][c]: an n!-bit integer whose bit r is set when the r-th
+    permutation of range(n), in the order of itertools.permutations, sends
+    vertex a to c.
+
+    That order is lexicographic, so its r-th block of (n-1)! permutations
+    sends 0 to r and the other vertices to the rest of range(n), in the
+    same order one size down: the planes are built block by block from the
+    planes on n-1 vertices.  Built on first use.
+    """
+    if n == 1:
+        return ((1,),)
+    sub = _vertex_planes(n - 1)
+    size = factorial(n - 1)
+    planes = [[0] * n for _ in range(n)]
+    for r in range(n):
+        planes[0][r] = ((1 << size) - 1) << size * r
+        rest = [c for c in range(n) if c != r]
+        for a in range(1, n):
+            for k, c in enumerate(rest):
+                planes[a][c] |= sub[a - 1][k] << size * r
+    return tuple(map(tuple, planes))
+
+
+@lru_cache(maxsize=None)
+def _edge_planes(n: int) -> tuple[tuple[int, ...], ...]:
+    """P[s][t]: the n!-bit set of the relabellings that send edge s to edge
+    t, from the vertex planes: (a, b) goes to (c, d) when a goes to c and b
+    to d, or a to d and b to c.  Built on first use."""
+    vertex = _vertex_planes(n)
+    pairs = edge_pairs(n)
+    return tuple(tuple(vertex[a][c] & vertex[b][d] | vertex[a][d] & vertex[b][c] for c, d in pairs)
+                 for a, b in pairs)
+
+
+def _automorphisms(n: int, mask: int, empty: Sequence[int], moved: Sequence[int]) -> int:
+    """The relabellings that fix the mask on n vertices when it is
+    canonical, else 0.
+
+    Relabellings are bits of n!-bit sets, as in _edge_planes, and
+    empty[t] ^ moved[t] is the set of those that leave bit t of the
+    relabelled mask empty: _cores passes the sets of a parent mask and the
+    planes of the edge it clears.  The bits are scanned from the top,
+    keeping the candidates whose relabelled mask ties with mask so far: at
+    a 0 bit of mask only those that leave the bit empty tie, and at a 1 bit
+    any candidate that leaves it empty undercuts mask.  What is left at the
+    end ties everywhere; the identity, bit 0, always does, so once it is
+    the only candidate no undercut can follow.
+    """
+    cand = (1 << factorial(n)) - 1
+    for t in range(len(empty) - 1, -1, -1):
+        if mask >> t & 1:
+            if cand & (empty[t] ^ moved[t]):
+                return 0
+        else:
+            cand &= empty[t] ^ moved[t]
+            if cand == 1:
+                return 1
+    return cand
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
@@ -463,25 +515,33 @@ def _cores(n: int) -> tuple[int, ...]:
     cleared, and each class is met exactly once.  Adding an edge isolates no
     vertex, so the masks without an isolated vertex form a subtree under K_n,
     and a child that would isolate a vertex is not tested.
+
+    The tree is walked depth-first, carrying along the path the relabellings
+    that leave each bit empty (_automorphisms): none for K_n, and clearing
+    bit b adds to those of bit t the relabellings that send b to t.  A
+    mask's children are listed together, then grown from the last.
     """
+    planes = _edge_planes(n)
+    stars = _vertex_stars(n)
     pairs = edge_pairs(n)
     full = (1 << len(pairs)) - 1
     found = [full]
-    todo = [(full, Graph(n, full).adjacency())]
-    while todo:
-        mask, adj = todo.pop()
+
+    def grow(mask: int, empty: list[int]) -> None:
         lowest_zero = (~mask & (mask + 1)).bit_length() - 1
+        kids = []
         for b in range(lowest_zero):
+            child = mask ^ 1 << b
             i, j = pairs[b]
-            if adj[i] == 1 << j or adj[j] == 1 << i:
+            if not child & stars[i] or not child & stars[j]:
                 continue
-            child = list(adj)
-            child[i] ^= 1 << j
-            child[j] ^= 1 << i
-            cmask = mask ^ (1 << b)
-            if _least_relabelling(n, child, cmask) is not None:
-                found.append(cmask)
-                todo.append((cmask, child))
+            if _automorphisms(n, child, empty, planes[b]):
+                kids.append(b)
+        found.extend(mask ^ 1 << b for b in kids)
+        for b in reversed(kids):
+            grow(mask ^ 1 << b, [x ^ p for x, p in zip(empty, planes[b])])
+
+    grow(full, [0] * len(pairs))
     return tuple(found)
 
 

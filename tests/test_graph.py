@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from functools import lru_cache
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -25,11 +26,32 @@ from occlib.graph import (
     enumerate_unlabeled,
     parse_graph6,
     write_graph6,
+    _automorphisms,
+    _cores,
+    _edge_planes,
     _least_relabelling,
     _twin_rule,
+    _vertex_planes,
 )
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+
+
+def plane_automorphisms(g):
+    """The plane test on g, split as _cores splits it: the relabellings that
+    leave each bit empty in g plus its lowest absent edge b (those sending
+    an absent edge there), and the planes of b."""
+    n, mask = g.n, g.mask
+    planes = _edge_planes(n)
+    e = len(planes)
+    if mask == (1 << e) - 1:
+        return _automorphisms(n, mask, [0] * e, [0] * e)
+    b = (~mask & (mask + 1)).bit_length() - 1
+    empty = [0] * e
+    for s in range(e):
+        if not (mask | 1 << b) >> s & 1:
+            empty = [x | p for x, p in zip(empty, planes[s])]
+    return _automorphisms(n, mask, empty, planes[b])
 
 
 @lru_cache(maxsize=None)
@@ -285,10 +307,10 @@ class TestEnumeration:
     @staticmethod
     def bounded_agrees(g):
         canonical = canonical_form(g) == g.mask
-        got = _least_relabelling(g.n, g.adjacency(), g.mask)
-        return got == (g.mask if canonical else None)
+        return bool(plane_automorphisms(g)) == canonical
 
     def test_bounded_search_decides_canonicity_on_every_k5_mask(self):
+        # the plane test that replaced the bounded search, on the same masks
         for mask in range(1 << 10):
             assert self.bounded_agrees(Graph(5, mask)), mask
 
@@ -304,8 +326,9 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n, count", [(5, None), (6, 300), (7, 150), (8, 200)])
     def test_word_parallel_bounded_search_matches_brute_force(self, n, count):
-        # every K5 mask, or count seeded masks each with its least relabelling,
-        # so that both answers occur in each sample
+        # the plane test against the oracle: every K5 mask, or count seeded
+        # masks each with its least relabelling, so that both answers occur
+        # in each sample
         if count is None:
             masks = range(1 << len(edge_pairs(n)))
         else:
@@ -315,22 +338,66 @@ class TestEnumeration:
         answers = set()
         for mask in masks:
             g = Graph(n, mask)
-            got = _least_relabelling(n, g.adjacency(), mask)
-            assert got == (mask if brute_force_form(g) == mask else None), (n, mask)
+            got = bool(plane_automorphisms(g))
+            assert got == (brute_force_form(g) == mask), (n, mask)
             answers.add(got)
-        assert None in answers and len(answers) > 1
+        assert answers == {False, True}
 
     @staticmethod
     def both_searches_match_brute_force(g):
-        # the unbounded search finds the oracle's minimum; the bounded one
-        # accepts the mask exactly when it is that minimum, for the mask
-        # and for its canonical form
+        # the search finds the oracle's minimum; the plane test accepts the
+        # mask exactly when it is that minimum, for the mask and for its
+        # canonical form
         least = brute_force_form(g)
         for h in (g, Graph(g.n, least)):
-            adj = h.adjacency()
-            assert _least_relabelling(h.n, adj) == least, h.mask
-            want = h.mask if h.mask == least else None
-            assert _least_relabelling(h.n, adj, h.mask) == want, h.mask
+            assert _least_relabelling(h.n, h.adjacency()) == least, h.mask
+            assert bool(plane_automorphisms(h)) == (h.mask == least), h.mask
+
+    def test_planes_match_permutations_on_every_entry_to_n6(self):
+        for n in range(1, 7):
+            perms = list(itertools.permutations(range(n)))
+            assert _vertex_planes(n) == tuple(
+                tuple(sum(1 << r for r, pi in enumerate(perms) if pi[a] == c) for c in range(n))
+                for a in range(n))
+            e = len(edge_pairs(n))
+            want = [[0] * e for _ in range(e)]
+            for r, pi in enumerate(perms):
+                for s, (a, b) in enumerate(edge_pairs(n)):
+                    want[s][edge_index(pi[a], pi[b], n)] |= 1 << r
+            assert _edge_planes(n) == tuple(map(tuple, want)), n
+
+    def test_planes_match_permutations_on_sampled_n7_entries(self):
+        perms = list(itertools.permutations(range(7)))
+        pairs = edge_pairs(7)
+        planes = _edge_planes(7)
+        rng = random.Random(47)
+        for _ in range(25):
+            s, t = rng.randrange(21), rng.randrange(21)
+            (a, b), (c, d) = pairs[s], pairs[t]
+            want = sum(1 << r for r, pi in enumerate(perms) if {pi[a], pi[b]} == {c, d})
+            assert planes[s][t] == want, (s, t)
+
+    @pytest.mark.parametrize("n, labelled", [(2, 1), (3, 4), (4, 41), (5, 768),
+                                             (6, 27449), (7, 1887284)])
+    def test_orbits_of_the_cores_cover_every_labelled_graph(self, n, labelled):
+        # orbit-stabiliser: each class has n!/|Aut| labellings, so the cores
+        # miss or repeat no class exactly when the orbits add up to the
+        # labelled graphs on n vertices without an isolated vertex
+        # (OEIS A006129)
+        sizes = [plane_automorphisms(Graph(n, m)).bit_count() for m in _cores(n)]
+        assert sum(factorial(n) // size for size in sizes) == labelled
+
+    def test_plane_automorphism_counts_on_every_k5_mask(self):
+        perms = list(itertools.permutations(range(5)))
+        images = [[1 << edge_index(pi[a], pi[b], 5) for a, b in edge_pairs(5)] for pi in perms]
+
+        def relabel(mask, image):
+            return sum(bit for k, bit in enumerate(image) if mask >> k & 1)
+
+        for mask in range(1 << 10):
+            fixed = sum(relabel(mask, image) == mask for image in images)
+            canonical = Graph(5, canonical_form(Graph(5, mask)))
+            assert plane_automorphisms(canonical).bit_count() == fixed, mask
 
     def test_twin_rule_matches_definition_on_every_k5_mask(self):
         # w < u are twins when their neighbourhoods agree apart from each other
@@ -360,7 +427,18 @@ class TestEnumeration:
                 "print(time.perf_counter() - start)\n")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert float(out.stdout) < 0.5
+        assert float(out.stdout) < 0.2
+
+    def test_import_builds_no_plane_table(self):
+        # the tables are built by the first catalogue, not at start-up
+        src = Path(occlib.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import occlib.cli\n"
+                "from occlib.graph import _edge_planes, _vertex_planes\n"
+                "print(_edge_planes.cache_info().currsize, _vertex_planes.cache_info().currsize)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestGraph6:
