@@ -70,13 +70,17 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
-def positive_int(text: str) -> int:
+def campaign_size(text: str) -> int:
+    # a draw costs tens of microseconds, so 10^6 draws run for about a minute
+    # and 10^9 would run for hours: a larger size is refused before any work
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    if value > 10 ** 6:
+        raise argparse.ArgumentTypeError(f"campaign size above 10^6: {text!r}")
     return value
 
 
@@ -287,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = campaign("families", lambda a: verify_family_claims(seed=a.seed,
                                                             campaign_size=a.campaign_size))
     c.add_argument("--seed", type=int, default=20260815, help="seed (default %(default)s)")
-    c.add_argument("--campaign-size", type=positive_int, default=1000,
-                   help="random-family sample size (default %(default)s)")
+    c.add_argument("--campaign-size", type=campaign_size, default=1000,
+                   help="random-family sample size, at most 10^6 (default %(default)s)")
     campaign("lemmas", lambda a: verify_cut_lemmas())
 
     p = sub.add_parser("families", help="independent-set search and measure-bound audits")

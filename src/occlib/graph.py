@@ -300,124 +300,31 @@ _CANON_MAX_N = 8
 def canonical_form(g: Graph) -> int:
     """Lexicographically minimal edge bitmask over all vertex relabelings.
 
-    The edges among the new labels k..n-1 are exactly the top C(n-k, 2) bits,
-    and placing label k adds the block of bits (k, k+1) .. (k, n-1) right
-    below them.  So labels are assigned from n-1 downward, keeping every
-    partial labelling whose blocks tie with the smallest so far.  Twins
-    (equal neighbourhoods apart from each other) are placed in index order,
-    since swapping two twins is an automorphism, and partial labellings that
-    leave the same state behind are merged.  The orderly generation (_cores)
-    does not search: it decides canonicity on bit planes over all n!
-    relabellings at once (_automorphisms).
+    The scan of _automorphisms, run to build the least mask rather than to
+    test one: the bits are fixed from the top, over all n! relabellings at
+    once as n!-bit sets (_vertex_planes).  At bit (c, d) the hit
+    relabellings are those that send some edge onto {c, d}.  If a tied
+    relabelling misses, the tied ones shrink to those that miss and the bit
+    is 0; else it is 1.  A relabelling sends exactly one vertex to d, so hit
+    is the sum over vertices a of those that send a to d and a neighbour of
+    a to c.
     """
     if g.n > _CANON_MAX_N:
-        raise ValueError(f"canonical form search needs n <= {_CANON_MAX_N}")
-    if g.mask == 0:
-        return 0
-    return _least_relabelling(g.n, g.adjacency())
-
-
-@lru_cache(maxsize=None)
-def _label_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Tables of the canonical search on n vertices.
-
-    A search state holds, for each unplaced vertex w, the labels of its
-    placed neighbours as an n-bit field at bit (n+1)*w of one integer; the
-    bit above each field is a guard bit, clear in every state.  fields[s]
-    covers the fields of the vertex set s, spread[s] sets bit 0 of the field
-    of each vertex in s (so x * spread[s] repeats x in each of those
-    fields), and shifts[k] is the bit position of the block of label k in an
-    edge mask.  Built on first use.
-    """
-    width, ones = n + 1, (1 << n) - 1
-    fields = [0] * (1 << n)
-    spread = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        w = low.bit_length() - 1
-        fields[s] = fields[s ^ low] | ones << (width * w)
-        spread[s] = spread[s ^ low] | 1 << (width * w)
-    shifts = tuple(edge_index(k, k + 1, n) if k < n - 1 else 0 for k in range(n))
-    return tuple(fields), tuple(spread), shifts
-
-
-def _twin_rule(n: int, adj: list[int]) -> list[int]:
-    """Per vertex, the lower-index twins that must be placed before it:
-    non-adjacent twins have equal neighbourhoods, adjacent twins equal
-    closed neighbourhoods.  No open neighbourhood N(w) equals a closed one
-    N[u]: u would lie in N(w), so w in N(u), which lies in N[u] = N(w).  So
-    both kinds of key share one table."""
-    needs = []
-    earlier: dict[int, int] = {}
-    for u in range(n):
-        bit = 1 << u
-        open_key, closed_key = adj[u], adj[u] | bit
-        needs.append(earlier.get(open_key, 0) | earlier.get(closed_key, 0))
-        earlier[open_key] = earlier.get(open_key, 0) | bit
-        earlier[closed_key] = earlier.get(closed_key, 0) | bit
-    return needs
-
-
-def _least_relabelling(n: int, adj: list[int]) -> int:
-    """The search behind canonical_form, on neighbour bitmasks.
-
-    A state is (labels, free): the placed-neighbour label fields of the free
-    (unplaced) vertices, and the free vertex mask; its level k is the next
-    label to assign, one less than the number of free vertices.  At level k
-    only labels k+1..n-1 are placed, so a field is its vertex's block shifted
-    up by k+1 bits, and blocks compare as fields.  Every field is compared
-    with a value x at once: subtracting the fields from x repeated in each
-    field with its guard bit set leaves the guard bit of exactly the fields
-    <= x (Lamport, CACM 1975), so one subtraction marks the fields below a
-    block and one the fields equal to or below it.  Only the tied vertices
-    are walked, and only they are held to the twin rule: a twin the rule
-    holds back has the same field as its free lower-index twin.
-
-    The states are walked depth-first from a stack, keeping only those whose
-    blocks tie with the least block known at each label.  A label's block is
-    first known when a state reaches it, and a block below it replaces it
-    and forgets what is known below that label; the states on the stack are
-    then all at that label or above, and every state met below it is met
-    afresh.  The known blocks make up the minimum.
-    """
-    needs = _twin_rule(n, adj)
-    fields, spread_of, shifts = _label_tables(n)
-    spread = [spread_of[a] for a in adj]
-    width, ones = n + 1, (1 << n) - 1
-    # the least block known at each label, as a field; None while unknown
-    wants = [None] * n
-    stack = [(0, (1 << n) - 1)]
-    seen = set()
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        labels, free = state
-        k = free.bit_count() - 1
-        least = wants[k]
-        if least is None:
-            least = wants[k] = labels >> width * ((free & -free).bit_length() - 1) & ones
-        rep = spread_of[free]
-        guards = rep << n
-        below = ((least - 1) * rep | guards) - labels & guards if least else 0
-        if below:
-            least = wants[k] = min(labels >> (pos - n) & ones for pos in _bit_positions(below))
-            wants[:k] = [None] * k
-            # a state below label k met under the old block may recur under
-            # the new one, from a labelling whose placed blocks differ
-            seen = {s for s in seen if s[1].bit_count() > k}
-        if k:
-            ties = ((least * rep | guards) - labels & guards) >> n
-            while ties:
-                bit = ties & -ties
-                ties ^= bit
-                u = bit.bit_length() // width
-                if needs[u] & free:
-                    continue
-                rest = free ^ 1 << u
-                stack.append(((labels | spread[u] << k) & fields[rest], rest))
-    return sum(least >> k + 1 << shifts[k] for k, least in enumerate(wants))
+        raise ValueError(f"canonical form needs n <= {_CANON_MAX_N}")
+    n, adj = g.n, g.adjacency()
+    vertex = _vertex_planes(n)
+    tied, form = (1 << factorial(n)) - 1, 0
+    for c in range(n - 2, -1, -1):
+        # near[a]: the relabellings that send a neighbour of a to c (a sum
+        # too: one vertex goes to c)
+        near = [sum(vertex[b][c] for b in _bit_positions(adj[a])) for a in range(n)]
+        for d in range(n - 1, c, -1):
+            miss = tied & ~sum(vertex[a][d] & near[a] for a in range(n))
+            if miss:
+                tied = miss
+            else:
+                form |= 1 << edge_index(c, d, n)
+    return form
 
 
 @lru_cache(maxsize=None)

@@ -43,7 +43,6 @@ from .cutstats import (
 )
 from .graph import (
     Graph,
-    block_decomposition,
     canonical_key,
     write_graph6,
 )
@@ -523,8 +522,10 @@ def verify_uniform_claims() -> VerificationReport:
     rep.add("exceptional:q2(K4minus)=1/4", q2(refs["K4minus"]) == F(1, 4))
 
     # structure facts the size-based analysis relies on, at desk scale
-    # one decomposition per class; catalogue keys are canonical keys
-    bridges = {key: block_decomposition(e.graph).m for key, e in catalogue.items()}
+    # bridge counts from the cut law, q1 = m q0 (cut-lemma:q1=m*q0); catalogue
+    # keys are canonical keys
+    bridges = {key: e.stats.counts[1] // e.stats.counts[0] if e.stats.size else 0
+               for key, e in catalogue.items()}
     bridgeless_small = {key for key, e in catalogue.items()
                         if 0 < e.stats.size <= 5 and bridges[key] == 0}
     expected_bridgeless = {canonical_key(refs[n]) for n in ("triangle", "C4", "C5", "K4minus")}

@@ -265,6 +265,16 @@ class TestExitCodes:
     def test_non_integer_campaign_size(self, capsys):
         self.usage_error(capsys, "verify", "families", "--campaign-size", "abc")
 
+    def test_oversized_campaign_is_refused_before_any_work(self, capsys):
+        # 10^9 draws would run for hours; the limit is 10^6
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "families", "--campaign-size", "1000001"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "error:" in captured.err and "10^6" in captured.err
+
     def test_builtin_table_takes_no_file(self, capsys, tmp_path):
         # the FILE would be ignored, so the combination is refused
         graphs = tmp_path / "k3.g6"

@@ -29,8 +29,6 @@ from occlib.graph import (
     _automorphisms,
     _cores,
     _edge_planes,
-    _least_relabelling,
-    _twin_rule,
     _vertex_planes,
 )
 
@@ -225,7 +223,7 @@ class TestCanonical:
 
     def test_matches_full_scan_on_sampled_k6_k7_masks(self):
         rng = random.Random(29)
-        for n, count in ((6, 150), (7, 12)):
+        for n, count in ((6, 150), (7, 12), (8, 50)):
             for _ in range(count):
                 g = Graph(n, rng.getrandbits(len(edge_pairs(n))))
                 assert canonical_form(g) == brute_force_form(g), (n, g.mask)
@@ -316,7 +314,7 @@ class TestEnumeration:
 
     def test_bounded_search_decides_canonicity_on_sampled_k6_k7_masks(self):
         # each sampled mask and its canonical form, so both answers occur;
-        # n = 8 is the largest the canonical search allows
+        # n = 8 is the largest canonical_form allows
         rng = random.Random(31)
         for n, count in ((6, 300), (7, 150), (8, 50)):
             for _ in range(count):
@@ -345,12 +343,12 @@ class TestEnumeration:
 
     @staticmethod
     def both_searches_match_brute_force(g):
-        # the search finds the oracle's minimum; the plane test accepts the
-        # mask exactly when it is that minimum, for the mask and for its
+        # the canonical form is the oracle's minimum; the plane test accepts
+        # the mask exactly when it is that minimum, for the mask and for its
         # canonical form
         least = brute_force_form(g)
         for h in (g, Graph(g.n, least)):
-            assert _least_relabelling(h.n, h.adjacency()) == least, h.mask
+            assert canonical_form(h) == least, h.mask
             assert bool(plane_automorphisms(h)) == (h.mask == least), h.mask
 
     def test_planes_match_permutations_on_every_entry_to_n6(self):
@@ -398,14 +396,6 @@ class TestEnumeration:
             fixed = sum(relabel(mask, image) == mask for image in images)
             canonical = Graph(5, canonical_form(Graph(5, mask)))
             assert plane_automorphisms(canonical).bit_count() == fixed, mask
-
-    def test_twin_rule_matches_definition_on_every_k5_mask(self):
-        # w < u are twins when their neighbourhoods agree apart from each other
-        for mask in range(1 << 10):
-            adj = Graph(5, mask).adjacency()
-            want = [sum(1 << w for w in range(u)
-                        if adj[u] & ~(1 << w) == adj[w] & ~(1 << u)) for u in range(5)]
-            assert _twin_rule(5, adj) == want, mask
 
     def test_both_searches_match_brute_force_on_every_k5_mask(self):
         for mask in range(1 << 10):
