@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -248,6 +249,17 @@ def cmd_hoffman(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 
+# argparse takes an argument starting with "-" for an option unless it looks
+# like a negative number, which before Python 3.13 means an integer or a
+# decimal: the parsers of rational options also let -1/7 be a value.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
+def _refuse_unless(p: argparse.ArgumentParser, ok, message: str) -> None:
+    """Have main refuse the arguments p parsed, in p's usage, unless ok."""
+    p.set_defaults(check=lambda args: ok(args) or p.error(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occ",
@@ -270,6 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="*", metavar="FILE",
                    help="files of graph6 strings (default: stdin)")
     p.set_defaults(func=cmd_cutstat)
+    _refuse_unless(p, lambda a: not (a.builtin and a.files),
+                   "--builtin prints the built-in table and takes no FILE")
 
     p = sub.add_parser("verify", help="run a verification campaign")
     campaigns = p.add_subparsers(dest="claims", required=True)
@@ -285,6 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lower endpoint (default %(default)s)")
     c.add_argument("--phi", type=parse_rational, default=Fraction(1, 2), metavar="NUM/DEN",
                    help="upper endpoint (default %(default)s)")
+    c._negative_number_matcher = _NEGATIVE_NUMBER
+    _refuse_unless(c, lambda a: 0 < a.plo < a.phi <= Fraction(1, 2),
+                   "the skew interval needs 0 < --plo < --phi <= 1/2")
     campaign("smallp", lambda a: verify_smallp())
     c = campaign("schur", lambda a: verify_oldc_claims(seed=a.seed))
     c.add_argument("--seed", type=int, default=20260815, help="seed (default %(default)s)")
@@ -311,19 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True, metavar="NUM/DEN")
     p.add_argument("--gap", type=parse_rational, default=None, metavar="NUM/DEN",
                    help="secondary gap for the stability coefficient")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.set_defaults(func=cmd_hoffman)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.claims == "skew" and not (
-            0 < args.plo < args.phi <= Fraction(1, 2)):
-        parser.error("the skew interval needs 0 < --plo < --phi <= 1/2")
-    if args.command == "cutstat" and args.builtin and args.files:
-        parser.error("--builtin prints the built-in table and takes no FILE")
+    args = build_parser().parse_args(argv)
+    if "check" in args:
+        args.check(args)
     try:
         return args.func(args, argv)
     except (ValueError, OSError) as exc:

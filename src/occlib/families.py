@@ -244,56 +244,44 @@ def agreement_cayley(n: int = 4) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def _clique_cover_bound(cand: int, adj: Sequence[int]) -> int:
-    cliques = 0
-    rem = cand
-    while rem:
-        v = (rem & -rem).bit_length() - 1
-        rem &= rem - 1
-        pool = rem & adj[v]
-        while pool:
-            u = (pool & -pool).bit_length() - 1
-            rem ^= 1 << u
-            pool = pool & adj[u] & rem
-        cliques += 1
-    return cliques
-
-
 def maximum_independent_sets(adj: Sequence[int], seed: int | None = None) -> tuple[int, list[frozenset]]:
-    """Exact branch and bound enumerating every maximum independent set.
-
-    Branches on the first candidate in a fixed vertex order (degree-sorted,
-    optionally shuffled by seed first); prunes with a greedy clique cover.
-    Returns (alpha, all maximum sets as frozensets of original labels).
+    """Every maximum independent set: the largest maximal cliques of the
+    complement, each listed once by Bron-Kerbosch with Tomita pivoting on its
+    bitsets (Bron and Kerbosch, CACM 1973; Tomita, Tanaka and Takahashi, TCS
+    2006), in a fixed vertex order (degree-sorted, optionally shuffled by
+    seed first).  Returns (alpha, all maximum sets as frozensets of original
+    labels).
     """
     nverts = len(adj)
     order = sorted(range(nverts), key=lambda v: (-adj[v].bit_count(), v))
     if seed is not None:
         random.Random(seed).shuffle(order)
     pos = {v: i for i, v in enumerate(order)}
-    radj = [0] * nverts
-    for v in range(nverts):
-        for u in _bit_positions(adj[v]):
-            radj[pos[v]] |= 1 << pos[u]
+    full = (1 << nverts) - 1
+    # free[i]: the vertices other than i that are not adjacent to it
+    free = [full ^ sum(1 << pos[u] for u in _bit_positions(adj[v] | 1 << v)) for v in order]
 
     best_size = 0
     best: list[int] = []
 
-    def rec(cur: int, cur_size: int, cand: int):
+    def expand(cur: int, cur_size: int, cand: int, done: int):
+        # done: the vertices already branched on; a set one of them extends
+        # is not maximal.  The pivot has the most candidates among its
+        # non-neighbours, and those need not be branched on.
         nonlocal best_size, best
-        if not cand:
+        if not cand | done:
             if cur_size > best_size:
-                best_size, best = cur_size, [cur]
-            elif cur_size == best_size:
+                best_size, best = cur_size, []
+            if cur_size == best_size:
                 best.append(cur)
             return
-        if cur_size + _clique_cover_bound(cand, radj) < best_size:
-            return
-        v = (cand & -cand).bit_length() - 1
-        rec(cur | (1 << v), cur_size + 1, cand & ~radj[v] & ~(1 << v))
-        rec(cur, cur_size, cand & ~(1 << v))
+        pivot = max(_bit_positions(cand | done), key=lambda u: (cand & free[u]).bit_count())
+        for v in _bit_positions(cand & ~free[pivot]):
+            expand(cur | 1 << v, cur_size + 1, cand & free[v], done & free[v])
+            cand &= ~(1 << v)
+            done |= 1 << v
 
-    rec(0, 0, (1 << nverts) - 1)
+    expand(0, 0, full, 0)
     out = [frozenset(order[i] for i in _bit_positions(bits)) for bits in best]
     return best_size, sorted(out, key=sorted)
 

@@ -8,7 +8,6 @@ transforms and the tensor operators.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from math import factorial
 from typing import Iterator, NamedTuple, Sequence
@@ -119,26 +118,12 @@ class Graph:
         return len(_component_masks(self.adjacency(), self.touched_vertices()))
 
     def is_bipartite(self) -> bool:
-        """True when the graph carries no odd cycle."""
-        adj = self.adjacency()
-        color = [-1] * self.n
-        for s in range(self.n):
-            if color[s] >= 0 or adj[s] == 0:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                nb = adj[u]
-                while nb:
-                    w = (nb & -nb).bit_length() - 1
-                    nb &= nb - 1
-                    if color[w] < 0:
-                        color[w] = color[u] ^ 1
-                        stack.append(w)
-                    elif color[w] == color[u]:
-                        return False
-        return True
+        """True when the graph carries no odd cycle: exactly when its
+        bipartite double cover, u and u + n per vertex u, has twice as many
+        components on the touched vertices."""
+        adj, t = self.adjacency(), self.touched_vertices()
+        cover = [a << self.n for a in adj] + adj
+        return len(_component_masks(cover, t | t << self.n)) == 2 * len(_component_masks(adj, t))
 
     def has_odd_cycle(self) -> bool:
         return not self.is_bipartite()
@@ -200,8 +185,8 @@ def _bit_positions(mask: int) -> list[int]:
 
 
 def _component_masks(adj: list[int], todo: int) -> list[int]:
-    """The vertex masks of the components of the graph on the vertices in the
-    mask todo with neighbour masks adj."""
+    """The vertex masks of the components that hold the vertices in the mask
+    todo, in the graph with neighbour masks adj."""
     parts = []
     while todo:
         part, grow = 0, todo & -todo
@@ -233,60 +218,25 @@ class BlockDecomposition(NamedTuple):
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Split g into bridge edges and biconnected blocks (>= 3 edges each)."""
-    adj = [[] for _ in range(g.n)]
-    for i, j in g.edges():
-        adj[i].append(j)
-        adj[j].append(i)
+    """Split g into bridge edges and biconnected blocks (>= 3 edges each).
 
-    disc = [0] * g.n
-    low = [0] * g.n
-    timer = itertools.count(1)
-    edge_stack: list[tuple[int, int]] = []
-    components: list[list[tuple[int, int]]] = []
-
-    def dfs(u: int, parent: int):
-        disc[u] = low[u] = next(timer)
-        for w in adj[u]:
-            if w == parent:
-                # simple graph: the one (u, parent) edge is the tree edge
-                continue
-            if disc[w]:
-                if disc[w] < disc[u]:
-                    edge_stack.append((u, w))
-                    low[u] = min(low[u], disc[w])
-                continue
-            edge_stack.append((u, w))
-            dfs(w, u)
-            low[u] = min(low[u], low[w])
-            if low[w] >= disc[u]:
-                comp = []
-                while True:
-                    e = edge_stack.pop()
-                    comp.append(e)
-                    if e == (u, w):
-                        break
-                components.append(comp)
-
-    for s in range(g.n):
-        if disc[s] == 0 and adj[s]:
-            dfs(s, -1)
-
-    bridges = []
-    blocks = []
-    for comp in components:
-        if len(comp) == 1:
-            i, j = comp[0]
-            bridges.append((i, j) if i < j else (j, i))
-        else:
-            blocks.append(Graph.from_edges(g.n, comp))
-    bridges.sort()
-    blocks.sort(key=lambda b: b.mask)
-    dec = BlockDecomposition(tuple(bridges), tuple(blocks))
-    covered = sum(1 for _ in bridges) + sum(b.edge_count for b in blocks)
-    if covered != g.edge_count:
+    Two edges uv and uw lie in one block exactly when v and w are joined in
+    g - u: the blocks are the classes of edge masks this relation generates
+    over all u, and a bridge is an edge alone in its class.
+    """
+    n, adj, stars = g.n, g.adjacency(), _vertex_stars(g.n)
+    classes: list[int] = []
+    for u in range(n):
+        for part in _component_masks([a & ~(1 << u) for a in adj], adj[u]):
+            star = sum(stars[u] & stars[w] for w in _bit_positions(part & adj[u]))
+            # the classes are disjoint: those that meet star merge with it
+            meet = [c for c in classes if c & star]
+            classes = [c for c in classes if not c & star] + [star | sum(meet)]
+    if sum(classes) != g.mask:
         raise AssertionError("block decomposition lost or duplicated edges")
-    return dec
+    bridges = sorted(edge_pairs(n)[c.bit_length() - 1] for c in classes if c.bit_count() == 1)
+    blocks = sorted((Graph(n, c) for c in classes if c.bit_count() > 1), key=lambda b: b.mask)
+    return BlockDecomposition(tuple(bridges), tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,23 @@ class TestExitCodes:
         graphs.write_text("Bw\n", encoding="ascii")
         self.usage_error(capsys, "cutstat", "--builtin", str(graphs))
 
+    def test_negative_plo_after_a_space_meets_the_interval_check(self, capsys):
+        # -1/4 is read as the value of --plo, not as an unknown option
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "skew", "--plo", "-1/4"])
+        assert exc.value.code == 2
+        assert "the skew interval needs 0 < --plo < --phi <= 1/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, usage", [
+        (("verify", "skew", "--plo", "1/2", "--phi", "1/4"), "usage: occ verify skew "),
+        (("cutstat", "--builtin", "k3.g6"), "usage: occ cutstat "),
+    ], ids=["skew-interval", "cutstat-builtin-file"])
+    def test_refusal_shows_the_sub_command_usage(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(usage)
+
     @pytest.mark.parametrize("n", ["5", "6", "7"])
     def test_max_independent_searches_k4_only(self, capsys, n):
         self.usage_error(capsys, "families", "max-independent", "--n", n)
@@ -517,6 +534,13 @@ class TestHoffman:
         assert rc == 0
         assert "nu: 1/8" in out
         assert "stability_coefficient: 136" in out
+
+    def test_negative_lambda_after_a_space(self, capsys):
+        # the only domain of --lambda-min is (-1, 0), so its value always
+        # starts with "-"; the space form reads as the "=" form
+        spaced = run(capsys, "hoffman", "--lambda-min", "-1/7", "--gap", "1/952")
+        assert spaced == run(capsys, "hoffman", "--lambda-min=-1/7", "--gap", "1/952")
+        assert spaced[0] == 0 and "stability_coefficient: 136" in spaced[1]
 
     def test_cube_bias(self, capsys):
         rc, out, _ = run(capsys, "hoffman", "--lambda-min=-27/485",

@@ -371,6 +371,25 @@ class TestSearch:
         a2, s2 = maximum_independent_sets(adj, seed=99)
         assert a1 == a2 and set(s1) == set(s2)
 
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_matches_brute_force_over_all_subsets(self, seed):
+        # every subset S is tested for independence from S minus its least
+        # vertex; the maximum sets, each once, in the sorted order
+        rng = random.Random(41)
+        for trial in range(80):
+            n = rng.randint(0, 14)
+            p = rng.choice((0.15, 0.3, 0.5, 0.8))
+            adj = adjacency_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                           if rng.random() < p])
+            independent = [True] * (1 << n)
+            for s in range(1, 1 << n):
+                low = s & -s
+                independent[s] = independent[s ^ low] and not adj[low.bit_length() - 1] & s
+            alpha = max(s.bit_count() for s in range(1 << n) if independent[s])
+            best = [frozenset(v for v in range(n) if s >> v & 1) for s in range(1 << n)
+                    if independent[s] and s.bit_count() == alpha]
+            assert maximum_independent_sets(adj, seed=seed) == (alpha, sorted(best, key=sorted)), trial
+
 
 class TestHoffmanAudit:
     def test_umvirate_tight(self):

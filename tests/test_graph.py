@@ -133,6 +133,9 @@ class TestPredicates:
             n = rng.randint(2, 6)
             g = Graph(n, rng.getrandbits(len(edge_pairs(n))))
             assert g.has_odd_cycle() == self.odd_cycle_oracle(g)
+        for mask in range(1 << 10):
+            g = Graph(5, mask)
+            assert g.has_odd_cycle() == self.odd_cycle_oracle(g), mask
 
     def test_triangle_detection(self):
         assert TRIANGLE.contains_triangle()
@@ -196,6 +199,57 @@ class TestBlocks:
         dec = block_decomposition(g)
         assert dec.m == 2 and len(dec.blocks) == 2
         assert set(dec.bridges) == {(2, 3), (3, 4)}
+        # the bowtie: two triangles at a cut vertex are two blocks, not one
+        # 2-edge-connected piece
+        bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        dec = block_decomposition(bowtie)
+        assert dec.m == 0 and len(dec.blocks) == 2
+
+    def cycle_oracle(self, g):
+        """The edge masks of the simple cycles of g, by brute force over
+        vertex sequences: each cycle is listed from its least vertex, along
+        simple paths that return to it."""
+        cycles = set()
+
+        def extend(path, mask):
+            for w in range(path[0], g.n):
+                if w in path[1:] or w == path[-1] or not g.has_edge(path[-1], w):
+                    continue
+                edge = 1 << edge_index(path[-1], w, g.n)
+                if w == path[0]:
+                    if len(path) >= 3:
+                        cycles.add(mask | edge)
+                else:
+                    extend(path + [w], mask | edge)
+
+        for s in range(g.n):
+            extend([s], 0)
+        return cycles
+
+    def check_blocks_by_cycles(self, g):
+        # two edges share a block iff they are equal or some simple cycle
+        # holds both; a bridge shares its block with no other edge
+        dec = block_decomposition(g)
+        part = {edge_index(i, j, g.n): k for k, (i, j) in enumerate(dec.bridges)}
+        for k, b in enumerate(dec.blocks):
+            part.update((e, len(dec.bridges) + k) for e in range(b.mask.bit_length())
+                        if b.mask >> e & 1)
+        cycles = self.cycle_oracle(g)
+        edges = [e for e in range(g.mask.bit_length()) if g.mask >> e & 1]
+        assert sorted(part) == edges, g.mask
+        for e, f in itertools.combinations(edges, 2):
+            together = any(c >> e & c >> f & 1 for c in cycles)
+            assert (part[e] == part[f]) == together, (g.n, g.mask, e, f)
+
+    def test_blocks_match_cycle_oracle_on_every_k5_mask(self):
+        for mask in range(1 << 10):
+            self.check_blocks_by_cycles(Graph(5, mask))
+
+    def test_blocks_match_cycle_oracle_on_sampled_k6_k7_masks(self):
+        rng = random.Random(31)
+        for n, count in ((6, 1000), (7, 200)):
+            for _ in range(count):
+                self.check_blocks_by_cycles(Graph(n, rng.getrandbits(len(edge_pairs(n)))))
 
 
 class TestCanonical:
