@@ -25,8 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .cutstats import class_catalogue
-from .graph import Graph, _bit_positions, all_masks, canonical_key, edge_index
+from .graph import Graph, _bit_positions, all_masks, edge_index
 from .hypercube import indicator_bits, layer_masks, low_masks, quadratic_form, walsh_support
 from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, Spectrum, VerificationReport
 from .spectra import combined_lambda_min, hoffman_bound
@@ -289,9 +288,8 @@ def maximum_independent_sets(adj: Sequence[int], seed: int | None = None) -> tup
 @lru_cache(maxsize=4096)
 def _combined_lambda(n: int, mask: int) -> Fraction:
     """Combined-spectrum eigenvalue of the edge set mask of K_n, read from its
-    class in class_catalogue(n)."""
-    entry = class_catalogue(n)[canonical_key(Graph(n, mask))]
-    return Spectrum.combined().value(entry.stats)
+    own cut law."""
+    return Spectrum.combined().value(Graph(n, mask))
 
 
 def _weight_off(support: Iterable[tuple[int, Fraction]], eigenvalue: dict,

@@ -222,18 +222,23 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
 
     Two edges uv and uw lie in one block exactly when v and w are joined in
     g - u: the blocks are the classes of edge masks this relation generates
-    over all u, and a bridge is an edge alone in its class.
+    over all u, and a bridge is an edge alone in its class.  Only a vertex of
+    degree >= 2 relates two edges, so the others are skipped; an edge left in
+    no class joins two vertices of degree 1, and so is a bridge.
     """
     n, adj, stars = g.n, g.adjacency(), _vertex_stars(g.n)
     classes: list[int] = []
     for u in range(n):
+        if not adj[u] & (adj[u] - 1):
+            continue
         for part in _component_masks([a & ~(1 << u) for a in adj], adj[u]):
             star = sum(stars[u] & stars[w] for w in _bit_positions(part & adj[u]))
             # the classes are disjoint: those that meet star merge with it
             meet = [c for c in classes if c & star]
             classes = [c for c in classes if not c & star] + [star | sum(meet)]
+    classes += [1 << i for i in _bit_positions(g.mask & ~sum(classes))]
     if sum(classes) != g.mask:
-        raise AssertionError("block decomposition lost or duplicated edges")
+        raise AssertionError("block decomposition duplicated edges")
     bridges = sorted(edge_pairs(n)[c.bit_length() - 1] for c in classes if c.bit_count() == 1)
     blocks = sorted((Graph(n, c) for c in classes if c.bit_count() > 1), key=lambda b: b.mask)
     return BlockDecomposition(tuple(bridges), tuple(blocks))

@@ -3,7 +3,9 @@ vertices, and the tensor operators acting there.  At p = 1/2 the operator
 T_B flips every edge off B, so it is a shift of the cube, and its average
 over the colouring cuts B of K_n is the averaged shift of the cut lemmas.
 
-Every value is a Fraction.  Characters are taken in the rational basis
+Every value is exact.  A function on the cube is the list of its
+2^C(n,2) values (ints or Fractions) in edge-mask order, and a family is its
+packed indicator (below).  Characters are taken in the rational basis
 psi_S = chi_S / sqrt(p(1-p))^|S|, where chi_S is the orthonormal p-biased
 character: psi_S(G) is the product over the edges e of S of 1/(1-p) when e
 is absent from G and -1/p when it is present.  The coefficient
@@ -15,7 +17,8 @@ are rational for every p.
 Every transform runs one integer butterfly: with p = a/b the analysis rows
 of an edge are (b-a, a)/b and (1, -1), applied to values put on one common
 denominator, so each output is an integer times a rational scale that
-depends only on |S|.  At p = 1/2, ghat(S) is 2^|S| times the plain
+depends only on |S|; TensorOperator.apply runs the same kernel on the rows
+of its edge matrix.  At p = 1/2, ghat(S) is 2^|S| times the plain
 Walsh-Hadamard transform over 2^e.
 
 A family of graphs is transformed from its indicator, packed as one integer
@@ -35,9 +38,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
-    "FunctionOnCube",
     "TensorOperator",
-    "character",
     "indicator_bits",
     "layer_masks",
     "low_masks",
@@ -47,7 +48,7 @@ __all__ = [
 
 F = Fraction
 
-_MAX_COORDS = 15  # at most 2^15 values per transform: cube dimension, or edges a family depends on
+_MAX_COORDS = 15  # at most 2^15 values per transform: the edges a family depends on
 
 _ZERO, _ONE = F(0), F(1)
 
@@ -76,58 +77,6 @@ def _butterfly(vals: Sequence[int], rows, coords: int) -> list[int]:
     return vals
 
 
-def _apply_rational(values: Sequence[Fraction], matrix, coords: int) -> list[Fraction]:
-    """A rational 2x2 matrix on every coordinate in coords, through the
-    integer kernel: each row and the values are put on one denominator, and
-    the output at mask is rescaled by |mask & coords| alone."""
-    rows, scales = [], []
-    for row in matrix:
-        m = lcm(*(x.denominator for x in row))
-        rows.append(tuple(x.numerator * (m // x.denominator) for x in row))
-        scales.append(m)
-    m0, m1 = scales
-    den = lcm(*{x.denominator for x in values})
-    ints = _butterfly([x.numerator * (den // x.denominator) for x in values], rows, coords)
-    c = coords.bit_count()
-    dens = [den * m0 ** (c - j) * m1 ** j for j in range(c + 1)]
-    return [F(x, dens[(mask & coords).bit_count()]) for mask, x in enumerate(ints)]
-
-
-class FunctionOnCube:
-    """A function on all 2^C(n,2) graphs on n labelled vertices, stored
-    densely by edge mask with exact Fraction values."""
-
-    __slots__ = ("n", "p", "values", "_dim")
-
-    def __init__(self, n: int, p: Fraction, values: Sequence):
-        e = n * (n - 1) // 2
-        if e > _MAX_COORDS:
-            raise ValueError(f"cube dimension {e} exceeds {_MAX_COORDS}")
-        p = F(p)
-        if not 0 < p < 1:
-            raise ValueError("need 0 < p < 1")
-        vals = [v if type(v) is Fraction else F(v) for v in values]
-        if len(vals) != 1 << e:
-            raise ValueError(f"expected {1 << e} values, got {len(vals)}")
-        self.n, self.p, self.values, self._dim = n, p, vals, e
-
-    def _like(self, vals: list) -> "FunctionOnCube":
-        out = FunctionOnCube.__new__(FunctionOnCube)
-        out.n, out.p, out.values, out._dim = self.n, self.p, vals, self._dim
-        return out
-
-
-def character(n: int, p: Fraction, s_mask: int) -> FunctionOnCube:
-    """The rational character psi_S indexed by edge set S, as an explicit
-    function: (-1/p)^k (1/(1-p))^(|S|-k) on a graph sharing k edges with S."""
-    p = F(p)
-    size = s_mask.bit_count()
-    by_shared = [(-1 / p) ** k / (1 - p) ** (size - k) for k in range(size + 1)]
-    e = n * (n - 1) // 2
-    return FunctionOnCube(n, p, [by_shared[(mask & s_mask).bit_count()]
-                                 for mask in range(1 << e)])
-
-
 class TensorOperator:
     """Product operator acting on one edge coordinate at a time.
 
@@ -152,10 +101,22 @@ class TensorOperator:
     def _active(self) -> int:
         return ((1 << self.dim) - 1) & ~self.b_mask
 
-    def apply(self, f: FunctionOnCube) -> FunctionOnCube:
-        if (f.n, f.p) != (self.n, self.p):
-            raise ValueError("mismatched cube")
-        return f._like(_apply_rational(f.values, self.matrix, self._active()))
+    def apply(self, values: Sequence) -> list[Fraction]:
+        """T_B on a function given by its 2^dim exact values (ints or
+        Fractions) in edge-mask order.  With p = a/b, the rows of M are
+        (b - 2a, a) / (b - a) and (1, 0): the integer kernel runs on the values
+        put on one denominator, and the output at mask is rescaled by the
+        number of active edges absent from mask alone."""
+        if len(values) != 1 << self.dim:
+            raise ValueError(f"expected {1 << self.dim} values, got {len(values)}")
+        a, b = self.p.numerator, self.p.denominator
+        active = self._active()
+        den = lcm(*{x.denominator for x in values})
+        ints = _butterfly([x.numerator * (den // x.denominator) for x in values],
+                          ((b - 2 * a, a), (1, 0)), active)
+        c = active.bit_count()
+        dens = [den * (b - a) ** (c - j) for j in range(c + 1)]
+        return [F(x, dens[(mask & active).bit_count()]) for mask, x in enumerate(ints)]
 
     def entry(self, g_mask: int, h_mask: int) -> Fraction:
         """Matrix entry between two graphs: product of per-edge entries."""

@@ -46,7 +46,7 @@ from .graph import (
     canonical_key,
     write_graph6,
 )
-from .hypercube import TensorOperator, character
+from .hypercube import TensorOperator
 
 __all__ = [
     "TAU",
@@ -740,10 +740,11 @@ def verify_cut_lemmas() -> VerificationReport:
     cuts = _cut_mask_table(4)
     shifts = [TensorOperator(4, F(1, 2), b) for b in cuts]
     for s in range(64):
-        psi = character(4, F(1, 2), s)
-        images = {1: psi.values, -1: [-x for x in psi.values]}
+        # psi_S / 2^|S| at p = 1/2: the sign (-1)^|S & G| at the graph G
+        psi = [(-1) ** (s & g).bit_count() for g in range(64)]
+        images = {1: psi, -1: [-x for x in psi]}
         signs = [(-1) ** (s & ~b).bit_count() for b in cuts]
-        eigen = all(op.apply(psi).values == images[sign] for op, sign in zip(shifts, signs))
+        eigen = all(op.apply(psi) == images[sign] for op, sign in zip(shifts, signs))
         stats = cut_stats(Graph(4, s))  # law / total = (-1)^|S| Q_S(-1)
         law = sum((-1) ** (stats.size + k) * c for k, c in enumerate(stats.counts))
         if not eigen or sum(signs) * stats.total != len(cuts) * law:

@@ -25,7 +25,8 @@ from occlib.families import (
     verify_family_claims,
 )
 from occlib import families
-from occlib.graph import Graph, all_masks
+from occlib.cutstats import class_catalogue
+from occlib.graph import Graph, all_masks, canonical_key
 from occlib.hypercube import walsh_support
 from occlib.spectra import Spectrum, combined_lambda_min
 
@@ -406,6 +407,16 @@ class TestHoffmanAudit:
         spec = Spectrum.combined()
         for n in (3, 4, 5):
             assert combined_lambda_min(n) == min(spec.value(Graph(n, m)) for m in all_masks(n))
+
+    def test_eigenvalue_equals_the_catalogue_class_value(self):
+        # the audit reads each support set's own cut law; its class in the
+        # catalogue, found by canonical key, must carry the same eigenvalue
+        spec = Spectrum.combined()
+        for n in (4, 5):
+            catalogue = class_catalogue(n)
+            for m in all_masks(n):
+                entry = catalogue[canonical_key(Graph(n, m))]
+                assert families._combined_lambda(n, m) == spec.value(entry.stats), (n, m)
 
     def test_non_agreeing_family_fails(self):
         a = hoffman_audit(Family(4, [0, 63]))

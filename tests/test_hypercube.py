@@ -8,10 +8,7 @@ from occlib.cutstats import cut_distribution_bruteforce
 from occlib.families import Family, junta, triangle_masks, umvirate
 from occlib.graph import Graph, all_masks, edge_pairs
 from occlib.hypercube import (
-    FunctionOnCube,
     TensorOperator,
-    _apply_rational,
-    character,
     indicator_bits,
     layer_masks,
     low_masks,
@@ -47,24 +44,34 @@ def synthesis_matrix(p):
     return ((F(1), p), (F(1), p - 1))
 
 
-def measure(f, mask):
-    """p-biased measure of the graph with this edge mask."""
-    return f.p ** mask.bit_count() * (1 - f.p) ** (f.n * (f.n - 1) // 2 - mask.bit_count())
+def measure(p, dim, mask):
+    """p-biased measure of the graph with this edge mask, on the cube of
+    dimension dim."""
+    return p ** mask.bit_count() * (1 - p) ** (dim - mask.bit_count())
 
 
-def inner(f, g):
-    """<f, g> under the p-biased measure."""
-    return sum(u * v * measure(f, m) for m, (u, v) in enumerate(zip(f.values, g.values)))
+def inner(p, f, g):
+    """<f, g> under the p-biased measure, for two value lists on one cube."""
+    dim = len(f).bit_length() - 1
+    return sum(u * v * measure(p, dim, m) for m, (u, v) in enumerate(zip(f, g)))
 
 
-def expectation(f):
-    return inner(f, FunctionOnCube(f.n, f.p, [1] * len(f.values)))
+def expectation(p, f):
+    return inner(p, f, [1] * len(f))
 
 
-def indicator(n, p, members):
+def indicator(n, members):
     """The dense 0/1 indicator of a family, built point by point."""
     members = set(members)
-    return FunctionOnCube(n, p, [int(m in members) for m in all_masks(n)])
+    return [int(m in members) for m in all_masks(n)]
+
+
+def psi(n, p, s_mask):
+    """The rational character psi_S indexed by edge set S, as a value list:
+    (-1/p)^k (1/(1-p))^(|S|-k) on a graph sharing k edges with S."""
+    size = s_mask.bit_count()
+    by_shared = [(-1 / p) ** k / (1 - p) ** (size - k) for k in range(size + 1)]
+    return [by_shared[(m & s_mask).bit_count()] for m in all_masks(n)]
 
 
 def combined_by_mask(n):
@@ -84,45 +91,49 @@ class TestWalsh:
 
     def test_round_trip(self):
         rng = random.Random(3)
-        f = FunctionOnCube(3, F(1, 3),
-                           [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(8)])
-        ghat = _apply_rational(f.values, walsh_matrix(f.p), 7)
-        assert reference_butterfly(ghat, synthesis_matrix(f.p), 7) == f.values
+        p = F(1, 3)
+        f = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(8)]
+        assert reference_butterfly(walsh(p, f), synthesis_matrix(p), 7) == f
 
     def test_parseval(self):
         # <f, f> = sum_S (p(1-p))^|S| ghat(S)^2, and <f, f> = mu_p for 0/1 f
         p = F(2, 7)
         members = random_members(3, 5)
-        f = indicator(3, p, members)
-        assert sum(sq for _, sq in walsh_support(3, p, packed(3, members))) == inner(f, f)
+        f = indicator(3, members)
+        assert sum(sq for _, sq in walsh_support(3, p, packed(3, members))) == inner(p, f, f)
 
     def test_characters_orthonormal(self):
         # psi_S = chi_S / sqrt(p(1-p))^|S|, so <psi_S, psi_S> = (p(1-p))^-|S|
         p = F(1, 3)
-        psis = [character(3, p, s) for s in range(8)]
+        psis = [psi(3, p, s) for s in range(8)]
         for r in range(8):
             for s in range(8):
                 want = (p * (1 - p)) ** -s.bit_count() if r == s else 0
-                assert inner(psis[r], psis[s]) == want
+                assert inner(p, psis[r], psis[s]) == want
 
     def test_empty_coefficient_is_expectation(self):
-        rng = random.Random(7)
-        f = FunctionOnCube(3, F(3, 8), [F(rng.randint(0, 1)) for _ in range(8)])
-        assert _apply_rational(f.values, walsh_matrix(f.p), 7)[0] == expectation(f)
+        # ghat(empty) = E[f], and its square is the support's entry at 0
+        p = F(3, 8)
+        members = random_members(3, 7)
+        f = indicator(3, members)
+        assert walsh(p, f)[0] == expectation(p, f)
+        assert dict(walsh_support(3, p, packed(3, members)))[0] == expectation(p, f) ** 2
 
     def test_indicator_expectation_is_measure(self):
         # a principal filter above a triangle has measure p^3
         members = [m for m in range(64) if m & TRIANGLE_K4.mask == TRIANGLE_K4.mask]
         for p in (F(1, 3), F(1, 2)):
-            assert expectation(indicator(4, p, members)) == p ** 3
+            assert expectation(p, indicator(4, members)) == p ** 3
 
     def test_guards(self):
-        with pytest.raises(ValueError):
-            FunctionOnCube(7, F(1, 2), [])  # 21 coordinates is past the cap
-        with pytest.raises(ValueError):
-            FunctionOnCube(3, F(1, 2), [F(0)] * 7)
-        with pytest.raises(ValueError):
-            FunctionOnCube(3, F(3, 2), [F(0)] * 8)
+        # the operator takes exactly 2^C(n,2) values, at a bias in (0, 1/2]
+        op = TensorOperator(3, F(1, 3))
+        for size in (0, 7, 9, 64):
+            with pytest.raises(ValueError):
+                op.apply([1] * size)
+        for p in (F(0), F(3, 2)):
+            with pytest.raises(ValueError):
+                TensorOperator(3, p)
 
 
 def reference_butterfly(values, matrix, coords):
@@ -142,9 +153,9 @@ def reference_butterfly(values, matrix, coords):
     return vals
 
 
-def walsh(f):
+def walsh(p, f):
     """ghat(S) = <f, psi_S> for every S, by the reference butterfly."""
-    return reference_butterfly(f.values, walsh_matrix(f.p), len(f.values) - 1)
+    return reference_butterfly(f, walsh_matrix(p), len(f) - 1)
 
 
 def packed(n, members):
@@ -161,16 +172,15 @@ def random_members(n, seed):
 def oracle_support(n, p, members):
     """The nonzero squared orthonormal coefficients of the dense 0/1
     indicator, by the reference butterfly."""
-    ghat = walsh(indicator(n, p, members))
+    ghat = walsh(p, indicator(n, members))
     squares = [(p * (1 - p)) ** m.bit_count() * v * v for m, v in enumerate(ghat)]
     return [(m, sq) for m, sq in enumerate(squares) if sq]
 
 
-def random_function(n, p, seed):
-    """Seeded random rational values."""
+def random_function(n, seed):
+    """Seeded random rational values, one per edge mask of K_n."""
     rng = random.Random(seed)
-    size = 1 << (n * (n - 1) // 2)
-    return FunctionOnCube(n, p, [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(size)])
+    return [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in all_masks(n)]
 
 
 KERNEL_CASES = [(n, p, seed) for n in (3, 4) for p in (F(1, 2), F(1, 3), F(2, 5))
@@ -180,44 +190,51 @@ KERNEL_CASES = [(n, p, seed) for n in (3, 4) for p in (F(1, 2), F(1, 3), F(2, 5)
 class TestIntegerKernel:
     @pytest.mark.parametrize("n,p,seed", KERNEL_CASES)
     def test_transforms_match_reference(self, n, p, seed):
-        f = random_function(n, p, seed)
-        full = len(f.values) - 1
-        for matrix in (walsh_matrix(p), synthesis_matrix(p)):
-            assert _apply_rational(f.values, matrix, full) == \
-                reference_butterfly(f.values, matrix, full)
+        # the integer kernel behind TensorOperator.apply, on rational values,
+        # against the Fraction butterfly of the operator's edge matrix
+        f = random_function(n, seed)
+        full = len(f) - 1
+        for b_mask in (0, 0b101):
+            op = TensorOperator(n, p, b_mask)
+            assert op.apply(f) == reference_butterfly(f, op.matrix, full & ~b_mask)
 
     @pytest.mark.parametrize("n,p,seed", KERNEL_CASES)
     def test_squares_parseval_and_quadratic_form(self, n, p, seed):
         members = random_members(n, seed)
         support = walsh_support(n, p, packed(n, members))
         assert support == oracle_support(n, p, members)
-        f = indicator(n, p, members)
-        assert sum(sq for _, sq in support) == inner(f, f)
+        f = indicator(n, members)
+        assert sum(sq for _, sq in support) == inner(p, f, f)
         lam = combined_by_mask(n)
-        want = sum((p * (1 - p)) ** m.bit_count() * v * v * lam[m] for m, v in enumerate(walsh(f)))
+        want = sum((p * (1 - p)) ** m.bit_count() * v * v * lam[m]
+                   for m, v in enumerate(walsh(p, f)))
         assert quadratic_form(support, lam) == want
 
     def test_half_is_plain_hadamard(self):
         # at p = 1/2, ghat(S) is 2^|S| times the integer Walsh-Hadamard
-        # transform over 2^e
-        rng = random.Random(11)
-        ints = [rng.randint(-9, 9) for _ in range(64)]
-        ghat = _apply_rational([F(x) for x in ints], walsh_matrix(F(1, 2)), 63)
+        # transform over 2^e, so the squared orthonormal coefficient is the
+        # square of that transform over 2^e
+        members = random_members(4, 11)
+        ghat = walsh(F(1, 2), indicator(4, members))
+        support = dict(walsh_support(4, F(1, 2), packed(4, members)))
         for s in range(64):
-            wht = sum(x * (-1) ** (s & m).bit_count() for m, x in enumerate(ints))
+            wht = sum((-1) ** (s & m).bit_count() for m in members)
             assert ghat[s] == 2 ** s.bit_count() * F(wht, 64)
+            assert support.get(s, 0) == F(wht, 64) ** 2
 
     @pytest.mark.parametrize("p", [F(1, 3), F(2, 5), F(1, 2)])
-    @pytest.mark.parametrize("b_mask", [0, 0b000101, 0b110000])
+    # two bipartite sets that are not cuts, then the 8 colouring cuts of K4
+    @pytest.mark.parametrize("b_mask", [0, 0b000101, 0b110000, *coloring_cuts(4)[1:]])
     def test_tensor_apply_matches_dense_matrix(self, p, b_mask):
+        # the dense 64 x 64 matrix of T_B on K4, built from entry
         op = TensorOperator(4, p, b_mask)
         entries = [(g, h, op.entry(g, h)) for g in range(64) for h in range(64)]
         entries = [t for t in entries if t[2]]
-        for f in (random_function(4, p, 5), character(4, p, 0b011010)):
+        for f in (random_function(4, 5), psi(4, p, 0b011010), [1] * 64):
             dense = [F(0)] * 64
             for g, h, x in entries:
-                dense[g] += x * f.values[h]
-            assert op.apply(f).values == dense
+                dense[g] += x * f[h]
+            assert op.apply(f) == dense
 
 
 class TestWalshSupport:
@@ -274,6 +291,7 @@ class TestWalshSupport:
         # Family(7, [0]) depends on all 21 edges of K7; the refusal comes
         # before any list over 2^21 points is built
         fam = Family(7, [0])
+        low_masks(21)  # cached once per process: build it outside the measurement
         tracemalloc.start()
         try:
             with pytest.raises(ValueError):
@@ -287,31 +305,30 @@ class TestWalshSupport:
 def apply_shift(f, b_mask):
     """The uniform-measure shift, kept as an oracle: g(G) = f(G xor E'), with
     E' the edges off B."""
-    flip = (len(f.values) - 1) & ~b_mask
-    return [f.values[mask ^ flip] for mask in range(len(f.values))]
+    flip = (len(f) - 1) & ~b_mask
+    return [f[mask ^ flip] for mask in range(len(f))]
 
 
 class TestShiftOperators:
     def test_shift_is_xor_with_complement(self):
-        f = FunctionOnCube(3, F(1, 2), [F(m) for m in range(8)])
-        g = TensorOperator(3, F(1, 2), 0b011).apply(f)
-        assert g.values[0] == F(0 ^ 0b100)
+        g = TensorOperator(3, F(1, 2), 0b011).apply(list(range(8)))
+        assert g[0] == 0 ^ 0b100
 
     def test_tensor_operator_at_half_is_the_shift(self):
         # at p = 1/2, T_B flips every edge off B, for every colouring cut of K4
-        f = random_function(4, F(1, 2), 13)
+        f = random_function(4, 13)
         for b in coloring_cuts(4):
-            assert TensorOperator(4, F(1, 2), b).apply(f).values == apply_shift(f, b)
+            assert TensorOperator(4, F(1, 2), b).apply(f) == apply_shift(f, b)
 
     def test_averaged_eigenvalues_from_cut_pgf(self):
         # averaging T_B over all bipartition cuts B of K4 multiplies the
         # coefficient at S by (-1)^|S| Q_S(-1)
         rng = random.Random(9)
-        f = FunctionOnCube(4, F(1, 2), [F(rng.randint(-3, 3)) for _ in range(64)])
+        f = [rng.randint(-3, 3) for _ in range(64)]
         cuts = coloring_cuts(4)
-        images = [TensorOperator(4, F(1, 2), b).apply(f).values for b in cuts]
-        av = FunctionOnCube(4, F(1, 2), [sum(col) / len(cuts) for col in zip(*images)])
-        avh, fh = walsh(av), walsh(f)
+        images = [TensorOperator(4, F(1, 2), b).apply(f) for b in cuts]
+        av = [sum(col) / len(cuts) for col in zip(*images)]
+        avh, fh = walsh(F(1, 2), av), walsh(F(1, 2), f)
         for s in range(64):
             g = Graph(4, s)
             lam = sum((-1) ** k * q for k, q in enumerate(cut_distribution_bruteforce(g)))
@@ -332,10 +349,8 @@ class TestTensorOperator:
         p = F(1, 3)
         op = TensorOperator(3, p, b_mask=0b001)
         for s in range(8):
-            chi = character(3, p, s)
-            out = op.apply(chi)
-            lam = op.eigenvalue(s)
-            assert all(out.values[m] == lam * chi.values[m] for m in range(8))
+            chi = psi(3, p, s)
+            assert op.apply(chi) == [op.eigenvalue(s) * x for x in chi]
         assert op.eigenvalue(0b110) == F(1, 4)   # two active edges
         assert op.eigenvalue(0b001) == 1         # frozen edge contributes nothing
 
@@ -355,23 +370,21 @@ class TestTensorOperator:
         p = F(1, 3)
         op = TensorOperator(3, p, b_mask=0b010)
         vals = [F(i + 1, 3) for i in range(8)]
-        f = FunctionOnCube(3, p, vals)
-        out = op.apply(f)
+        out = op.apply(vals)
         for g in range(8):
-            assert out.values[g] == sum(op.entry(g, h) * vals[h] for h in range(8))
+            assert out[g] == sum(op.entry(g, h) * vals[h] for h in range(8))
 
     def test_detailed_balance(self):
         # the chain is reversible for the p-biased measure
         p = F(1, 3)
         op = TensorOperator(3, p)
-        f = FunctionOnCube(3, p, [F(0)] * 8)
         for g in range(8):
             for h in range(8):
-                assert measure(f, g) * op.entry(g, h) == measure(f, h) * op.entry(h, g)
+                assert measure(p, 3, g) * op.entry(g, h) == measure(p, 3, h) * op.entry(h, g)
 
     def test_umvirate_quadratic_form_vanishes(self):
         members = [m for m in range(64) if m & TRIANGLE_K4.mask == TRIANGLE_K4.mask]
-        uh = walsh(indicator(4, F(1, 2), members))
+        uh = walsh(F(1, 2), indicator(4, members))
         for s in range(64):
             if s & TRIANGLE_K4.mask == s:
                 sign = 1 if Graph(4, s).edge_count % 2 == 0 else -1
@@ -384,10 +397,10 @@ class TestTensorOperator:
 
     def test_quadratic_form_rational_at_biased_p(self):
         members = [m for m in range(8) if m & 0b001]
-        f = indicator(3, F(1, 3), members)
+        f = indicator(3, members)
         lam = {m: TensorOperator(3, F(1, 3)).eigenvalue(m) for m in range(8)}
         q = quadratic_form(walsh_support(3, F(1, 3), packed(3, members)), lam)
         # independently: <f, Mf> under the measure
         op = TensorOperator(3, F(1, 3))
-        assert q == inner(f, op.apply(f))
+        assert q == inner(F(1, 3), f, op.apply(f))
 
