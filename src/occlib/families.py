@@ -15,6 +15,20 @@ Agreeing families are exactly the independent sets of a Cayley graph on the
 2^C(n,2) masks whose generators are the complements of triangle-free graphs;
 on four vertices that graph is small enough to enumerate every maximum
 independent set exactly.
+
+The compression campaign of verify_family_claims checks its seeded draws on
+K4, whose cube has 64 masks, up to 1024 at a time in one packed integer:
+family i is lane i, bits 64 i to 64 i + 63, a copy of its own indicator
+(SIMD within a register).  Shifts and up-set tests need no change, since they
+move bits only inside a lane; with the low mask of an edge placed only in the
+lanes drawn with that edge, one shift compresses each family through its own
+edge.  A SWAR popcount leaves each lane's member count in the lane, so sizes
+and uniform measures are one comparison, and the 1/3-biased weights
+sum_k 2^(6-k) |lane & layer_k| are compared lane by lane by a guard-bit
+subtraction.  A lane is agreeing when it misses its xor-translates by the
+Cayley generators, and intersecting when no member a meets the complement
+of a's partner indicator, placed in the lanes that hold a.  The per-family
+predicates above are what the lanes are tested against, and serve any n.
 """
 
 from __future__ import annotations
@@ -23,10 +37,11 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, _bit_positions, all_masks, edge_index
-from .hypercube import indicator_bits, layer_masks, low_masks, quadratic_form, walsh_support
+from .hypercube import _support_butterfly, indicator_bits, layer_masks, low_masks
 from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, Spectrum, VerificationReport
 from .spectra import combined_lambda_min, hoffman_bound
 
@@ -199,21 +214,29 @@ def compress(fam: Family, e_idx: int) -> Family:
     return Family._packed(fam.n, _shift_up(fam.bits, e_idx, low_masks(fam.dim)[e_idx]))
 
 
-def monotonize(fam: Family) -> Family:
-    """Apply edge compressions until the family stabilizes."""
-    lows, bits = low_masks(fam.dim), fam.bits
+def _monotone(bits: int, lows: Sequence[int]) -> int:
+    """Compress through every edge e, lows[e] its low mask, until stable."""
     while True:
         cur = bits
-        for e in range(fam.dim):
-            cur = _shift_up(cur, e, lows[e])
+        for e, low in enumerate(lows):
+            cur = _shift_up(cur, e, low)
         if cur == bits:
-            return Family._packed(fam.n, cur)
+            return cur
         bits = cur
 
 
+def _upset(bits: int, lows: Sequence[int]) -> bool:
+    """Whether no member misses an edge e whose slot above is free."""
+    return all(not ((bits & low) << (1 << e)) & ~bits for e, low in enumerate(lows))
+
+
+def monotonize(fam: Family) -> Family:
+    """Apply edge compressions until the family stabilizes."""
+    return Family._packed(fam.n, _monotone(fam.bits, low_masks(fam.dim)[:fam.dim]))
+
+
 def is_upset(fam: Family) -> bool:
-    bits, lows = fam.bits, low_masks(fam.dim)
-    return all(not ((bits & lows[e]) << (1 << e)) & ~bits for e in range(fam.dim))
+    return _upset(fam.bits, low_masks(fam.dim)[:fam.dim])
 
 
 @lru_cache(maxsize=4)
@@ -292,26 +315,27 @@ def _combined_lambda(n: int, mask: int) -> Fraction:
     return Spectrum.combined().value(Graph(n, mask))
 
 
-def _weight_off(support: Iterable[tuple[int, Fraction]], eigenvalue: dict,
-                lam_min: Fraction) -> Fraction:
-    """Fourier mass of the nonconstant characters whose eigenvalue is not
-    lam_min: the quadratic form of the 0/1 indicator of those characters."""
-    return quadratic_form(support, {mask: int(mask != 0 and lam != lam_min)
-                                    for mask, lam in eigenvalue.items()})
-
-
 def hoffman_audit(fam: Family) -> dict:
     """Exact audit of the spectral bound for an agreeing family at p = 1/2.
 
     Checks that the averaged-shift quadratic form vanishes, that
-    mu^2 - mu*nu + w*gamma*(1-nu) <= 0, and hence mu <= nu = 1/8.  Both
-    sums run over the nonzero squares only (8 for an umvirate), and the
-    eigenvalue is read on those edge sets only.
+    mu^2 - mu*nu + w*gamma*(1-nu) <= 0, and hence mu <= nu = 1/8, where w is
+    the Fourier mass of the nonconstant characters whose eigenvalue is not
+    lambda_min.  Both sums run over the nonzero squares only (8 for an
+    umvirate), as integers over one common denominator: at p = 1/2 the
+    square at S is x^2 / 4^k for the butterfly's integer x on the k edges the
+    family depends on.  The eigenvalue is read on those edge sets only.
     """
-    support = walsh_support(fam.n, F(1, 2), fam.bits)
-    lam = {mask: _combined_lambda(fam.n, mask) for mask, _ in support}
-    qf = quadratic_form(support, lam)
-    mu, w = fam.measure(F(1, 2)), _weight_off(support, lam, combined_lambda_min(fam.n))
+    points, ints = _support_butterfly(fam.n, 1, 2, fam.bits)
+    den = 1 << 2 * (len(points).bit_length() - 1)
+    squares = [(points[y], x * x) for y, x in enumerate(ints) if x]
+    lam = [_combined_lambda(fam.n, mask) for mask, _ in squares]
+    lam_den = lcm(*(v.denominator for v in lam))
+    qf = F(sum(v.numerator * (lam_den // v.denominator) * sq
+               for v, (_, sq) in zip(lam, squares)), lam_den * den)
+    lam_min = combined_lambda_min(fam.n)
+    w = F(sum(sq for v, (mask, sq) in zip(lam, squares) if mask and v != lam_min), den)
+    mu = fam.measure(F(1, 2))
     nu = hoffman_bound(LAMBDA_MIN_UNIFORM).nu
     lhs = mu * mu - mu * nu + w * GAP_COMBINED * (1 - nu)
     return {
@@ -325,9 +349,22 @@ def hoffman_audit(fam: Family) -> dict:
 
 
 def _random_family(n: int, rng: random.Random) -> Family:
-    size = rng.randint(1, 1 << (n * (n - 1) // 2 - 1))
-    top = (1 << (n * (n - 1) // 2)) - 1
-    return Family(n, (rng.randint(0, top) for _ in range(size)))
+    """randint(1, 2^(dim-1)) members, each randint(0, 2^dim - 1), drawn
+    straight into the indicator.  randint(lo, hi) is lo plus a getrandbits(k)
+    draw, k the bit length of hi - lo + 1, repeated until it is at most
+    hi - lo; the same loops here read the same random stream."""
+    dim = n * (n - 1) // 2
+    getrandbits = rng.getrandbits
+    extra = getrandbits(dim)
+    while extra >> (dim - 1):
+        extra = getrandbits(dim)
+    bits = 0
+    for _ in range(extra + 1):
+        m = getrandbits(dim + 1)
+        while m >> dim:
+            m = getrandbits(dim + 1)
+        bits |= 1 << m
+    return Family._packed(n, bits)
 
 
 def _submasks(t: int):
@@ -339,13 +376,150 @@ def _submasks(t: int):
         s = (s - 1) & t
 
 
+@lru_cache(maxsize=128)
+def _junta_members(n: int, t_mask: int, s_mask: int) -> tuple[int, ...]:
+    return tuple(junta(n, t_mask, s_mask))
+
+
 def _random_agreeing_subfamily(n: int, rng: random.Random) -> Family:
+    """Each member of a random junta on a random triangle kept with
+    probability 0.7, or its least member when none is kept."""
     tri = triangle_masks(n)
     t = tri[rng.randrange(len(tri))]
     s = sum(1 << i for i in _bit_positions(t) if rng.random() < 0.5)
-    base = list(junta(n, t, s))
-    keep = [m for m in base if rng.random() < 0.7]
-    return Family(n, keep or base[:1])
+    base = _junta_members(n, t, s)
+    draw = rng.random
+    bits = 0
+    for m in base:
+        if draw() < 0.7:
+            bits |= 1 << m
+    return Family._packed(n, bits or 1 << base[0])
+
+
+# The compression campaign runs on K4, whose cube has 64 masks: family i of a
+# chunk of draws is lane i of one integer, bits 64 i to 64 i + 63, with bit
+# 64 i + m set when mask m is a member.  x * ones, with ones holding bit 0 of
+# every lane, copies a 64-bit x into every lane.  The shifts and up-set tests
+# move bits by 2^e only from masks without edge e, so they never leave a lane;
+# the other lane operations keep every carry and borrow inside its lane.
+_LANE = 64
+_LANE_FULL = (1 << _LANE) - 1
+_CHUNK = 1024  # draws per packed integer, of 8 KiB whatever the campaign size
+
+
+def _pack(lanes: Sequence[int]) -> int:
+    """The integer with lanes[i] in lane i."""
+    return int.from_bytes(b"".join(x.to_bytes(8, "little") for x in lanes), "little")
+
+
+def _lane_ones(count: int) -> int:
+    return ((1 << _LANE * count) - 1) // _LANE_FULL
+
+
+def _lane_counts(x: int, ones: int) -> int:
+    """Each lane's member count, in that lane: a SWAR popcount whose partial
+    sums stay inside their fields, so no carry crosses a lane."""
+    x -= x >> 1 & 0x5555555555555555 * ones
+    pairs = 0x3333333333333333 * ones
+    x = (x & pairs) + (x >> 2 & pairs)
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0F * ones
+    x += x >> 8
+    x += x >> 16
+    x += x >> 32
+    return x & 0x7F * ones
+
+
+def _lane_weights(x: int, ones: int) -> int:
+    """3^6 mu_{1/3} of each lane, in that lane: its members with k edges
+    weigh 2^(6-k), as in Family.measure."""
+    return sum(w * _lane_counts(x & layer * ones, ones)
+               for w, layer in zip(_member_weights(6, 1, 3), layer_masks(6)))
+
+
+def _lanes_at_most(x: int, y: int, ones: int) -> int:
+    """Bit 63 of each lane where x <= y, for lane values below 2^63: the
+    guard bit set in y survives the subtraction exactly there."""
+    guard = ones << 63
+    return ((y | guard) - x) & guard
+
+
+def _nonzero_lanes(x: int, ones: int) -> int:
+    """Bit 0 of each nonzero lane: the lane ORed down onto its bit 0."""
+    for h in (32, 16, 8, 4, 2, 1):
+        x |= x >> h
+    return x & ones
+
+
+def _lanes_not_intersecting(x: int, ones: int) -> int:
+    """Bit 0 of each lane that is not intersecting: some member meets the
+    complement of the partners (when intersecting) of a member a, that
+    complement placed in the lanes that hold a."""
+    clash = 0
+    for a in range(_LANE):
+        clash |= (x >> a & ones) * (_LANE_FULL ^ _partners(4, a, False))
+    return _nonzero_lanes(clash & x, ones)
+
+
+def _lanes_not_agreeing(x: int, ones: int) -> int:
+    """Bit 0 of each lane that is not independent in the agreement Cayley
+    graph: it meets its translate m -> m ^ s for a generator s.  A translate
+    swaps the halves along each edge of s; the Gray code order reaches every
+    s from the one before by one swap."""
+    gens = frozenset(agreement_generators(4))
+    lows = [low * ones for low in low_masks(6)[:6]]
+    clash, moved = 0, x
+    for k in range(1, _LANE):
+        i = (k & -k).bit_length() - 1
+        h = 1 << i
+        moved = (moved & lows[i]) << h | moved >> h & lows[i]
+        if k ^ (k >> 1) in gens:
+            clash |= moved & x
+    return _nonzero_lanes(clash, ones)
+
+
+def _compress_lanes(x: int, edges: Sequence[int], ones: int) -> int:
+    """Lane i compressed through edge edges[i]: the low mask of edge e is
+    placed in the lanes drawn with e."""
+    drawn = _pack([1 << e for e in edges])
+    for e, low in enumerate(low_masks(6)[:6]):
+        x = _shift_up(x, e, (drawn >> e & ones) * low)
+    return x
+
+
+def _campaign_chunk(fams: Sequence[int], edges: Sequence[int],
+                    agreeing: Sequence[int]) -> tuple[bool, ...]:
+    """The five compression claims on one chunk of draws, each family in its
+    own lane: the random families with their edges, and the agreeing ones."""
+    ones = _lane_ones(len(fams))
+    lows = [low * ones for low in low_masks(6)[:6]]
+    x, y = _pack(fams), _pack(agreeing)
+    counts = _lane_counts(x, ones)
+    shifted = _compress_lanes(x, edges, ones)
+    # at p = 1/2 every member weighs 2^-6, so the measures agree when the counts do
+    same_size = _lane_counts(shifted, ones) == counts
+    biased = _lanes_at_most(_lane_weights(shifted, ones), _lane_weights(x, ones), ones) \
+        == ones << 63
+    mono_y = _monotone(y, lows)
+    preserved = not _lanes_not_agreeing(mono_y, ones) and \
+        not _lanes_not_intersecting(mono_y, ones) & ~_lanes_not_intersecting(y, ones)
+    mono = _monotone(x, lows)
+    upset = _upset(mono_y, lows) and _upset(mono, lows) and _lane_counts(mono, ones) == counts
+    return same_size, same_size, biased, preserved, upset
+
+
+def _compression_campaign(rng: random.Random, size: int) -> list[bool]:
+    """The compression claims over size draws of a random family of K4, an
+    edge and an agreeing family, in that order, checked _CHUNK draws at a
+    time."""
+    ok = [True] * 5
+    for start in range(0, size, _CHUNK):
+        fams, edges, agreeing = [], [], []
+        for _ in range(min(_CHUNK, size - start)):
+            fams.append(_random_family(4, rng).bits)
+            edges.append(rng.randrange(6))
+            agreeing.append(_random_agreeing_subfamily(4, rng).bits)
+        ok = [a and b for a, b in zip(ok, _campaign_chunk(fams, edges, agreeing))]
+    return ok
 
 
 def verify_family_claims(seed: int = 20260815, campaign_size: int = 1000) -> VerificationReport:
@@ -386,28 +560,11 @@ def verify_family_claims(seed: int = 20260815, campaign_size: int = 1000) -> Ver
             all(a["ok"] and a["mu"] == F(1, 8) and a["w"] == 0 for a in audits))
 
     # compression campaign
-    ok_size = ok_measure_half = ok_measure_biased = ok_pred = ok_upset = True
-    half, third = F(1, 2), F(1, 3)
-    for _ in range(campaign_size):
-        fam = _random_family(4, rng)
-        e = rng.randrange(6)
-        shifted = compress(fam, e)
-        ok_size &= shifted.size == fam.size
-        ok_measure_half &= shifted.measure(half) == fam.measure(half)
-        ok_measure_biased &= shifted.measure(third) <= fam.measure(third)
-        agreeing = _random_agreeing_subfamily(4, rng)
-        shifted2 = monotonize(agreeing)
-        ok_pred &= is_triangle_agreeing(shifted2)
-        if is_triangle_intersecting(agreeing):
-            ok_pred &= is_triangle_intersecting(shifted2)
-        ok_upset &= is_upset(shifted2)
-        mono = monotonize(fam)
-        ok_upset &= is_upset(mono) and mono.size == fam.size
-    rep.add("compress:size-preserved", ok_size)
-    rep.add("compress:uniform-measure-preserved", ok_measure_half)
-    rep.add("compress:biased-measure-nonincreasing", ok_measure_biased)
-    rep.add("compress:predicates-preserved", ok_pred)
-    rep.add("monotonize:upset-fixpoint", ok_upset)
+    claims = ("compress:size-preserved", "compress:uniform-measure-preserved",
+              "compress:biased-measure-nonincreasing", "compress:predicates-preserved",
+              "monotonize:upset-fixpoint")
+    for claim, ok in zip(claims, _compression_campaign(rng, campaign_size)):
+        rep.add(claim, ok)
 
     # Hoffman audits on random agreeing subfamilies
     ok_audit = True

@@ -173,6 +173,28 @@ def layer_masks(d: int) -> tuple[int, ...]:
     return tuple(layers)
 
 
+def _support_butterfly(n: int, a: int, b: int, bits: int) -> tuple[list[int], list[int]]:
+    """The integers behind walsh_support at p = a/b: (points, ints), where
+    points[y] is the edge set S picked by the bits y over the k relevant edges
+    and the squared orthonormal coefficient at S is
+    ints[y]^2 (a(b-a))^|y| / b^(2k)."""
+    dim = n * (n - 1) // 2
+    if bits < 0 or bits >> (1 << dim):
+        raise ValueError(f"indicator out of range for n={n}")
+    lows = low_masks(dim)
+    relevant = [i for i in range(dim) if ((bits >> (1 << i)) ^ bits) & lows[i]]
+    if len(relevant) > _MAX_COORDS:
+        raise ValueError(f"family depends on {len(relevant)} edges, more than {_MAX_COORDS}")
+    # points[y] sets the relevant edges picked by the bits of y, and no other
+    points = [0]
+    for i in relevant:
+        points += [m | 1 << i for m in points]
+    raw = bits.to_bytes((max(bits.bit_length(), points[-1] + 1) + 7) // 8, "little")
+    ints = _butterfly([raw[m >> 3] >> (m & 7) & 1 for m in points], ((b - a, a), (1, -1)),
+                      len(points) - 1)
+    return points, ints
+
+
 def walsh_support(n: int, p: Fraction, bits: int) -> list[tuple[int, Fraction]]:
     """(S, (p(1-p))^|S| * ghat(S)^2), the squared orthonormal coefficient,
     for every edge set S where it is nonzero, in increasing S, exactly, for
@@ -187,23 +209,11 @@ def walsh_support(n: int, p: Fraction, bits: int) -> list[tuple[int, Fraction]]:
     p = F(p)
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")
-    dim = n * (n - 1) // 2
-    if bits < 0 or bits >> (1 << dim):
-        raise ValueError(f"indicator out of range for n={n}")
-    lows = low_masks(dim)
-    relevant = [i for i in range(dim) if ((bits >> (1 << i)) ^ bits) & lows[i]]
-    if len(relevant) > _MAX_COORDS:
-        raise ValueError(f"family depends on {len(relevant)} edges, more than {_MAX_COORDS}")
-    # points[y] sets the relevant edges picked by the bits of y, and no other
-    points = [0]
-    for i in relevant:
-        points += [m | 1 << i for m in points]
-    raw = bits.to_bytes((max(bits.bit_length(), points[-1] + 1) + 7) // 8, "little")
     a, b = p.numerator, p.denominator
-    ints = _butterfly([raw[m >> 3] >> (m & 7) & 1 for m in points], ((b - a, a), (1, -1)),
-                      len(points) - 1)
-    den = b ** (2 * len(relevant))
-    var = [(a * (b - a)) ** k for k in range(len(relevant) + 1)]
+    points, ints = _support_butterfly(n, a, b, bits)
+    k = len(points).bit_length() - 1
+    den = b ** (2 * k)
+    var = [(a * (b - a)) ** j for j in range(k + 1)]
     return [(points[y], F(x * x * var[y.bit_count()], den)) for y, x in enumerate(ints) if x]
 
 

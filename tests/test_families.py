@@ -490,3 +490,235 @@ class TestCampaign:
         a = verify_family_claims(campaign_size=40)
         b = verify_family_claims(campaign_size=40)
         assert [(c.claim_id, c.ok) for c in a.checks] == [(c.claim_id, c.ok) for c in b.checks]
+
+
+def unpack(bits, count):
+    return [bits >> 64 * i & (1 << 64) - 1 for i in range(count)]
+
+
+def lane_flags(bits, count):
+    return [bool(bits >> 64 * i & 1) for i in range(count)]
+
+
+# a non-agreeing up-set: K4 less the edge 0 and K4 less the edge 5, which
+# agree only on the 4-cycle left by the matching {0, 5}, and K4 itself
+NOT_AGREEING_UPSET = Family(4, [63 ^ 1, 63 ^ 1 << 5, 63])
+
+
+def stopped_one_pass_early(bits, lows):
+    """The family before the last pass of monotonize that changed it.  A
+    family compressed through edge e stays so through any other edge, so one
+    pass makes an up-set, and this is the family itself unless it is one."""
+    before, cur = bits, bits
+    while True:
+        nxt = cur
+        for e, low in enumerate(lows):
+            nxt = families._shift_up(nxt, e, low)
+        if nxt == cur:
+            return before
+        before, cur = cur, nxt
+
+
+class TestLanes:
+    """The compression campaign's packed lanes against the per-family code."""
+
+    def mixed_families(self, count, seed):
+        # random families (rarely agreeing), parts of triangle juntas (always
+        # agreeing, intersecting at times), their up-closures, small random
+        # sets, and the empty and full families
+        rng = random.Random(seed)
+        out = []
+        for i in range(count):
+            kind = i % 5
+            if kind == 0:
+                out.append(families._random_family(4, rng))
+            elif kind == 1:
+                out.append(families._random_agreeing_subfamily(4, rng))
+            elif kind == 2:
+                out.append(monotonize(families._random_agreeing_subfamily(4, rng)))
+            elif kind == 3:
+                out.append(Family(4, {rng.randrange(64) for _ in range(rng.randint(1, 3))}))
+            else:
+                out.append(Family(4, [] if i % 2 else range(64)))
+        return out
+
+    def test_lanes_match_per_family_predicates_and_measures(self):
+        fams = self.mixed_families(2000, seed=27)
+        count = len(fams)
+        ones = families._lane_ones(count)
+        x = families._pack([fam.bits for fam in fams])
+        assert unpack(x, count) == [fam.bits for fam in fams]
+        intersecting = [not v for v in lane_flags(families._lanes_not_intersecting(x, ones), count)]
+        agreeing = [not v for v in lane_flags(families._lanes_not_agreeing(x, ones), count)]
+        assert intersecting == [is_triangle_intersecting(fam) for fam in fams]
+        assert agreeing == [is_triangle_agreeing(fam) for fam in fams]
+        assert unpack(families._lane_counts(x, ones), count) == [fam.size for fam in fams]
+        assert unpack(families._lane_weights(x, ones), count) == \
+            [fam.measure(F(1, 3)) * 3 ** 6 for fam in fams]
+        # both outcomes of each predicate occur
+        assert 0 < sum(intersecting) < sum(agreeing) < count
+
+    def test_lane_shifts_match_per_family_shifts(self):
+        fams = self.mixed_families(2000, seed=28)
+        count = len(fams)
+        rng = random.Random(28)
+        edges = [rng.randrange(6) for _ in fams]
+        ones = families._lane_ones(count)
+        lows = [low * ones for low in families.low_masks(6)[:6]]
+        x = families._pack([fam.bits for fam in fams])
+        assert unpack(families._compress_lanes(x, edges, ones), count) == \
+            [compress(fam, e).bits for fam, e in zip(fams, edges)]
+        mono = families._monotone(x, lows)
+        assert unpack(mono, count) == [monotonize(fam).bits for fam in fams]
+        assert families._upset(mono, lows) and not families._upset(x, lows)
+
+    def test_guard_compare_per_lane(self):
+        rng = random.Random(29)
+        xs = [rng.randrange(1 << rng.choice((3, 10, 62))) for _ in range(300)]
+        ys = [x + rng.choice((-1, 0, 1)) if x else x for x in xs]
+        ones = families._lane_ones(len(xs))
+        got = families._lanes_at_most(families._pack(xs), families._pack(ys), ones)
+        assert [bool(v >> 63) for v in unpack(got, len(xs))] == [x <= y for x, y in zip(xs, ys)]
+
+    def corrupt_lane(self, monkeypatch, name, lane, replace, call=None):
+        """Wrap the lane function families.<name> so that lane `lane` of its
+        result (of its call-th call only, when call is given) becomes
+        replace(lane of the input, lane of the result, edge drawn for the
+        lane); returns the list of calls that changed the lane."""
+        original, calls, changed = getattr(families, name), [], []
+        full = (1 << 64) - 1
+
+        def corrupted(bits, *args):
+            out = original(bits, *args)
+            calls.append(None)
+            if call is not None and len(calls) != call + 1:
+                return out
+            edge = args[0][lane] if name == "_compress_lanes" else None
+            old = out >> 64 * lane & full
+            new = replace(bits >> 64 * lane & full, old, edge)
+            changed.append(new != old)
+            return out ^ (old ^ new) << 64 * lane
+        monkeypatch.setattr(families, name, corrupted)
+        return changed
+
+    def corrupt_agreeing_draw(self, monkeypatch, call):
+        # one non-agreeing family among the agreeing draws
+        draw, calls = families._random_agreeing_subfamily, [0]
+
+        def swapped(n, rng):
+            fam = draw(n, rng)
+            calls[0] += 1
+            return NOT_AGREEING_UPSET if calls[0] == call + 1 else fam
+        monkeypatch.setattr(families, "_random_agreeing_subfamily", swapped)
+
+    @staticmethod
+    def drop_member(before, after, edge):
+        return after & after - 1
+
+    @staticmethod
+    def shift_down(before, after, edge):
+        # the members with the edge move down into a free slot: the size
+        # stays, and at p = 1/3 < 1/2 the measure rises
+        low = families.low_masks(6)[edge]
+        h = 1 << edge
+        mov = before & ~low & ~((before & low) << h)
+        return before & ~mov | mov >> h
+
+    @staticmethod
+    def stop_early(before, after, edge):
+        return stopped_one_pass_early(before, families.low_masks(6)[:6])
+
+    @staticmethod
+    def full_graph_only(before, after, edge):
+        # an up-set, smaller than the family
+        return 1 << 63
+
+    @staticmethod
+    def prescribed_junta(before, after, edge):
+        # agreeing, not intersecting, not an up-set
+        return junta(4, T012, T012 & -T012).bits
+
+    # seed 3, 200 draws: lane 11 is the first whose agreeing draw is
+    # intersecting; no early lane of either kind of draw is an up-set
+    @pytest.mark.parametrize("name, lane, replace, call, red", [
+        ("_compress_lanes", 5, "drop_member", None,
+         ["compress:size-preserved", "compress:uniform-measure-preserved"]),
+        ("_compress_lanes", 5, "shift_down", None, ["compress:biased-measure-nonincreasing"]),
+        ("_monotone", 4, "stop_early", 0, ["monotonize:upset-fixpoint"]),
+        ("_monotone", 4, "stop_early", 1, ["monotonize:upset-fixpoint"]),
+        ("_monotone", 4, "full_graph_only", 1, ["monotonize:upset-fixpoint"]),
+        ("_monotone", 11, "prescribed_junta", 0,
+         ["compress:predicates-preserved", "monotonize:upset-fixpoint"]),
+    ], ids=["member-dropped", "member-moved-down", "agreeing-monotonized-one-pass-early",
+            "random-monotonized-one-pass-early", "members-lost", "intersecting-lost"])
+    def test_one_corrupted_lane_turns_its_claim_red(self, monkeypatch, name, lane, replace,
+                                                    call, red):
+        assert verify_family_claims(seed=3, campaign_size=200).ok
+        changed = self.corrupt_lane(monkeypatch, name, lane, getattr(self, replace), call)
+        assert verify_family_claims(seed=3, campaign_size=200).failing() == red
+        assert changed == [True]
+
+    def test_non_agreeing_draw_turns_its_claim_red(self, monkeypatch):
+        self.corrupt_agreeing_draw(monkeypatch, 7)
+        assert verify_family_claims(seed=3, campaign_size=200).failing() == \
+            ["compress:predicates-preserved"]
+
+    @pytest.mark.parametrize("size", [1, 5, 7, 8, 30])
+    def test_chunks_read_every_draw_once(self, monkeypatch, size):
+        # with chunks of 7 draws: the same random stream as one draw at a
+        # time, and a fault in the last draw of the last chunk is seen
+        monkeypatch.setattr(families, "_CHUNK", 7)
+        rng, ref = random.Random(size), random.Random(size)
+        assert families._compression_campaign(rng, size) == [True] * 5
+        for _ in range(size):
+            families._random_family(4, ref)
+            ref.randrange(6)
+            families._random_agreeing_subfamily(4, ref)
+        assert rng.getstate() == ref.getstate()
+        self.corrupt_agreeing_draw(monkeypatch, size - 1)
+        assert families._compression_campaign(random.Random(size), size) == \
+            [True, True, True, False, True]
+
+    @pytest.mark.parametrize("size", [1, families._CHUNK + 1])
+    def test_chunk_edges_at_the_real_chunk_size(self, monkeypatch, size):
+        rng = random.Random(size)
+        assert families._compression_campaign(rng, size) == [True] * 5
+        self.corrupt_lane(monkeypatch, "_compress_lanes", (size - 1) % families._CHUNK,
+                          self.drop_member, call=(size - 1) // families._CHUNK)
+        assert families._compression_campaign(random.Random(size), size) == \
+            [False, False, True, True, True]
+
+    def test_memory_stays_at_one_chunk(self):
+        # every chunk is dropped before the next is drawn: a campaign of
+        # three and a half chunks peaks where a campaign of one does
+        peaks = []
+        for size in (families._CHUNK, 3 * families._CHUNK + families._CHUNK // 2):
+            families._compression_campaign(random.Random(1), size)  # warm the caches
+            tracemalloc.start()
+            try:
+                families._compression_campaign(random.Random(1), size)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, many = peaks
+        assert many < 1.2 * one, f"{many} bytes against {one} for one chunk"
+
+
+class TestSearchWork:
+    @pytest.mark.parametrize("seed, bound", [(None, 1508), (1, 1460)])
+    def test_search_calls_on_the_cayley_graph(self, monkeypatch, seed, bound):
+        # the pivoted search reaches every maximal set once; branching again
+        # on a vertex already done reaches non-maximal leaves too, with the
+        # same output and about 1.6 times the calls.  The bound is the count
+        # of the search as written: two _bit_positions calls per inner node,
+        # 64 to build the bitsets and 32 to decode the maximum sets
+        calls = [0]
+        bit_positions = families._bit_positions
+
+        def counting(mask):
+            calls[0] += 1
+            return bit_positions(mask)
+        monkeypatch.setattr(families, "_bit_positions", counting)
+        alpha, sets = maximum_independent_sets(agreement_cayley(4), seed=seed)
+        assert (alpha, len(sets)) == (8, 32)
+        assert calls[0] <= bound
