@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 __all__ = ["Polynomial", "RationalFunction", "CertificateError", "SignCertificate",
            "sturm_chain", "count_roots", "count_roots_above", "certify_sign",
-           "frac_str"]
+           "clear_denominators", "frac_str"]
 
 Coeffable = Union[int, Fraction]
 
@@ -31,6 +31,14 @@ def _frac(x: Coeffable) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def clear_denominators(values: Sequence[Coeffable]) -> tuple[int, tuple[int, ...]]:
+    """(L, (L*v, ...)) for L the least common denominator of the exact
+    rationals (ints or Fractions) in values: every value put on one
+    denominator, with no Fraction arithmetic."""
+    scale = lcm(*{v.denominator for v in values})
+    return scale, tuple([v.numerator * (scale // v.denominator) for v in values])
 
 
 def frac_str(x: Fraction) -> str:
@@ -47,9 +55,8 @@ class Polynomial:
     __slots__ = ("content", "prim")
 
     def __init__(self, coeffs: Iterable[Coeffable] = ()):
-        cs = [_frac(c) for c in coeffs]
-        scale = lcm(*(c.denominator for c in cs))
-        p = _scaled(Fraction(1, scale), [c.numerator * (scale // c.denominator) for c in cs])
+        scale, ints = clear_denominators([_frac(c) for c in coeffs])
+        p = _scaled(Fraction(1, scale), list(ints))
         self.content, self.prim = p.content, p.prim
 
     @staticmethod

@@ -37,11 +37,10 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, _bit_positions, all_masks, edge_index
-from .hypercube import _support_butterfly, indicator_bits, layer_masks, low_masks
+from .hypercube import indicator_bits, layer_masks, low_masks, quadratic_form, walsh_support
 from .spectra import GAP_COMBINED, LAMBDA_MIN_UNIFORM, Spectrum, VerificationReport
 from .spectra import combined_lambda_min, hoffman_bound
 
@@ -215,14 +214,12 @@ def compress(fam: Family, e_idx: int) -> Family:
 
 
 def _monotone(bits: int, lows: Sequence[int]) -> int:
-    """Compress through every edge e, lows[e] its low mask, until stable."""
-    while True:
-        cur = bits
-        for e, low in enumerate(lows):
-            cur = _shift_up(cur, e, low)
-        if cur == bits:
-            return cur
-        bits = cur
+    """Compress through every edge e, lows[e] its low mask, once each: a
+    family compressed through e stays so after a compression through any
+    other edge, so one pass leaves an up-set."""
+    for e, low in enumerate(lows):
+        bits = _shift_up(bits, e, low)
+    return bits
 
 
 def _upset(bits: int, lows: Sequence[int]) -> bool:
@@ -231,7 +228,7 @@ def _upset(bits: int, lows: Sequence[int]) -> bool:
 
 
 def monotonize(fam: Family) -> Family:
-    """Apply edge compressions until the family stabilizes."""
+    """Compress through every edge once: the up-set the compressions reach."""
     return Family._packed(fam.n, _monotone(fam.bits, low_masks(fam.dim)[:fam.dim]))
 
 
@@ -321,20 +318,15 @@ def hoffman_audit(fam: Family) -> dict:
     Checks that the averaged-shift quadratic form vanishes, that
     mu^2 - mu*nu + w*gamma*(1-nu) <= 0, and hence mu <= nu = 1/8, where w is
     the Fourier mass of the nonconstant characters whose eigenvalue is not
-    lambda_min.  Both sums run over the nonzero squares only (8 for an
-    umvirate), as integers over one common denominator: at p = 1/2 the
-    square at S is x^2 / 4^k for the butterfly's integer x on the k edges the
-    family depends on.  The eigenvalue is read on those edge sets only.
+    lambda_min.  Both read walsh_support's squares, integers over one
+    denominator, and the eigenvalue on those edge sets only (8 for an
+    umvirate).
     """
-    points, ints = _support_butterfly(fam.n, 1, 2, fam.bits)
-    den = 1 << 2 * (len(points).bit_length() - 1)
-    squares = [(points[y], x * x) for y, x in enumerate(ints) if x]
-    lam = [_combined_lambda(fam.n, mask) for mask, _ in squares]
-    lam_den = lcm(*(v.denominator for v in lam))
-    qf = F(sum(v.numerator * (lam_den // v.denominator) * sq
-               for v, (_, sq) in zip(lam, squares)), lam_den * den)
+    den, squares = support = walsh_support(fam.n, F(1, 2), fam.bits)
+    lam = {mask: _combined_lambda(fam.n, mask) for mask, _ in squares}
+    qf = quadratic_form(support, lam)
     lam_min = combined_lambda_min(fam.n)
-    w = F(sum(sq for v, (mask, sq) in zip(lam, squares) if mask and v != lam_min), den)
+    w = F(sum(x for mask, x in squares if mask and lam[mask] != lam_min), den)
     mu = fam.measure(F(1, 2))
     nu = hoffman_bound(LAMBDA_MIN_UNIFORM).nu
     lhs = mu * mu - mu * nu + w * GAP_COMBINED * (1 - nu)

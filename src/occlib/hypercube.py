@@ -27,15 +27,18 @@ indicator depends only on the edges in J, ghat(S) vanishes unless S lies in
 J, and on those S it is the transform of the 0/1 restriction to 2^|J|
 points, so walsh_support runs the butterfly there and never on the whole
 cube.  Which edges the indicator depends on is read off the packed integer
-with a shift, an xor and a mask per edge (low_masks).
+with a shift, an xor and a mask per edge (low_masks).  Its squares stay
+integers over one denominator, and quadratic_form weighs them by an
+eigenvalue map: a Hoffman audit is these two calls.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Iterable, Mapping, Sequence
+
+from .exact import clear_denominators
 
 __all__ = [
     "TensorOperator",
@@ -111,9 +114,8 @@ class TensorOperator:
             raise ValueError(f"expected {1 << self.dim} values, got {len(values)}")
         a, b = self.p.numerator, self.p.denominator
         active = self._active()
-        den = lcm(*{x.denominator for x in values})
-        ints = _butterfly([x.numerator * (den // x.denominator) for x in values],
-                          ((b - 2 * a, a), (1, 0)), active)
+        den, ints = clear_denominators(values)
+        ints = _butterfly(ints, ((b - 2 * a, a), (1, 0)), active)
         c = active.bit_count()
         dens = [den * (b - a) ** (c - j) for j in range(c + 1)]
         return [F(x, dens[(mask & active).bit_count()]) for mask, x in enumerate(ints)]
@@ -173,11 +175,21 @@ def layer_masks(d: int) -> tuple[int, ...]:
     return tuple(layers)
 
 
-def _support_butterfly(n: int, a: int, b: int, bits: int) -> tuple[list[int], list[int]]:
-    """The integers behind walsh_support at p = a/b: (points, ints), where
-    points[y] is the edge set S picked by the bits y over the k relevant edges
-    and the squared orthonormal coefficient at S is
-    ints[y]^2 (a(b-a))^|y| / b^(2k)."""
+def walsh_support(n: int, p: Fraction, bits: int) -> tuple[int, list[tuple[int, int]]]:
+    """The squared orthonormal coefficients (p(1-p))^|S| ghat(S)^2 of the
+    indicator of a family of edge masks of K_n, packed in bits (bit m set for
+    member m; indicator_bits packs a list of masks), exactly, as integers
+    over one denominator: (den, [(S, x), ...]), the square at S being x/den,
+    for every edge set S where it is nonzero, in increasing S.
+
+    Edge i is relevant when flipping it takes some member out of the family:
+    ((X >> 2^i) ^ X) & low_masks(dim)[i] is nonzero for the packed indicator X.
+    The butterfly runs once, on the 0/1 restriction to the relevant edges J,
+    read by bit tests; with p = a/b its output y at S gives
+    x = y^2 (a(b-a))^|S| over den = b^(2|J|)."""
+    p = F(p)
+    if not 0 < p < 1:
+        raise ValueError("need 0 < p < 1")
     dim = n * (n - 1) // 2
     if bits < 0 or bits >> (1 << dim):
         raise ValueError(f"indicator out of range for n={n}")
@@ -190,39 +202,19 @@ def _support_butterfly(n: int, a: int, b: int, bits: int) -> tuple[list[int], li
     for i in relevant:
         points += [m | 1 << i for m in points]
     raw = bits.to_bytes((max(bits.bit_length(), points[-1] + 1) + 7) // 8, "little")
+    a, b = p.numerator, p.denominator
     ints = _butterfly([raw[m >> 3] >> (m & 7) & 1 for m in points], ((b - a, a), (1, -1)),
                       len(points) - 1)
-    return points, ints
+    var = [(a * (b - a)) ** j for j in range(len(relevant) + 1)]
+    return b ** (2 * len(relevant)), [(points[y], x * x * var[y.bit_count()])
+                                      for y, x in enumerate(ints) if x]
 
 
-def walsh_support(n: int, p: Fraction, bits: int) -> list[tuple[int, Fraction]]:
-    """(S, (p(1-p))^|S| * ghat(S)^2), the squared orthonormal coefficient,
-    for every edge set S where it is nonzero, in increasing S, exactly, for
-    the indicator of a family of edge masks of K_n, packed in bits (bit m set
-    for member m; indicator_bits packs a list of masks).
-
-    Edge i is relevant when flipping it takes some member out of the family:
-    ((X >> 2^i) ^ X) & low_masks(dim)[i] is nonzero for the packed indicator X.
-    The butterfly runs once, on the 0/1 restriction to the relevant edges J,
-    read by bit tests; with p = a/b its output x at S makes the square
-    x^2 (a(b-a))^|S| / b^(2|J|)."""
-    p = F(p)
-    if not 0 < p < 1:
-        raise ValueError("need 0 < p < 1")
-    a, b = p.numerator, p.denominator
-    points, ints = _support_butterfly(n, a, b, bits)
-    k = len(points).bit_length() - 1
-    den = b ** (2 * k)
-    var = [(a * (b - a)) ** j for j in range(k + 1)]
-    return [(points[y], F(x * x * var[y.bit_count()], den)) for y, x in enumerate(ints) if x]
-
-
-def quadratic_form(support: Iterable[tuple[int, Fraction]], eigenvalue: Mapping) -> Fraction:
-    """Sum over the support, as walsh_support gives it, of the eigenvalue at
-    S times the squared orthonormal coefficient at S, summed as integers over
+def quadratic_form(support: tuple[int, Sequence[tuple[int, int]]],
+                   eigenvalue: Mapping) -> Fraction:
+    """Sum over the support (den, [(S, x), ...]), as walsh_support gives it,
+    of the eigenvalue at S times the square x/den, summed as integers over
     one common denominator."""
-    terms = [(eigenvalue[mask], sq) for mask, sq in support]
-    dens = [lam.denominator * sq.denominator for lam, sq in terms]
-    den = lcm(*dens)
-    return F(sum(lam.numerator * sq.numerator * (den // d) for (lam, sq), d in zip(terms, dens)),
-             den)
+    den, squares = support
+    scale, lams = clear_denominators([eigenvalue[mask] for mask, _ in squares])
+    return F(sum(lam * x for lam, (_, x) in zip(lams, squares)), scale * den)

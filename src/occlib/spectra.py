@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import NamedTuple
 
 from .exact import (
@@ -29,6 +29,7 @@ from .exact import (
     RationalFunction,
     SignCertificate,
     certify_sign,
+    clear_denominators,
     count_roots_above,
     frac_str,
 )
@@ -55,16 +56,10 @@ __all__ = [
     "COMBINE_WEIGHT",
     "GAP_COMBINED",
     "Spectrum",
-    "clear_denominators",
     "CheckResult",
     "VerificationReport",
     "SolvedCoefficients",
     "BoundReport",
-    "eval_lambda1_uniform",
-    "eval_lambda2_uniform",
-    "eval_lambda_combined",
-    "skew_coefficients",
-    "eval_lambda1_skew",
     "lambda_min_skew",
     "eval_lambda_smallp",
     "case_constant",
@@ -149,36 +144,8 @@ def _lambda_smallp(k: int, p):
     return (-_ratio(p)) ** k * _smallp_bracket(k, p)
 
 
-def eval_lambda1_uniform(g: Graph) -> Fraction:
-    """First-spectrum eigenvalue: (-1)^|G| (q0 - 5/7 q1 - 1/7 q2 + 3/28 q3)."""
-    return Spectrum.uniform1().value(g)
-
-
-def eval_lambda2_uniform(g: Graph) -> Fraction:
-    """Second-spectrum eigenvalue: (-1)^|G| (Pr[4-forest cut] - Pr[4-cycle cut])."""
-    return Spectrum.uniform2().value(g)
-
-
-def eval_lambda_combined(g: Graph) -> Fraction:
-    """Combined spectrum lambda1 + (16/17)(1/56) lambda2."""
-    return Spectrum.combined().value(g)
-
-
-def skew_coefficients(p: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """(c1, c2, c3) of the p-biased first spectrum, evaluated at p."""
-    p = F(p)
-    if not 0 < p < 1:
-        raise ValueError("need 0 < p < 1")
-    return _coefficients(p)
-
-
 def lambda_min_skew(p: Fraction) -> Fraction:
     return -_threshold(F(p))
-
-
-def eval_lambda1_skew(g: Graph, p: Fraction) -> Fraction:
-    """p-biased first-spectrum eigenvalue (-p/(1-p))^|G| (q0 + c1 q1 + c2 q2 + c3 q3)."""
-    return Spectrum.skew1(p).value(g)
 
 
 def eval_lambda_smallp(size: int, p: Fraction) -> Fraction:
@@ -285,12 +252,6 @@ class Spectrum:
     def skew2(p: Fraction) -> "Spectrum":
         """Pr[4-forest cut] - Pr[4-cycle cut], with the sign base of p."""
         return Spectrum(_skew_bias(p), (F(0), F(0), F(0), F(0), F(1), F(-1)))
-
-
-def clear_denominators(weights) -> tuple[int, tuple[int, ...]]:
-    """(L, (L*w, ...)) for L the least common denominator of rational weights."""
-    scale = lcm(*(F(w).denominator for w in weights))
-    return scale, tuple(int(w * scale) for w in weights)
 
 
 def _skew1(p) -> Spectrum:
@@ -474,25 +435,25 @@ def verify_uniform_claims() -> VerificationReport:
             f"{len(t1)} classes (edge, path, 2-forest, triangle, K4minus, 8 four-forests)")
 
     # empty graph sits at +1 in both spectra
-    rep.add("lambda1:empty=1", eval_lambda1_uniform(refs["empty"]) == 1)
-    rep.add("combined:empty=1", eval_lambda_combined(refs["empty"]) == 1)
+    rep.add("lambda1:empty=1", s1.value(refs["empty"]) == 1)
+    rep.add("combined:empty=1", sc.value(refs["empty"]) == 1)
 
     rep.add("lambda2:zero-below-4-edges", ok_small)
     rep.add("lambda2:absolute-bound-1", ok_bound)
     rep.add("lambda2:four-forests=1/16",
             all(l2_by_key[k] == F(1, 16) for k in ffk if k in l2_by_key)
-            and eval_lambda2_uniform(refs["matching4"]) == F(1, 16))
+            and s2.value(refs["matching4"]) == F(1, 16))
     rep.add("lambda2:K4minus=1/8", l2_by_key[k4m_key] == F(1, 8))
     rep.add("lambda1:four-matching=-1/7",
-            eval_lambda1_uniform(refs["matching4"]) == LAMBDA_MIN_UNIFORM)
+            s1.value(refs["matching4"]) == LAMBDA_MIN_UNIFORM)
     rep.add("combined:four-matching=-1/7+1/952",
-            eval_lambda_combined(refs["matching4"]) == LAMBDA_MIN_UNIFORM + GAP_COMBINED)
+            sc.value(refs["matching4"]) == LAMBDA_MIN_UNIFORM + GAP_COMBINED)
 
     # combined values on the near-tight classes
     lc_ff = sc.value(next(e.stats for key, e in catalogue.items() if key in ffk))
     rep.add("combined:four-forest=-1/7+1/952", lc_ff == LAMBDA_MIN_UNIFORM + GAP_COMBINED)
     rep.add("combined:K4minus=-1/7+1/476",
-            eval_lambda_combined(refs["K4minus"]) == LAMBDA_MIN_UNIFORM + F(1, 476))
+            sc.value(refs["K4minus"]) == LAMBDA_MIN_UNIFORM + F(1, 476))
 
     # case constants of the size-based analysis
     rep.add("case-constants:r(5)=-41/448", case_constant(5) == F(-41, 448))
@@ -514,8 +475,8 @@ def verify_uniform_claims() -> VerificationReport:
 
     # displayed exceptional values
     q2 = lambda g: catalogue[canonical_key(g)].stats.distribution()[2]
-    rep.add("exceptional:f(triangle)=1/7", -eval_lambda1_uniform(refs["triangle"]) == F(1, 7))
-    rep.add("exceptional:f(K4minus)=1/7", -eval_lambda1_uniform(refs["K4minus"]) == F(1, 7))
+    rep.add("exceptional:f(triangle)=1/7", -s1.value(refs["triangle"]) == F(1, 7))
+    rep.add("exceptional:f(K4minus)=1/7", -s1.value(refs["K4minus"]) == F(1, 7))
     rep.add("exceptional:q2(triangle)=3/4", q2(refs["triangle"]) == F(3, 4))
     rep.add("exceptional:q2(C4)=3/4", q2(refs["C4"]) == F(3, 4))
     rep.add("exceptional:q2(C5)=5/8", q2(refs["C5"]) == F(5, 8))

@@ -30,12 +30,10 @@ from occlib.spectra import (
     GAP_UNIFORM,
     LAMBDA_MIN_UNIFORM,
     TAU,
+    Spectrum,
     case_constant,
-    eval_lambda1_uniform,
-    eval_lambda_combined,
     hoffman_bound,
     lambda_min_skew,
-    skew_coefficients,
     solve_coefficients,
     verify_skew_cases,
     verify_smallp,
@@ -120,7 +118,7 @@ def test_criterion_03_primary_spectrum(capsys):
     for g in enumerate_unlabeled(7):
         if g.edge_count == 0:
             continue
-        lam = eval_lambda1_uniform(g)
+        lam = Spectrum.uniform1().value(g)
         ok = ok and lam >= LAMBDA_MIN_UNIFORM
         if lam == LAMBDA_MIN_UNIFORM:
             found_tight.add(canonical_key(g))
@@ -150,16 +148,16 @@ def test_criterion_04_combined_spectrum(capsys):
     for g in enumerate_unlabeled(7):
         if g.edge_count == 0:
             continue
-        lam = eval_lambda_combined(g)
+        lam = Spectrum.combined().value(g)
         if lam == LAMBDA_MIN_UNIFORM:
             found.add(canonical_key(g))
         else:
             ok = ok and lam >= LAMBDA_MIN_UNIFORM + GAP_COMBINED
     ok = ok and found == expected_tight
-    forest4_val = eval_lambda_combined(Graph.from_edges(5, [(0, 1), (1, 2),
-                                                            (2, 3), (3, 4)]))
+    forest4_val = Spectrum.combined().value(Graph.from_edges(5, [(0, 1), (1, 2),
+                                                              (2, 3), (3, 4)]))
     k4m = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    k4m_val = eval_lambda_combined(k4m)
+    k4m_val = Spectrum.combined().value(k4m)
     ok = ok and forest4_val == F(-1, 7) + F(1, 952)
     ok = ok and k4m_val == F(-1, 7) + F(1, 476)
     with capsys.disabled():
@@ -203,7 +201,7 @@ def test_criterion_07_skew_certificates(capsys):
     ok = ok and len(broken) == 1 and broken[0].failure_bracket is not None
     x1, x2, s1, s2 = broken[0].failure_bracket
     ok = ok and F(6, 25) <= x1 < x2 <= TAU and s1 * s2 < 0
-    ok = ok and skew_coefficients(F(1, 2)) == (F(-5, 7), F(-1, 7), F(3, 28))
+    ok = ok and Spectrum.skew1(F(1, 2)).weights[1:4] == (F(-5, 7), F(-1, 7), F(3, 28))
     solved_half = solve_coefficients(F(1, 2))
     ok = ok and solved_half.lower == solved_half.upper == F(3, 7)
     solved_skew = solve_coefficients(F(3, 8))

@@ -139,6 +139,12 @@ class TestReportDigests:
          "55986848ef335d6d84992947e315aa2d34f2e1574993d3f575adcdba511ded14"),
         (("families", "bound-check", "--n", "6"), 0,
          "240c8715e5562cc22eb6758663c298e9974df3b284ec6e4d429b3e2ef3f49e3b"),
+        (("families", "bound-check", "--n", "4"), 0,
+         "df190b9f9e72a7c2a904c150d1a2657c9d88dd82860e9ee1044b160e6136bedf"),
+        (("families", "bound-check", "--n", "7"), 0,
+         "92d637e738f4a99be8eecc2cdd767b1694fcb3372738b52018517df99b934c60"),
+        (("families", "max-independent", "--seed", "1"), 0,
+         "27f7eb9f5c438fe0539a7a0645044ae87c18b64bc3c518d8fe3b3fdac8c5d306"),
         (("verify", "families", "--seed", "1", "--campaign-size", "120"), 0,
          "de231925452e18093c4caca4c2f0a00c8e0e4d1c38a89346c2a667c7838c85fe"),
         (("verify", "schur"), 0,
@@ -149,6 +155,7 @@ class TestReportDigests:
         (("cutstat", "--builtin"), 0,
          "327e90d4d4c9ef7c483b5a43983c5a5318e33f423ab843e42dbb71f9e4eae139"),
     ], ids=["skew", "skew-below-tau", "smallp", "uniform", "bound-check-n5", "bound-check-n6",
+            "bound-check-n4", "bound-check-n7", "max-independent",
             "families", "schur", "lemmas", "cutstat-builtin"])
     def test_json_report_digest(self, capsys, argv, code, digest):
         rc, out, _ = run(capsys, *argv, "--format", "json")

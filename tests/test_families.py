@@ -131,7 +131,8 @@ class TestFamilyBasics:
             fam = Family(4, {rng.randint(0, 63) for _ in range(rng.randint(1, 20))})
             p = F(rng.randint(1, 4), 5)
             # the empty Walsh coefficient is the expectation, so its square is mu^2
-            assert walsh_support(4, p, fam.bits)[0] == (0, fam.measure(p) ** 2)
+            den, squares = walsh_support(4, p, fam.bits)
+            assert F(squares[0][1], den) == fam.measure(p) ** 2 and squares[0][0] == 0
 
 
 class TestPredicates:
@@ -250,6 +251,47 @@ class TestCompression:
             # the store is the packed indicator; the member set is derived from it
             assert shifted.bits == sum(1 << m for m in shifted.masks)
             assert isinstance(shifted.bits, int) and not hasattr(shifted, "__dict__")
+
+
+def monotone_fixpoint(bits, lows):
+    """The compressions through every edge, repeated until a pass moves
+    nothing: the loop that one pass of families._monotone replaced, kept as
+    its oracle."""
+    while True:
+        cur = bits
+        for e, low in enumerate(lows):
+            cur = families._shift_up(cur, e, low)
+        if cur == bits:
+            return cur
+        bits = cur
+
+
+class TestOnePassMonotone:
+    """A family compressed through edge e stays so after a compression
+    through another edge, so one pass over the edges reaches the fixpoint."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_every_family_on_the_cube(self, d):
+        lows = families.low_masks(d)[:d]
+        for bits in range(1 << (1 << d)):
+            one = families._monotone(bits, lows)
+            assert one == monotone_fixpoint(bits, lows) and families._upset(one, lows), bits
+
+    @pytest.mark.parametrize("d, count", [(6, 400), (10, 60)])
+    def test_seeded_families(self, d, count):
+        # dense families (an AND of 1 to 4 random draws) and sparse ones
+        rng = random.Random(d)
+        lows = families.low_masks(d)[:d]
+        for i in range(count):
+            if i % 2:
+                bits = ~0
+                for _ in range(rng.randint(1, 4)):
+                    bits &= rng.getrandbits(1 << d)
+            else:
+                bits = sum({1 << rng.randrange(1 << d) for _ in range(rng.randint(1, 20))})
+            one = families._monotone(bits, lows)
+            assert one == monotone_fixpoint(bits, lows) and families._upset(one, lows)
+            assert one.bit_count() == bits.bit_count()
 
 
 class TestPackedAgainstOracles:
@@ -506,7 +548,7 @@ NOT_AGREEING_UPSET = Family(4, [63 ^ 1, 63 ^ 1 << 5, 63])
 
 
 def stopped_one_pass_early(bits, lows):
-    """The family before the last pass of monotonize that changed it.  A
+    """The family before the last pass of monotone_fixpoint that changed it.  A
     family compressed through edge e stays so through any other edge, so one
     pass makes an up-set, and this is the family itself unless it is one."""
     before, cur = bits, bits

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from occlib.cutstats import cut_distribution_bruteforce
-from occlib.families import Family, junta, triangle_masks, umvirate
+from occlib.families import Family, hoffman_audit, junta, triangle_masks, umvirate
 from occlib.graph import Graph, all_masks, edge_pairs
 from occlib.hypercube import (
     TensorOperator,
@@ -100,7 +100,8 @@ class TestWalsh:
         p = F(2, 7)
         members = random_members(3, 5)
         f = indicator(3, members)
-        assert sum(sq for _, sq in walsh_support(3, p, packed(3, members))) == inner(p, f, f)
+        assert sum(sq for _, sq in as_fractions(walsh_support(3, p, packed(3, members)))) \
+            == inner(p, f, f)
 
     def test_characters_orthonormal(self):
         # psi_S = chi_S / sqrt(p(1-p))^|S|, so <psi_S, psi_S> = (p(1-p))^-|S|
@@ -117,7 +118,8 @@ class TestWalsh:
         members = random_members(3, 7)
         f = indicator(3, members)
         assert walsh(p, f)[0] == expectation(p, f)
-        assert dict(walsh_support(3, p, packed(3, members)))[0] == expectation(p, f) ** 2
+        assert dict(as_fractions(walsh_support(3, p, packed(3, members))))[0] \
+            == expectation(p, f) ** 2
 
     def test_indicator_expectation_is_measure(self):
         # a principal filter above a triangle has measure p^3
@@ -177,6 +179,54 @@ def oracle_support(n, p, members):
     return [(m, sq) for m, sq in enumerate(squares) if sq]
 
 
+def as_fractions(support):
+    """walsh_support's (den, [(S, x), ...]) as [(S, x/den), ...]."""
+    den, squares = support
+    return [(m, F(x, den)) for m, x in squares]
+
+
+def audit_families(count, seed):
+    """Seeded families of K4: random sets of masks (not agreeing), and random
+    parts of triangle juntas (agreeing), alternately."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 2:
+            t = triangle_masks(4)[rng.randrange(4)]
+            members = [m for m in junta(4, t, t & rng.randrange(64)) if rng.random() < 0.7]
+            out.append(members or [t])
+        else:
+            out.append([m for m in all_masks(4) if rng.random() < 0.3])
+    return out
+
+
+class TestHoffmanAuditValues:
+    """hoffman_audit's values against a Fraction recomputation from
+    oracle_support and the combined spectrum, on families where they are
+    nonzero."""
+
+    def test_audit_matches_fraction_recomputation(self):
+        spec = Spectrum.combined()
+        lam = {m: spec.value(Graph(4, m)) for m in all_masks(4)}
+        lam_min = min(lam.values())
+        nu, gamma = F(1, 8), F(1, 952)
+        nonzero = {"quadratic_form": 0, "w": 0, "inequality_lhs": 0}
+        for members in audit_families(50, seed=41):
+            support = oracle_support(4, F(1, 2), members)
+            mu = F(len(members), 64)
+            w = sum((sq for m, sq in support if m and lam[m] != lam_min), F(0))
+            want = {
+                "quadratic_form": sum((lam[m] * sq for m, sq in support), F(0)),
+                "w": w,
+                "inequality_lhs": mu * mu - mu * nu + w * gamma * (1 - nu),
+            }
+            audit = hoffman_audit(Family(4, members))
+            for key, value in want.items():
+                assert audit[key] == value, (key, members)
+                nonzero[key] += value != 0
+        assert nonzero == {"quadratic_form": 25, "w": 48, "inequality_lhs": 48}
+
+
 def random_function(n, seed):
     """Seeded random rational values, one per edge mask of K_n."""
     rng = random.Random(seed)
@@ -202,9 +252,9 @@ class TestIntegerKernel:
     def test_squares_parseval_and_quadratic_form(self, n, p, seed):
         members = random_members(n, seed)
         support = walsh_support(n, p, packed(n, members))
-        assert support == oracle_support(n, p, members)
+        assert as_fractions(support) == oracle_support(n, p, members)
         f = indicator(n, members)
-        assert sum(sq for _, sq in support) == inner(p, f, f)
+        assert sum(sq for _, sq in as_fractions(support)) == inner(p, f, f)
         lam = combined_by_mask(n)
         want = sum((p * (1 - p)) ** m.bit_count() * v * v * lam[m]
                    for m, v in enumerate(walsh(p, f)))
@@ -216,7 +266,7 @@ class TestIntegerKernel:
         # square of that transform over 2^e
         members = random_members(4, 11)
         ghat = walsh(F(1, 2), indicator(4, members))
-        support = dict(walsh_support(4, F(1, 2), packed(4, members)))
+        support = dict(as_fractions(walsh_support(4, F(1, 2), packed(4, members))))
         for s in range(64):
             wht = sum((-1) ** (s & m).bit_count() for m in members)
             assert ghat[s] == 2 ** s.bit_count() * F(wht, 64)
@@ -246,15 +296,16 @@ class TestWalshSupport:
     def test_umvirates_and_a_prescribed_junta(self, n, p):
         tri = triangle_masks(n)
         for fam in [junta(n, tri[0], tri[0] & -tri[0])] + [umvirate(n, t) for t in tri]:
-            assert walsh_support(n, p, fam.bits) == oracle_support(n, p, fam.masks)
+            assert as_fractions(walsh_support(n, p, fam.bits)) == oracle_support(n, p, fam.masks)
 
     @pytest.mark.parametrize("p", [F(1, 2), F(2, 5)])
     def test_empty_full_and_dependent_on_every_edge(self, p):
         full = list(all_masks(4))
-        assert walsh_support(4, p, 0) == oracle_support(4, p, []) == []
-        assert walsh_support(4, p, packed(4, full)) == oracle_support(4, p, full) == [(0, F(1))]
+        assert as_fractions(walsh_support(4, p, 0)) == oracle_support(4, p, []) == []
+        assert as_fractions(walsh_support(4, p, packed(4, full))) == oracle_support(4, p, full) \
+            == [(0, F(1))]
         # a single graph moves under every edge flip
-        support = walsh_support(4, p, 1 << 0b011010)
+        support = as_fractions(walsh_support(4, p, 1 << 0b011010))
         assert support == oracle_support(4, p, [0b011010])
         assert support[-1][0] == 63
 
@@ -263,7 +314,8 @@ class TestWalshSupport:
         # a seeded family and a junta, packed from their member lists
         tri = triangle_masks(n)
         for members in (random_members(n, 7), list(junta(n, tri[-1], tri[-1] & 3))):
-            assert walsh_support(n, p, packed(n, members)) == oracle_support(n, p, members)
+            assert as_fractions(walsh_support(n, p, packed(n, members))) \
+                == oracle_support(n, p, members)
         with pytest.raises(ValueError):
             walsh_support(4, p, 1 << 64)
         with pytest.raises(ValueError):

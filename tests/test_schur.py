@@ -27,9 +27,6 @@ from occlib.spectra import (
     GAP_COMBINED,
     LAMBDA_MIN_UNIFORM,
     Spectrum,
-    eval_lambda1_skew,
-    eval_lambda1_uniform,
-    eval_lambda2_uniform,
     lambda_min_skew,
 )
 
@@ -326,8 +323,8 @@ class TestSpectra:
             return
         lifted = lift_graph(g)
         assert cut_distribution_bruteforce(g) == lifted.cut_distribution()
-        assert eval_lambda1_uniform(g) == S1.value(lifted.cut_stats())
-        assert eval_lambda2_uniform(g) == S2.value(lifted.cut_stats())
+        assert S1.value(g) == S1.value(lifted.cut_stats())
+        assert S2.value(g) == S2.value(lifted.cut_stats())
 
     def test_lift_odd_cycles(self):
         for g in enumerate_unlabeled(5):
@@ -337,7 +334,7 @@ class TestSpectra:
     def test_skew_matches_graph_and_minimum(self):
         p = F(3, 8)
         c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert Spectrum.skew1(p).value(BOX.cut_stats()) == eval_lambda1_skew(c4, p)
+        assert Spectrum.skew1(p).value(BOX.cut_stats()) == Spectrum.skew1(p).value(c4)
         for t in (VectorSet.from_vectors(3, [1]),
                   VectorSet.from_vectors(3, [1, 2]), TRIPLE):
             assert Spectrum.skew1(p).value(t.cut_stats()) == lambda_min_skew(p)

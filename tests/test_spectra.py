@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occlib import spectra
-from occlib.cutstats import class_catalogue
-from occlib.exact import RationalFunction, frac_str
+from occlib.cutstats import class_catalogue, cut_stats
+from occlib.exact import RationalFunction, clear_denominators, frac_str
 from occlib.graph import Graph, canonical_key, edge_index, enumerate_unlabeled, write_graph6
 from occlib.spectra import (
     COMBINE_WEIGHT,
@@ -16,15 +16,9 @@ from occlib.spectra import (
     TAU,
     Spectrum,
     case_constant,
-    clear_denominators,
-    eval_lambda1_skew,
-    eval_lambda1_uniform,
-    eval_lambda2_uniform,
-    eval_lambda_combined,
     eval_lambda_smallp,
     hoffman_bound,
     lambda_min_skew,
-    skew_coefficients,
     solve_coefficients,
     tight_combined_keys,
     tight_uniform_keys,
@@ -48,33 +42,35 @@ K4MINUS = _g(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 PATH4 = _g(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 MATCH4 = _g(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
 
+S1, S2, SC = Spectrum.uniform1(), Spectrum.uniform2(), Spectrum.combined()
+
 
 class TestUniformValues:
     def test_tight_classes_at_minimum(self):
         for g in (EDGE, PATH2, FOREST2, TRIANGLE, K4MINUS, PATH4, MATCH4):
-            assert eval_lambda1_uniform(g) == F(-1, 7)
+            assert S1.value(g) == F(-1, 7)
 
     def test_frozen_offtight_values(self):
-        assert eval_lambda1_uniform(C4) == F(1, 56)
-        assert eval_lambda1_uniform(C5) == F(3, 112)
-        assert eval_lambda1_uniform(Graph(1, 0)) == 1
+        assert S1.value(C4) == F(1, 56)
+        assert S1.value(C5) == F(3, 112)
+        assert S1.value(Graph(1, 0)) == 1
 
     def test_second_spectrum_values(self):
-        assert eval_lambda2_uniform(PATH4) == F(1, 16)
-        assert eval_lambda2_uniform(MATCH4) == F(1, 16)
-        assert eval_lambda2_uniform(K4MINUS) == F(1, 8)
-        assert eval_lambda2_uniform(C4) == F(-1, 8)
-        assert eval_lambda2_uniform(TRIANGLE) == 0
-        assert eval_lambda2_uniform(EDGE) == 0
+        assert S2.value(PATH4) == F(1, 16)
+        assert S2.value(MATCH4) == F(1, 16)
+        assert S2.value(K4MINUS) == F(1, 8)
+        assert S2.value(C4) == F(-1, 8)
+        assert S2.value(TRIANGLE) == 0
+        assert S2.value(EDGE) == 0
 
     def test_combined_splits_forests_from_triangle(self):
         # the second spectrum pushes 4-edge forests and K4-minus strictly
         # above the minimum while leaving the true tight set alone
-        assert eval_lambda_combined(TRIANGLE) == F(-1, 7)
-        assert eval_lambda_combined(EDGE) == F(-1, 7)
-        assert eval_lambda_combined(PATH4) == F(-1, 7) + F(1, 952)
-        assert eval_lambda_combined(MATCH4) == F(-1, 7) + F(1, 952)
-        assert eval_lambda_combined(K4MINUS) == F(-1, 7) + F(1, 476)
+        assert SC.value(TRIANGLE) == F(-1, 7)
+        assert SC.value(EDGE) == F(-1, 7)
+        assert SC.value(PATH4) == F(-1, 7) + F(1, 952)
+        assert SC.value(MATCH4) == F(-1, 7) + F(1, 952)
+        assert SC.value(K4MINUS) == F(-1, 7) + F(1, 476)
 
     def test_combine_weight(self):
         assert COMBINE_WEIGHT == F(2, 119)
@@ -94,48 +90,48 @@ class TestUniformValues:
             perm = list(range(6))
             rng.shuffle(perm)
             h = g.permute(perm)
-            assert eval_lambda1_uniform(g) == eval_lambda1_uniform(h)
-            assert eval_lambda2_uniform(g) == eval_lambda2_uniform(h)
+            assert S1.value(g) == S1.value(h)
+            assert S2.value(g) == S2.value(h)
 
 
 class TestSkewValues:
     def test_coefficients_at_half_match_uniform(self):
-        assert skew_coefficients(F(1, 2)) == (F(-5, 7), F(-1, 7), F(3, 28))
+        assert Spectrum.skew1(F(1, 2)).weights[1:4] == (F(-5, 7), F(-1, 7), F(3, 28))
 
     def test_coefficients_at_three_eighths(self):
-        assert skew_coefficients(F(3, 8)) == (F(-79, 97), F(1, 97), F(229, 388))
+        assert Spectrum.skew1(F(3, 8)).weights[1:4] == (F(-79, 97), F(1, 97), F(229, 388))
 
     def test_c2_changes_sign_near_golden_cut(self):
         # root of p^2 - 3p + 1 at (3 - sqrt5)/2 = 0.3819...
-        assert skew_coefficients(F(19, 50))[1] > 0
-        assert skew_coefficients(F(2, 5))[1] < 0
+        assert Spectrum.skew1(F(19, 50)).weights[2] > 0
+        assert Spectrum.skew1(F(2, 5)).weights[2] < 0
 
     def test_minimum_at_three_eighths(self):
         assert lambda_min_skew(F(3, 8)) == F(-27, 485)
         for g in (EDGE, PATH2, FOREST2, TRIANGLE):
-            assert eval_lambda1_skew(g, F(3, 8)) == F(-27, 485)
+            assert Spectrum.skew1(F(3, 8)).value(g) == F(-27, 485)
 
     def test_half_reduces_to_uniform(self):
         for g in (EDGE, TRIANGLE, C4, C5, K4MINUS, PATH4):
-            assert eval_lambda1_skew(g, F(1, 2)) == eval_lambda1_uniform(g)
-            assert Spectrum.skew2(F(1, 2)).value(g) == eval_lambda2_uniform(g)
+            assert Spectrum.skew1(F(1, 2)).value(g) == S1.value(g)
+            assert Spectrum.skew2(F(1, 2)).value(g) == S2.value(g)
 
     def test_tight_only_on_small_classes_off_half(self):
         p = F(3, 8)
         lam_min = lambda_min_skew(p)
         tight = tight_combined_keys()
         for g in enumerate_unlabeled(6):
-            lam = eval_lambda1_skew(g, p)
+            lam = Spectrum.skew1(p).value(g)
             assert lam >= lam_min
             assert (lam == lam_min) == (canonical_key(g) in tight)
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):
-            eval_lambda1_skew(EDGE, F(5, 8))
+            Spectrum.skew1(F(5, 8)).value(EDGE)
         with pytest.raises(ValueError):
-            eval_lambda1_skew(EDGE, F(0))
+            Spectrum.skew1(F(0)).value(EDGE)
         with pytest.raises(ValueError):
-            skew_coefficients(F(3, 2))
+            Spectrum.skew1(F(3, 2))
 
 
 class TestSolveCoefficients:
@@ -152,7 +148,7 @@ class TestSolveCoefficients:
         p = F(max(1, den // 3), den)
         if p > F(1, 2):
             p = F(1, 2)
-        c1, c2, c3 = skew_coefficients(p)
+        c1, c2, c3 = Spectrum.skew1(p).weights[1:4]
         sol = solve_coefficients(p)
         assert (sol.c1, sol.c2) == (c1, c2)
         assert sol.lower <= 4 * c3 <= sol.upper
@@ -257,15 +253,26 @@ class TestSmallBias:
 
 class TestSpectrumAlgebra:
     def test_named_spectra_match_evaluators(self):
+        # each named spectrum against its closed form in the cut law:
+        # lambda1 = (-1)^|G| (q0 - 5/7 q1 - 1/7 q2 + 3/28 q3),
+        # lambda2 = (-1)^|G| (Pr[4-forest cut] - Pr[4-cycle cut]),
+        # combined = lambda1 + (16/17)(1/56) lambda2, and the first skew
+        # spectrum (-p/(1-p))^|G| (q0 + c1 q1 + c2 q2 + c3 q3) at p = 3/8
         rng = random.Random(5)
         graphs = [Graph(6, rng.getrandbits(15)) for _ in range(15)]
         s1, s2, sc = Spectrum.uniform1(), Spectrum.uniform2(), Spectrum.combined()
         sk = Spectrum.skew1(F(3, 8))
+        skew_weights = (1, F(-79, 97), F(1, 97), F(229, 388))
         for g in graphs:
-            assert s1.value(g) == eval_lambda1_uniform(g)
-            assert s2.value(g) == eval_lambda2_uniform(g)
-            assert sc.value(g) == eval_lambda_combined(g)
-            assert sk.value(g) == eval_lambda1_skew(g, F(3, 8))
+            st = cut_stats(g)
+            q = [F(st.counts[k], st.total) if k <= st.size else 0 for k in range(4)]
+            sign = (-1) ** st.size
+            lam1 = sign * (q[0] - F(5, 7) * q[1] - F(1, 7) * q[2] + F(3, 28) * q[3])
+            lam2 = sign * F(st.forest4 - st.cycle4, st.total)
+            assert s1.value(g) == lam1
+            assert s2.value(g) == lam2
+            assert sc.value(g) == lam1 + F(16, 17) * F(1, 56) * lam2
+            assert sk.value(g) == F(-3, 5) ** st.size * sum(w * x for w, x in zip(skew_weights, q))
 
     def test_integer_weights_match_rational_evaluation(self):
         assert clear_denominators((F(1), F(-5, 7), F(-1, 7), F(3, 28))) == (28, (28, -20, -4, 3))
@@ -451,11 +458,11 @@ class TestCampaigns:
     def test_gap_off_tight_set(self):
         # the first-spectrum gap 1/56 is a bound, not attained at 6 vertices;
         # the combined gap 1/952 is attained exactly by the 4-edge forests
-        off1 = [eval_lambda1_uniform(g) for g in enumerate_unlabeled(6)
+        off1 = [S1.value(g) for g in enumerate_unlabeled(6)
                 if canonical_key(g) not in tight_uniform_keys()]
         assert min(off1) >= LAMBDA_MIN_UNIFORM + GAP_UNIFORM
         assert min(off1) == F(-3, 32)
-        offc = [eval_lambda_combined(g) for g in enumerate_unlabeled(6)
+        offc = [SC.value(g) for g in enumerate_unlabeled(6)
                 if canonical_key(g) not in tight_combined_keys()]
         assert min(offc) == LAMBDA_MIN_UNIFORM + GAP_COMBINED
 
