@@ -24,7 +24,9 @@ when both routes need more than 2^23 states.  `occ verify lemmas` checks that
 the block formula, and so the DP on each block, gives the enumerated law on
 every catalogue class, beside the other cut lemmas.
 Either route yields a CutStats record, the integer counts every spectrum is
-evaluated from; the class catalogue keeps one record per small class.
+evaluated from.  The class catalogue keeps one record per small class,
+inherited down the tree of the orderly generation on packed byte lanes
+(_inherited_stats) rather than enumerated class by class.
 A cut law is such a record: its probabilities q_0, ..., q_|G| are the tuple
 of Fractions that CutStats.distribution returns, one entry per edge count.
 """
@@ -33,13 +35,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .graph import (
     BlockDecomposition,
     Graph,
     _bit_positions,
     _component_masks,
+    _cores,
     _vertex_stars,
     block_decomposition,
     edge_pairs,
@@ -308,14 +311,85 @@ def class_catalogue(max_vertices: int) -> dict[tuple[int, int], ClassEntry]:
     """Every class with at most max_vertices non-isolated vertices, by key, in
     the order of enumerate_unlabeled; built once per process and size, by
     position or by keyword.  The representatives are canonical cores, so
-    each key is (v, mask) as is."""
+    each key is (v, mask) as is, and their laws come from _inherited_stats,
+    one tree of the orderly generation per v."""
     return _class_catalogue(max_vertices)
 
 
 @lru_cache(maxsize=None)
 def _class_catalogue(max_vertices: int) -> dict[tuple[int, int], ClassEntry]:
-    return {e.key: e for e in (ClassEntry(g, (g.v, g.mask), cut_stats(g))
-                               for g in enumerate_unlabeled(max_vertices))}
+    laws = {v: _inherited_stats(v, _cores(v)) for v in range(2, max_vertices + 1)}
+    out = {}
+    for g in enumerate_unlabeled(max_vertices):
+        # a representative is a core on its n vertices, or the empty graph
+        key = (g.n, g.mask) if g.mask else (0, 0)
+        out[key] = ClassEntry(g, key, laws[g.n][g.mask] if g.mask else cut_stats(g))
+    return out
+
+
+def _parent(mask: int) -> int:
+    """The parent of a canonical mask below K_v in the orderly generation of
+    graph._cores: the mask with its lowest zero bit set."""
+    return mask | ~mask & mask + 1
+
+
+def _drop_edge(lanes: list[int], edge: int, i: int, j: int) -> list[int]:
+    """The lanes of _inherited_stats, size first and then the degree of each
+    vertex, less the edge ij whose lane is edge."""
+    out = list(lanes)
+    for at in (0, 1 + i, 1 + j):
+        out[at] -= edge
+    return out
+
+
+def _inherited_stats(v: int, masks: Iterable[int]) -> dict[int, CutStats]:
+    """The cut statistics of each mask in masks: canonical masks of graphs on
+    v >= 2 vertices without an isolated vertex, closed under _parent, so K_v
+    among them.
+
+    A lane holds one byte per coloring of _cut_mask_table(v), in an integer
+    of 2^(v-1) bytes.  The size lane counts the edges each coloring cuts,
+    and the degree lane of vertex u the cut edges at u.  K_v's lanes are sums
+    of edge lanes, a 1 where the coloring cuts the edge, and a child's lanes
+    are its parent's less the lanes of the cleared edge: every byte stays in
+    0..16 up to v = 8, so no borrow crosses a byte.  The law counts the bytes
+    of each size; a 4-cut is a 4-cycle exactly when it touches 4 vertices,
+    the degree lanes nonzero there.  The tree is walked depth first, so only
+    the lanes along the path are live.
+    """
+    width = 1 << v - 1
+    pairs = edge_pairs(v)
+    table = _cut_mask_table(v)
+    edges = [int.from_bytes(bytes(cut >> k & 1 for cut in table), "little")
+             for k in range(len(pairs))]
+    ones = int.from_bytes(b"\x01" * width, "little")
+    low, high, fours = 0x7F * ones, ones << 7, ones << 2
+    full = (1 << len(pairs)) - 1
+    kids: dict[int, list[int]] = {}
+    for mask in masks:
+        if mask != full:
+            kids.setdefault(_parent(mask), []).append(mask)
+    stats: dict[int, CutStats] = {}
+
+    def visit(mask: int, lanes: list[int]) -> None:
+        size = lanes[0]
+        data = size.to_bytes(width, "little")
+        counts = tuple(map(data.count, range(mask.bit_count() + 1)))
+        forest4 = cycle4 = 0
+        if len(counts) > 4 and counts[4]:
+            # a byte d <= 0x80 is nonzero exactly when d + 0x7f reaches 0x80;
+            # the zero bytes of the xors are the 4-cuts on 4 vertices
+            touched = sum((d + low & high) >> 7 for d in lanes[1:])
+            cycle4 = (size ^ fours | touched ^ fours).to_bytes(width, "little").count(0)
+            forest4 = counts[4] - cycle4
+        stats[mask] = CutStats(counts, forest4, cycle4, width)
+        for child in kids.get(mask, ()):
+            b = (mask ^ child).bit_length() - 1
+            visit(child, _drop_edge(lanes, edges[b], *pairs[b]))
+
+    visit(full, [sum(edges)] + [sum(edges[k] for k, p in enumerate(pairs) if u in p)
+                                for u in range(v)])
+    return stats
 
 
 # the lemma ids check_cut_lemmas reports, in the order of its checks

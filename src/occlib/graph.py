@@ -220,25 +220,52 @@ class BlockDecomposition(NamedTuple):
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Split g into bridge edges and biconnected blocks (>= 3 edges each).
 
-    Two edges uv and uw lie in one block exactly when v and w are joined in
-    g - u: the blocks are the classes of edge masks this relation generates
-    over all u, and a bridge is an edge alone in its class.  Only a vertex of
-    degree >= 2 relates two edges, so the others are skipped; an edge left in
-    no class joins two vertices of degree 1, and so is a bridge.
+    One depth-first search over the adjacency bitsets (Hopcroft and Tarjan,
+    1973), so the time is linear in the edges.  low[u] is the least
+    discovery time that the subtree of u reaches by one back edge.  Each
+    edge is stacked when the search first meets it; on the return from a
+    child w of u with low[w] >= disc[u], u separates w's subtree from the
+    rest, and the edges stacked since uw form one block, a bridge when uw is
+    alone.
     """
     n, adj, stars = g.n, g.adjacency(), _vertex_stars(g.n)
+    disc, low = [0] * n, [0] * n  # discovery times from 1; 0 is unvisited
     classes: list[int] = []
-    for u in range(n):
-        if not adj[u] & (adj[u] - 1):
+    edges: list[int] = []
+    clock = 0
+    for root in _bit_positions(g.touched_vertices()):
+        if disc[root]:
             continue
-        for part in _component_masks([a & ~(1 << u) for a in adj], adj[u]):
-            star = sum(stars[u] & stars[w] for w in _bit_positions(part & adj[u]))
-            # the classes are disjoint: those that meet star merge with it
-            meet = [c for c in classes if c & star]
-            classes = [c for c in classes if not c & star] + [star | sum(meet)]
-    classes += [1 << i for i in _bit_positions(g.mask & ~sum(classes))]
+        clock += 1
+        disc[root] = low[root] = clock
+        stack = [[root, -1, adj[root]]]  # vertex, tree parent, neighbours left
+        while stack:
+            frame = stack[-1]
+            u, parent, left = frame
+            if left:
+                w = (left & -left).bit_length() - 1
+                frame[2] = left & left - 1
+                if w == parent or disc[u] < disc[w]:
+                    continue  # the tree edge up, or a back edge met from below
+                edges.append(stars[u] & stars[w])
+                if disc[w]:
+                    low[u] = min(low[u], disc[w])
+                else:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    stack.append([w, u, adj[w]])
+                continue
+            stack.pop()
+            if parent < 0:
+                continue
+            low[parent] = min(low[parent], low[u])
+            if low[u] >= disc[parent]:
+                tree, block = stars[parent] & stars[u], 0
+                while not block & tree:
+                    block |= edges.pop()
+                classes.append(block)
     if sum(classes) != g.mask:
-        raise AssertionError("block decomposition duplicated edges")
+        raise AssertionError("block decomposition lost or duplicated edges")
     bridges = sorted(edge_pairs(n)[c.bit_length() - 1] for c in classes if c.bit_count() == 1)
     blocks = sorted((Graph(n, c) for c in classes if c.bit_count() > 1), key=lambda b: b.mask)
     return BlockDecomposition(tuple(bridges), tuple(blocks))

@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial
+from operator import mul
 from typing import NamedTuple
 
 from .exact import (
@@ -202,24 +203,22 @@ class Spectrum:
     def value(self, x: Graph | CutStats) -> Fraction:
         """Eigenvalue of a graph, or of whatever the given statistics describe."""
         stats = x if isinstance(x, CutStats) else cut_stats(x)
-        scale, weights = self._terms
-        q = stats.counts[:4]
-        counts = (*q, *(0,) * (4 - len(q)), stats.forest4, stats.cycle4)
-        hits = sum(w * c for w, c in zip(weights, counts))
-        if scale is None:  # weights and base are rational functions of the symbol p
-            return (-_ratio(self.p)) ** stats.size * hits / stats.total
-        # the sign base of p = a/b is -a/(b-a)
-        a, b = self.p.numerator, self.p.denominator
-        return F((-a) ** stats.size * hits, (b - a) ** stats.size * scale * stats.total)
+        if isinstance(self.p, F):
+            return F(*self.integer_ratio(stats))
+        # weights and base are rational functions of the symbol p
+        return (-_ratio(self.p)) ** stats.size * _weigh(self.weights, stats) / stats.total
+
+    def integer_ratio(self, stats: CutStats) -> tuple[int, int]:
+        """(num, den), den > 0, unreduced, with value(stats) = num/den, at a
+        rational bias: the weights are cleared to integers at one scale, once
+        per spectrum, and the sign base of p = a/b is -a/(b-a)."""
+        scale, weights = self._integer_weights
+        a, b, size = self.p.numerator, self.p.denominator, stats.size
+        return (-a) ** size * _weigh(weights, stats), (b - a) ** size * scale * stats.total
 
     @cached_property
-    def _terms(self) -> tuple:
-        """(scale, weights): at a rational bias the weights are cleared to
-        integers at one scale, once per spectrum; at the symbol p they stay
-        rational functions and the scale is None."""
-        if isinstance(self.p, F):
-            return clear_denominators(self.weights)
-        return None, self.weights
+    def _integer_weights(self) -> tuple:
+        return clear_denominators(self.weights)
 
     def scaled(self, factor: Fraction) -> "Spectrum":
         return Spectrum(self.p, tuple(factor * w for w in self.weights))
@@ -256,6 +255,32 @@ class Spectrum:
 
 def _skew1(p) -> Spectrum:
     return Spectrum(p, (F(1), *_coefficients(p), F(0), F(0)))
+
+
+def _weigh(weights: tuple, stats: CutStats):
+    """The weights applied to the counts of a record: q0..q3 (the q_k past
+    its size are 0), then forest4 and cycle4."""
+    return (sum(map(mul, weights[:4], stats.counts))
+            + weights[4] * stats.forest4 + weights[5] * stats.cycle4)
+
+
+@lru_cache(maxsize=8)
+def _catalogue_laws(n: int) -> tuple[CutStats, ...]:
+    """The distinct cut laws of class_catalogue(n), in catalogue order: the
+    1044 classes on at most 7 vertices have 583."""
+    return tuple(dict.fromkeys(e.stats for e in class_catalogue(n).values()))
+
+
+def _signs(spec: Spectrum, laws, bounds: tuple) -> dict[CutStats, tuple[int, ...]]:
+    """For each law, the sign (-1, 0 or 1) of its spec value minus each of
+    the bounds, compared in integers: no Fraction is built."""
+    pairs = [(b.numerator, b.denominator) for b in bounds]
+    out = {}
+    for law in laws:
+        num, den = spec.integer_ratio(law)
+        diffs = [num * bd - bn * den for bn, bd in pairs]
+        out[law] = tuple((d > 0) - (d < 0) for d in diffs)
+    return out
 
 
 class SolvedCoefficients(NamedTuple):
@@ -388,10 +413,9 @@ def tight_combined_keys() -> frozenset:
 @lru_cache(maxsize=8)
 def combined_lambda_min(n: int) -> Fraction:
     """Least combined-spectrum eigenvalue of a graph on n labelled vertices,
-    taken once per n over class_catalogue(n), where every such graph has its
-    class."""
-    spec = Spectrum.combined()
-    return min(spec.value(e.stats) for e in class_catalogue(n).values())
+    taken once per n over the distinct laws of class_catalogue(n), where
+    every such graph has its class."""
+    return min(map(Spectrum.combined().value, _catalogue_laws(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -411,24 +435,23 @@ def verify_uniform_claims() -> VerificationReport:
     k4m_key = canonical_key(refs["K4minus"])
 
     s1, s2, sc = Spectrum.uniform1(), Spectrum.uniform2(), Spectrum.combined()
+    # each distinct law is evaluated once, against bounds computed once
+    laws = _catalogue_laws(7)
+    signs1 = _signs(s1, laws, (LAMBDA_MIN_UNIFORM, LAMBDA_MIN_UNIFORM + GAP_UNIFORM))
+    signsc = _signs(sc, laws, (LAMBDA_MIN_UNIFORM, LAMBDA_MIN_UNIFORM + GAP_COMBINED))
+    signs2 = _signs(s2, laws, (F(-1), F(0), F(1)))
     bad1, badc = [], []
-    l2_by_key = {}
-    ok_small = ok_bound = True
     for key, e in catalogue.items():
-        l1 = s1.value(e.stats)
-        l2 = l2_by_key[key] = s2.value(e.stats)
-        lc = sc.value(e.stats)
-        if not (l1 == LAMBDA_MIN_UNIFORM if key in t1
-                else l1 >= LAMBDA_MIN_UNIFORM + GAP_UNIFORM):
+        at, above = signs1[e.stats]
+        if not (at == 0 if key in t1 else above >= 0):
             bad1.append(write_graph6(e.graph))
-        if not (lc == LAMBDA_MIN_UNIFORM if key in tc
-                else lc >= LAMBDA_MIN_UNIFORM + GAP_COMBINED):
+        at, above = signsc[e.stats]
+        if not (at == 0 if key in tc else above >= 0):
             badc.append(write_graph6(e.graph))
-        # second spectrum: vanishes below 4 edges, bounded by 1
-        if e.stats.size < 4 and l2 != 0:
-            ok_small = False
-        if not -1 <= l2 <= 1:
-            ok_bound = False
+    # second spectrum: vanishes below 4 edges, bounded by 1
+    ok_small = all(signs2[law][1] == 0 for law in laws if law.size < 4)
+    ok_bound = all(lo >= 0 and hi <= 0 for lo, _, hi in signs2.values())
+    l2_by_key = {key: s2.value(catalogue[key].stats) for key in (*ffk, k4m_key) if key in catalogue}
     rep.add("lambda1:min=-1/7:tight-set-exact", not bad1, ",".join(bad1[:5]))
     rep.add("combined:min=-1/7:gap=1/952", not badc, ",".join(badc[:5]))
     rep.add("lambda1:tight-set-size", len(t1) == 13,
@@ -470,8 +493,8 @@ def verify_uniform_claims() -> VerificationReport:
     dn = numer.derivative()
     rep.add("case-constants:numerator-increasing-m>=7",
             dn(7) > 0 and count_roots_above(dn, 7) == 0)
-    rep.add("case-constants:r(m)>=r(7)-to-64",
-            all(case_constant(m) >= case_constant(7) for m in range(7, 65)))
+    r7 = case_constant(7)
+    rep.add("case-constants:r(m)>=r(7)-to-64", all(case_constant(m) >= r7 for m in range(7, 65)))
 
     # displayed exceptional values
     q2 = lambda g: catalogue[canonical_key(g)].stats.distribution()[2]
@@ -493,7 +516,7 @@ def verify_uniform_claims() -> VerificationReport:
     rep.add("structure:bridgeless-with-<=5-edges", bridgeless_small == expected_bridgeless)
     exempt = (canonical_key(refs["triangle"]), k4m_key)
     rep.add("structure:odd-bridgeless-q0<=1/16",
-            all(e.stats.distribution()[0] <= F(1, 16) for key, e in catalogue.items()
+            all(16 * e.stats.counts[0] <= e.stats.total for key, e in catalogue.items()
                 if e.stats.size % 2 and bridges[key] == 0 and key not in exempt))
     rep.add("structure:one-bridge-size-gap",
             all(e.stats.size == 1 or e.stats.size >= 4
@@ -600,17 +623,17 @@ def verify_skew_cases(p_lo: Fraction, p_hi: Fraction) -> VerificationReport:
     # exhaustive spot checks at sampled biases: arithmetic over the catalogue
     samples = sorted({p_lo, p_hi} | ({witness} if p_lo <= witness <= p_hi else set()))
     catalogue = class_catalogue(7)
+    laws = _catalogue_laws(7)
     tight_small = tight_combined_keys()          # edge, path2, 2-forest, triangle
     tight_half = tight_uniform_keys()            # adds 4-forests and K4minus at 1/2
     for p in samples:
         if p < TAU:
             continue  # below tau the 3-forest genuinely violates the bound
-        lam_min = lambda_min_skew(p)
         expect = tight_half if p == F(1, 2) else tight_small
-        spec = Spectrum.skew1(p)
-        lams = {key: spec.value(e.stats) for key, e in catalogue.items()}
-        ok_min = all(lam >= lam_min for lam in lams.values())
-        ok_tight = all((lam == lam_min) == (key in expect) for key, lam in lams.items())
+        signs = _signs(Spectrum.skew1(p), laws, (lambda_min_skew(p),))
+        ok_min = all(sign >= 0 for sign, in signs.values())
+        ok_tight = all((signs[e.stats][0] == 0) == (key in expect)
+                       for key, e in catalogue.items())
         tag = frac_str(p)
         rep.add(f"sample:p={tag}:min", ok_min)
         rep.add(f"sample:p={tag}:tight-set", ok_tight)
@@ -662,14 +685,13 @@ def verify_smallp() -> VerificationReport:
     # sampled exact evaluations
     for ps in (F(1, 8), F(1, 5), TAU):
         tag = frac_str(ps)
-        rep.add(f"sample:p={tag}:lambda5<0", eval_lambda_smallp(5, ps) < 0)
-        rep.add(f"sample:p={tag}:even>=0",
-                all(eval_lambda_smallp(k, ps) >= 0 for k in range(4, 101, 2)))
+        lam = {k: eval_lambda_smallp(k, ps) for k in range(4, 101)}
+        rep.add(f"sample:p={tag}:lambda5<0", lam[5] < 0)
+        rep.add(f"sample:p={tag}:even>=0", all(lam[k] >= 0 for k in range(4, 101, 2)))
         rep.add(f"sample:p={tag}:odd-decay",
-                all(abs(eval_lambda_smallp(k + 2, ps)) < abs(eval_lambda_smallp(k, ps))
-                    for k in range(5, 98, 2)))
+                all(abs(lam[k + 2]) < abs(lam[k]) for k in range(5, 98, 2)))
         lam_min = lambda_min_skew(ps)
-        gap = -lam_min - abs(eval_lambda_smallp(5, ps))
+        gap = -lam_min - abs(lam[5])
         rep.add(f"sample:p={tag}:gap-positive", gap > 0)
         rep.add(f"sample:p={tag}:gap-identity", gap == -lam_min * g_fn(ps))
     return rep

@@ -22,7 +22,7 @@ from occlib.cutstats import (
     cut_stats,
 )
 from occlib.exact import Polynomial
-from occlib.graph import Graph, enumerate_unlabeled, random_graph
+from occlib.graph import Graph, _cores, canonical_form, enumerate_unlabeled, random_graph
 from occlib.spectra import Spectrum
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
@@ -202,9 +202,11 @@ class TestFrontierDP:
     past the v <= 24 cap of enumeration against closed forms."""
 
     def test_every_catalogue_class(self):
+        # the catalogue's own laws, inherited down the generation tree, too
         for entry in class_catalogue(7).values():
             if entry.graph.mask:
-                assert _frontier(entry.graph) == _enumerated_stats(entry.graph), entry.graph
+                g = entry.graph
+                assert entry.stats == _frontier(g) == _enumerated_stats(g), g
 
     def test_catalogue_classes_are_enumerated_without_an_order(self, monkeypatch):
         def refuse(g):
@@ -267,3 +269,60 @@ class TestFrontierDP:
         assert sum(q) == 1
         assert sum(k * x for k, x in enumerate(q)) == F(g.edge_count, 2)
         assert Spectrum.uniform1().value(cut_stats(g)) >= F(-1, 7)
+
+
+def _second_zero_parent(mask):
+    """The mask with its second-lowest zero bit set, not its lowest."""
+    low = ~mask & mask + 1
+    return mask | ~(mask | low) & (mask | low) + 1
+
+
+class TestInheritedLaws:
+    """The catalogue's kernel, cut laws inherited down the tree of the
+    orderly generation on packed byte lanes, against enumeration."""
+
+    @staticmethod
+    def disagreements(v, masks):
+        """The masks whose inherited law is missing or differs from the
+        enumerated one, typed 4-cuts included."""
+        laws = cutstats._inherited_stats(v, masks)
+        return [m for m in masks if laws.get(m) != _enumerated_stats(Graph(v, m))]
+
+    @pytest.mark.parametrize("v", range(2, 8))
+    def test_every_core(self, v):
+        cores = _cores(v)
+        assert self.disagreements(v, cores) == []
+        if v >= 5:  # a 4-edge forest needs 5 vertices
+            laws = cutstats._inherited_stats(v, cores).values()
+            assert any(law.cycle4 for law in laws) and any(law.forest4 for law in laws)
+
+    @pytest.mark.parametrize("name, fault", [
+        ("_drop_edge", lambda lanes, edge, i, j: [lanes[0] - edge, *lanes[1:]]),
+        ("_parent", _second_zero_parent),
+    ], ids=["touched-update-dropped", "parent-through-wrong-zero-bit"])
+    def test_fault_is_seen(self, monkeypatch, name, fault):
+        monkeypatch.setattr(cutstats, name, fault)
+        assert self.disagreements(7, _cores(7))
+
+    def test_lane_budget_at_eight_vertices(self):
+        # K8 and K4,4 have cuts of 16 edges, and a 4-cut of the 4-matching
+        # touches all 8 vertices: each must fit its byte.  Every mask on the
+        # path from a canonical core up to K8 is a canonical core.
+        full = (1 << 28) - 1
+        graphs = [Graph(8, full),
+                  Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)]),
+                  Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]),
+                  Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3),
+                                       (4, 5), (5, 6), (6, 7), (4, 7)]),
+                  Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])]
+        masks = {full}
+        for g in graphs:
+            mask = canonical_form(g)
+            while mask != full:
+                masks.add(mask)
+                mask = cutstats._parent(mask)
+        assert self.disagreements(8, masks) == []
+        laws = cutstats._inherited_stats(8, masks)
+        assert laws[full].counts[16] and laws[canonical_form(graphs[1])].counts[16]
+        matching = laws[canonical_form(graphs[2])]
+        assert matching.forest4 == matching.counts[4] > 0

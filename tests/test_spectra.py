@@ -350,6 +350,31 @@ class TestCatalogue:
             assert sc.value(e.stats) == l1 + COMBINE_WEIGHT * l2
             assert sk.value(e.stats) == self.direct(e.graph, skew, -p / (1 - p))[0]
 
+    def test_distinct_laws_cover_the_catalogue(self):
+        laws = spectra._catalogue_laws(7)
+        assert len(laws) == len(set(laws)) == 583
+        assert set(laws) == {e.stats for e in class_catalogue(7).values()}
+
+    def test_signs_match_fraction_comparisons(self):
+        # the integer cross-multiplication of _signs against Fraction
+        # arithmetic on every distinct law, at and off each bound
+        laws = spectra._catalogue_laws(7)
+        cases = [(S1, (LAMBDA_MIN_UNIFORM, LAMBDA_MIN_UNIFORM + GAP_UNIFORM)),
+                 (SC, (LAMBDA_MIN_UNIFORM, LAMBDA_MIN_UNIFORM + GAP_COMBINED)),
+                 (S2, (F(-1), F(0), F(1), F(1, 16)))]
+        cases += [(Spectrum.skew1(p), (lambda_min_skew(p), F(0))) for p in (TAU, F(3, 8))]
+        for spec, bounds in cases:
+            signs = spectra._signs(spec, laws, bounds)
+            seen = set()
+            for law in laws:
+                num, den = spec.integer_ratio(law)
+                value = spec.value(law)
+                assert den > 0 and F(num, den) == value
+                want = tuple((value > b) - (value < b) for b in bounds)
+                assert signs[law] == want, (spec, law)
+                seen.update(want)
+            assert 0 in seen and 1 in seen
+
     def test_keys_and_order_follow_the_enumeration(self):
         reps = enumerate_unlabeled(7)
         catalogue = class_catalogue(7)
@@ -408,6 +433,37 @@ class TestCampaigns:
         assert rep.ok, rep.failing()
         assert len(tight_uniform_keys()) == 13
         assert len(tight_combined_keys()) == 4
+
+    def test_uniform_claims_name_the_classes_off_a_doctored_tight_set(self, monkeypatch):
+        # with the 2-edge path (Bo) and the triangle (Bw) moved out of the
+        # tight sets and C4 (C]) moved in, each class is graded off its law
+        # and named, in catalogue order
+        t1, tc = tight_uniform_keys(), tight_combined_keys()
+        drop, add = {canonical_key(PATH2), canonical_key(TRIANGLE)}, {canonical_key(C4)}
+        monkeypatch.setattr(spectra, "tight_uniform_keys", lambda: t1 - drop | add)
+        monkeypatch.setattr(spectra, "tight_combined_keys", lambda: tc - drop | add)
+        bad = {c.claim_id: c.detail for c in verify_uniform_claims().checks if not c.ok}
+        assert bad == {"lambda1:min=-1/7:tight-set-exact": "Bo,Bw,C]",
+                       "combined:min=-1/7:gap=1/952": "Bo,Bw,C]",
+                       "lambda1:tight-set-size": "12 classes (edge, path, 2-forest, triangle, "
+                                                 "K4minus, 8 four-forests)"}
+
+    def test_skew_samples_grade_each_class_by_its_law(self, monkeypatch):
+        # a tight set without the 2-forest fails each sampled tight-set
+        # claim below 1/2, and the minimum claims still hold
+        tc = tight_combined_keys()
+        monkeypatch.setattr(spectra, "tight_combined_keys",
+                            lambda: tc - {canonical_key(FOREST2)})
+        rep = verify_skew_cases(TAU, F(1, 2))
+        assert rep.failing() == ["sample:p=31/125:tight-set", "sample:p=3/8:tight-set"]
+
+    def test_smallp_evaluates_each_size_once_per_bias(self, monkeypatch):
+        calls = []
+        real = spectra.eval_lambda_smallp
+        monkeypatch.setattr(spectra, "eval_lambda_smallp",
+                            lambda k, p: calls.append((k, p)) or real(k, p))
+        assert verify_smallp().ok
+        assert len(calls) == len(set(calls)) == 3 * 97
 
     def test_skew_cases_on_full_interval(self):
         rep = verify_skew_cases(TAU, F(1, 2))
