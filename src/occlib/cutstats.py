@@ -300,10 +300,9 @@ def cut_distribution_blocks(g: Graph) -> tuple[Fraction, ...]:
 
 
 class ClassEntry(NamedTuple):
-    """One isomorphism class: its representative, key and cut statistics."""
+    """One isomorphism class: its representative and cut statistics."""
 
     graph: Graph
-    key: tuple[int, int]
     stats: CutStats
 
 
@@ -312,7 +311,7 @@ def class_catalogue(max_vertices: int) -> dict[tuple[int, int], ClassEntry]:
     the order of enumerate_unlabeled; built once per process and size, by
     position or by keyword.  The representatives are canonical cores, so
     each key is (v, mask) as is, and their laws come from _inherited_stats,
-    one tree of the orderly generation per v."""
+    one preorder of the orderly generation per v."""
     return _class_catalogue(max_vertices)
 
 
@@ -323,14 +322,8 @@ def _class_catalogue(max_vertices: int) -> dict[tuple[int, int], ClassEntry]:
     for g in enumerate_unlabeled(max_vertices):
         # a representative is a core on its n vertices, or the empty graph
         key = (g.n, g.mask) if g.mask else (0, 0)
-        out[key] = ClassEntry(g, key, laws[g.n][g.mask] if g.mask else cut_stats(g))
+        out[key] = ClassEntry(g, laws[g.n][g.mask] if g.mask else cut_stats(g))
     return out
-
-
-def _parent(mask: int) -> int:
-    """The parent of a canonical mask below K_v in the orderly generation of
-    graph._cores: the mask with its lowest zero bit set."""
-    return mask | ~mask & mask + 1
 
 
 def _drop_edge(lanes: list[int], edge: int, i: int, j: int) -> list[int]:
@@ -343,9 +336,11 @@ def _drop_edge(lanes: list[int], edge: int, i: int, j: int) -> list[int]:
 
 
 def _inherited_stats(v: int, masks: Iterable[int]) -> dict[int, CutStats]:
-    """The cut statistics of each mask in masks: canonical masks of graphs on
-    v >= 2 vertices without an isolated vertex, closed under _parent, so K_v
-    among them.
+    """The cut statistics of each mask in masks: graphs on v >= 2 vertices
+    without an isolated vertex, in the preorder of a tree under K_v whose
+    children each lack one edge of their parent, as _cores lists them.  A
+    mask's parent is then the last mask listed with one more edge; a mask
+    that is not one edge short of it raises ValueError.
 
     A lane holds one byte per coloring of _cut_mask_table(v), in an integer
     of 2^(v-1) bytes.  The size lane counts the edges each coloring cuts,
@@ -354,8 +349,8 @@ def _inherited_stats(v: int, masks: Iterable[int]) -> dict[int, CutStats]:
     are its parent's less the lanes of the cleared edge: every byte stays in
     0..16 up to v = 8, so no borrow crosses a byte.  The law counts the bytes
     of each size; a 4-cut is a 4-cycle exactly when it touches 4 vertices,
-    the degree lanes nonzero there.  The tree is walked depth first, so only
-    the lanes along the path are live.
+    the degree lanes nonzero there.  Only the lanes of the last mask at each
+    depth, the path to the current mask, are kept.
     """
     width = 1 << v - 1
     pairs = edge_pairs(v)
@@ -365,13 +360,21 @@ def _inherited_stats(v: int, masks: Iterable[int]) -> dict[int, CutStats]:
     ones = int.from_bytes(b"\x01" * width, "little")
     low, high, fours = 0x7F * ones, ones << 7, ones << 2
     full = (1 << len(pairs)) - 1
-    kids: dict[int, list[int]] = {}
-    for mask in masks:
-        if mask != full:
-            kids.setdefault(_parent(mask), []).append(mask)
+    path: list[tuple[int, list[int]]] = []
     stats: dict[int, CutStats] = {}
-
-    def visit(mask: int, lanes: list[int]) -> None:
+    for mask in masks:
+        depth = len(pairs) - mask.bit_count()
+        if mask == full:
+            lanes = [sum(edges)] + [sum(edges[k] for k, p in enumerate(pairs) if u in p)
+                                    for u in range(v)]
+        elif 0 < depth <= len(path) and not mask & ~path[depth - 1][0]:
+            parent, lanes = path[depth - 1]
+            b = (parent ^ mask).bit_length() - 1
+            lanes = _drop_edge(lanes, edges[b], *pairs[b])
+        else:
+            raise ValueError(f"mask {mask} is not listed in preorder below K_{v}")
+        del path[depth:]
+        path.append((mask, lanes))
         size = lanes[0]
         data = size.to_bytes(width, "little")
         counts = tuple(map(data.count, range(mask.bit_count() + 1)))
@@ -383,12 +386,6 @@ def _inherited_stats(v: int, masks: Iterable[int]) -> dict[int, CutStats]:
             cycle4 = (size ^ fours | touched ^ fours).to_bytes(width, "little").count(0)
             forest4 = counts[4] - cycle4
         stats[mask] = CutStats(counts, forest4, cycle4, width)
-        for child in kids.get(mask, ()):
-            b = (mask ^ child).bit_length() - 1
-            visit(child, _drop_edge(lanes, edges[b], *pairs[b]))
-
-    visit(full, [sum(edges)] + [sum(edges[k] for k, p in enumerate(pairs) if u in p)
-                                for u in range(v)])
     return stats
 
 

@@ -407,30 +407,27 @@ def _cores(n: int) -> tuple[int, ...]:
 
     The tree is walked depth-first, carrying along the path the relabellings
     that leave each bit empty (_automorphisms): none for K_n, and clearing
-    bit b adds to those of bit t the relabellings that send b to t.  A
-    mask's children are listed together, then grown from the last.
+    bit b adds to those of bit t the relabellings that send b to t.  Each
+    child is grown as soon as it passes, so the masks come in preorder: K_n
+    first, each mask after its parent and each subtree contiguous: the
+    parent of a mask is the last mask listed with one more edge.
     """
     planes = _edge_planes(n)
     stars = _vertex_stars(n)
     pairs = edge_pairs(n)
-    full = (1 << len(pairs)) - 1
-    found = [full]
+    found = []
 
     def grow(mask: int, empty: list[int]) -> None:
+        found.append(mask)
         lowest_zero = (~mask & (mask + 1)).bit_length() - 1
-        kids = []
         for b in range(lowest_zero):
             child = mask ^ 1 << b
             i, j = pairs[b]
-            if not child & stars[i] or not child & stars[j]:
-                continue
-            if _automorphisms(n, child, empty, planes[b]):
-                kids.append(b)
-        found.extend(mask ^ 1 << b for b in kids)
-        for b in reversed(kids):
-            grow(mask ^ 1 << b, [x ^ p for x, p in zip(empty, planes[b])])
+            if (child & stars[i] and child & stars[j]
+                    and _automorphisms(n, child, empty, planes[b])):
+                grow(child, [x ^ p for x, p in zip(empty, planes[b])])
 
-    grow(full, [0] * len(pairs))
+    grow((1 << len(pairs)) - 1, [0] * len(pairs))
     return tuple(found)
 
 

@@ -146,7 +146,11 @@ def _lambda_smallp(k: int, p):
 
 
 def lambda_min_skew(p: Fraction) -> Fraction:
-    return -_threshold(F(p))
+    """-p^3/(1-p^3), the value of the p-biased spectrum on its tight classes."""
+    p = F(p)
+    if not 0 < p < 1:
+        raise ValueError("need 0 < p < 1")
+    return -_threshold(p)
 
 
 def eval_lambda_smallp(size: int, p: Fraction) -> Fraction:
@@ -621,7 +625,7 @@ def verify_skew_cases(p_lo: Fraction, p_hi: Fraction) -> VerificationReport:
         _certify(rep, case_id, rf, p_lo, p_hi, witness, at_hi=eq_half and p_hi == F(1, 2))
 
     # exhaustive spot checks at sampled biases: arithmetic over the catalogue
-    samples = sorted({p_lo, p_hi} | ({witness} if p_lo <= witness <= p_hi else set()))
+    samples = sorted({p_lo, p_hi, witness})
     catalogue = class_catalogue(7)
     laws = _catalogue_laws(7)
     tight_small = tight_combined_keys()          # edge, path2, 2-forest, triangle

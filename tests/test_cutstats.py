@@ -271,14 +271,8 @@ class TestFrontierDP:
         assert Spectrum.uniform1().value(cut_stats(g)) >= F(-1, 7)
 
 
-def _second_zero_parent(mask):
-    """The mask with its second-lowest zero bit set, not its lowest."""
-    low = ~mask & mask + 1
-    return mask | ~(mask | low) & (mask | low) + 1
-
-
 class TestInheritedLaws:
-    """The catalogue's kernel, cut laws inherited down the tree of the
+    """The catalogue's kernel, cut laws inherited down the preorder of the
     orderly generation on packed byte lanes, against enumeration."""
 
     @staticmethod
@@ -298,16 +292,26 @@ class TestInheritedLaws:
 
     @pytest.mark.parametrize("name, fault", [
         ("_drop_edge", lambda lanes, edge, i, j: [lanes[0] - edge, *lanes[1:]]),
-        ("_parent", _second_zero_parent),
-    ], ids=["touched-update-dropped", "parent-through-wrong-zero-bit"])
+    ], ids=["touched-update-dropped"])
     def test_fault_is_seen(self, monkeypatch, name, fault):
         monkeypatch.setattr(cutstats, name, fault)
         assert self.disagreements(7, _cores(7))
 
+    def test_level_by_level_listing_is_refused(self):
+        # the same cores, sorted by edge count: a mask's parent is no longer
+        # the last mask listed one edge up, so its lanes would be wrong
+        levels = sorted(_cores(7), key=lambda m: -m.bit_count())
+        with pytest.raises(ValueError, match="preorder"):
+            cutstats._inherited_stats(7, levels)
+        with pytest.raises(ValueError, match="preorder"):
+            cutstats._inherited_stats(7, _cores(7)[1:])  # no K7 above them
+
     def test_lane_budget_at_eight_vertices(self):
         # K8 and K4,4 have cuts of 16 edges, and a 4-cut of the 4-matching
-        # touches all 8 vertices: each must fit its byte.  Every mask on the
-        # path from a canonical core up to K8 is a canonical core.
+        # touches all 8 vertices: each must fit its byte.  Setting the lowest
+        # zero bit of a canonical core gives its parent in the orderly
+        # generation, so each chain runs from K8 down to its core; the chains
+        # sorted and joined without repeats list their masks in preorder.
         full = (1 << 28) - 1
         graphs = [Graph(8, full),
                   Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)]),
@@ -315,14 +319,24 @@ class TestInheritedLaws:
                   Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3),
                                        (4, 5), (5, 6), (6, 7), (4, 7)]),
                   Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)])]
-        masks = {full}
+        chains = []
         for g in graphs:
-            mask = canonical_form(g)
-            while mask != full:
-                masks.add(mask)
-                mask = cutstats._parent(mask)
+            chain = [canonical_form(g)]
+            while chain[-1] != full:
+                chain.append(chain[-1] | ~chain[-1] & chain[-1] + 1)
+            chains.append(chain[::-1])
+        masks = list(dict.fromkeys(m for chain in sorted(chains) for m in chain))
         assert self.disagreements(8, masks) == []
         laws = cutstats._inherited_stats(8, masks)
         assert laws[full].counts[16] and laws[canonical_form(graphs[1])].counts[16]
         matching = laws[canonical_form(graphs[2])]
         assert matching.forest4 == matching.counts[4] > 0
+
+    def test_every_core_at_eight_vertices(self):
+        # all 11302 cores on 8 vertices in one pass, none refused; a seeded
+        # sample of their laws against enumeration
+        cores = _cores(8)
+        laws = cutstats._inherited_stats(8, cores)
+        assert len(cores) == len(laws) == 11302
+        sample = random.Random(8).sample(cores, 200)
+        assert [m for m in sample if laws[m] != _enumerated_stats(Graph(8, m))] == []

@@ -152,17 +152,26 @@ class TestPredicates:
 
 class TestBlocks:
     def bridge_oracle(self, g):
-        # an edge is a bridge iff removing it increases the component count
-        base = g.component_count()
+        # ij is a bridge exactly when j is unreachable from i once ij is
+        # removed: a breadth-first search over the adjacency bitsets
+        adj = g.adjacency()
         out = set()
         for i, j in g.edges():
-            h = Graph(g.n, g.mask ^ (1 << edge_index(i, j, g.n)))
-            # removing an edge may isolate vertices; count components of the
-            # remaining edge set plus the two touched vertices
-            comps = h.component_count()
-            extra = sum(1 for v in (i, j) if not (h.touched_vertices() >> v) & 1)
-            if comps + extra > base:
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+            seen = frontier = 1 << i
+            while frontier and not seen >> j & 1:
+                reached = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reached |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reached & ~seen
+                seen |= reached
+            if not seen >> j & 1:
                 out.add((i, j))
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
         return out
 
     def test_bridges_match_oracle_exhaustively_n6(self):

@@ -133,6 +133,11 @@ class TestSkewValues:
         with pytest.raises(ValueError):
             Spectrum.skew1(F(3, 2))
 
+    @pytest.mark.parametrize("p", [F(0), F(-1), F(1), F(2)])
+    def test_minimum_outside_the_open_unit_interval_is_refused(self, p):
+        with pytest.raises(ValueError, match="0 < p < 1"):
+            lambda_min_skew(p)
+
 
 class TestSolveCoefficients:
     def test_half_pins_both_bounds_to_3_7(self):
