@@ -25,10 +25,10 @@ lanes drawn with that edge, one shift compresses each family through its own
 edge.  A SWAR popcount leaves each lane's member count in the lane, so sizes
 and uniform measures are one comparison, and the 1/3-biased weights
 sum_k 2^(6-k) |lane & layer_k| are compared lane by lane by a guard-bit
-subtraction.  A lane is agreeing when it misses its xor-translates by the
-Cayley generators, and intersecting when no member a meets the complement
-of a's partner indicator, placed in the lanes that hold a.  The per-family
-predicates above are what the lanes are tested against, and serve any n.
+subtraction.  Both predicates read the one pair rule of the single-family
+test: a lane passes when no member a meets the complement of a's partner
+indicator, placed in the lanes that hold a.  The per-family predicates above
+are what the lanes are tested against, and serve any n.
 """
 
 from __future__ import annotations
@@ -316,7 +316,8 @@ def hoffman_audit(fam: Family) -> dict:
     """Exact audit of the spectral bound for an agreeing family at p = 1/2.
 
     Checks that the averaged-shift quadratic form vanishes, that
-    mu^2 - mu*nu + w*gamma*(1-nu) <= 0, and hence mu <= nu = 1/8, where w is
+    mu^2 - mu*nu + w*gamma*(1-nu) <= 0, and hence mu <= nu, where lambda_min
+    is combined_lambda_min(n), nu is its Hoffman bound (1/8 at -1/7) and w is
     the Fourier mass of the nonconstant characters whose eigenvalue is not
     lambda_min.  Both read walsh_support's squares, integers over one
     denominator, and the eigenvalue on those edge sets only (8 for an
@@ -328,7 +329,7 @@ def hoffman_audit(fam: Family) -> dict:
     lam_min = combined_lambda_min(fam.n)
     w = F(sum(x for mask, x in squares if mask and lam[mask] != lam_min), den)
     mu = fam.measure(F(1, 2))
-    nu = hoffman_bound(LAMBDA_MIN_UNIFORM).nu
+    nu = hoffman_bound(lam_min).nu
     lhs = mu * mu - mu * nu + w * GAP_COMBINED * (1 - nu)
     return {
         "mu": mu,
@@ -442,31 +443,14 @@ def _nonzero_lanes(x: int, ones: int) -> int:
     return x & ones
 
 
-def _lanes_not_intersecting(x: int, ones: int) -> int:
-    """Bit 0 of each lane that is not intersecting: some member meets the
-    complement of the partners (when intersecting) of a member a, that
-    complement placed in the lanes that hold a."""
+def _lanes_clashing(x: int, ones: int, agreeing: bool) -> int:
+    """Bit 0 of each lane where two members do not intersect (or agree) in a
+    triangle: _every_pair's rule, with the complement of the partners of a
+    placed in the lanes that hold a."""
     clash = 0
     for a in range(_LANE):
-        clash |= (x >> a & ones) * (_LANE_FULL ^ _partners(4, a, False))
+        clash |= (x >> a & ones) * (_LANE_FULL ^ _partners(4, a, agreeing))
     return _nonzero_lanes(clash & x, ones)
-
-
-def _lanes_not_agreeing(x: int, ones: int) -> int:
-    """Bit 0 of each lane that is not independent in the agreement Cayley
-    graph: it meets its translate m -> m ^ s for a generator s.  A translate
-    swaps the halves along each edge of s; the Gray code order reaches every
-    s from the one before by one swap."""
-    gens = frozenset(agreement_generators(4))
-    lows = [low * ones for low in low_masks(6)[:6]]
-    clash, moved = 0, x
-    for k in range(1, _LANE):
-        i = (k & -k).bit_length() - 1
-        h = 1 << i
-        moved = (moved & lows[i]) << h | moved >> h & lows[i]
-        if k ^ (k >> 1) in gens:
-            clash |= moved & x
-    return _nonzero_lanes(clash, ones)
 
 
 def _compress_lanes(x: int, edges: Sequence[int], ones: int) -> int:
@@ -492,8 +476,8 @@ def _campaign_chunk(fams: Sequence[int], edges: Sequence[int],
     biased = _lanes_at_most(_lane_weights(shifted, ones), _lane_weights(x, ones), ones) \
         == ones << 63
     mono_y = _monotone(y, lows)
-    preserved = not _lanes_not_agreeing(mono_y, ones) and \
-        not _lanes_not_intersecting(mono_y, ones) & ~_lanes_not_intersecting(y, ones)
+    preserved = not _lanes_clashing(mono_y, ones, True) and \
+        not _lanes_clashing(mono_y, ones, False) & ~_lanes_clashing(y, ones, False)
     mono = _monotone(x, lows)
     upset = _upset(mono_y, lows) and _upset(mono, lows) and _lane_counts(mono, ones) == counts
     return same_size, same_size, biased, preserved, upset

@@ -460,6 +460,11 @@ class TestHoffmanAudit:
                 entry = catalogue[canonical_key(Graph(n, m))]
                 assert families._combined_lambda(n, m) == spec.value(entry.stats), (n, m)
 
+    def test_bound_reads_the_computed_minimum(self, monkeypatch):
+        # nu is the Hoffman bound of the same lambda_min that w is graded by
+        monkeypatch.setattr(families, "combined_lambda_min", lambda n: F(-1, 5))
+        assert hoffman_audit(umvirate(4, T012))["nu"] == F(1, 6)
+
     def test_non_agreeing_family_fails(self):
         a = hoffman_audit(Family(4, [0, 63]))
         assert a["quadratic_form"] != 0 and not a["ok"]
@@ -590,10 +595,15 @@ class TestLanes:
         ones = families._lane_ones(count)
         x = families._pack([fam.bits for fam in fams])
         assert unpack(x, count) == [fam.bits for fam in fams]
-        intersecting = [not v for v in lane_flags(families._lanes_not_intersecting(x, ones), count)]
-        agreeing = [not v for v in lane_flags(families._lanes_not_agreeing(x, ones), count)]
+        intersecting = [not v for v in lane_flags(families._lanes_clashing(x, ones, False), count)]
+        agreeing = [not v for v in lane_flags(families._lanes_clashing(x, ones, True), count)]
         assert intersecting == [is_triangle_intersecting(fam) for fam in fams]
         assert agreeing == [is_triangle_agreeing(fam) for fam in fams]
+        # independent of the partner indicators: a family is agreeing when it
+        # is independent in the Cayley graph, no member m having m ^ s in it
+        # for a generator s
+        gens = agreement_generators(4)
+        assert agreeing == [not any(m ^ s in fam for m in fam for s in gens) for fam in fams]
         assert unpack(families._lane_counts(x, ones), count) == [fam.size for fam in fams]
         assert unpack(families._lane_weights(x, ones), count) == \
             [fam.measure(F(1, 3)) * 3 ** 6 for fam in fams]

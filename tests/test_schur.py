@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from occlib import schur
 from occlib.cutstats import CutStats, cut_distribution_bruteforce
 from occlib.graph import Graph, enumerate_unlabeled, random_graph
 from occlib.hypercube import layer_masks
@@ -379,6 +380,38 @@ class TestCampaign:
             "lambda1:tight-set-structural",
             "lambda1:gap-1/56-attained-by-punctured-3-spaces",
         ]
+
+    @staticmethod
+    def dimension_two_decider(monkeypatch, agreeing_mask=None):
+        """Count the decider's calls in dimension 2; the agreement set
+        agreeing_mask, when given, reads as having an odd dependency."""
+        calls = []
+
+        def decider(vs):
+            if vs.n != 2:
+                return has_odd_dependency(vs)
+            calls.append(vs.mask)
+            return vs.mask == agreeing_mask or has_odd_dependency(vs)
+        monkeypatch.setattr(schur, "has_odd_dependency", decider)
+        return calls
+
+    def test_each_dimension_two_pair_is_decided_once(self, monkeypatch):
+        calls = self.dimension_two_decider(monkeypatch)
+        assert verify_oldc_claims().ok
+        # the lift of K2 is the one set of dimension 2 decided outside the
+        # exhaust, whose table takes one call per ordered pair of sets
+        calls.remove(lift_graph(Graph(2, 1)).mask)
+        assert len(calls) <= 64
+
+    def test_one_agreeing_pair_of_distinct_sets_fails_the_exhaust(self, monkeypatch):
+        # the sets {2} and {3}, for one, agree on {1} alone, which has no
+        # odd dependency; read as agreeing, they make a family of two members
+        # agreeing, of measure 2/8.  (The lift of K2 is {3}, so the lift
+        # claims stay green.)
+        assert not has_odd_dependency(VectorSet(2, 1 << 1))
+        self.dimension_two_decider(monkeypatch, agreeing_mask=1 << 1)
+        assert verify_oldc_claims().failing() == ["n2:agreeing-iff-at-most-one-member",
+                                                  "n2:max-agreeing-measure-1/8"]
 
     def test_gap_tight_set_sits_above_minimum(self):
         assert S1.value(S7.cut_stats()) == LAMBDA_MIN_UNIFORM + F(1, 56)
