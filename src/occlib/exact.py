@@ -422,8 +422,6 @@ def count_roots(p: Polynomial, a: Coeffable, b: Coeffable,
         raise ValueError(f"need a < b, got {a} and {b}")
     if p.is_zero():
         raise ValueError("root counting on the zero polynomial")
-    if p.degree == 0:
-        return 0
     chain = sturm_chain(p) if chain is None else chain
     return _variations(chain, a) - _variations(chain, b)
 
@@ -434,7 +432,7 @@ def count_roots_above(p: Polynomial, a: Coeffable) -> int:
     if p.is_zero():
         raise ValueError("root counting on the zero polynomial")
     bound = p.cauchy_root_bound()
-    return count_roots(p, a, bound) if p.degree > 0 and a < bound else 0
+    return count_roots(p, a, bound) if a < bound else 0
 
 
 class CertificateError(ValueError):
@@ -555,8 +553,6 @@ def certify_sign(p: Polynomial, a: Coeffable, b: Coeffable, witness: Coeffable,
         raise ValueError("witness outside the interval")
     if p.is_zero():
         raise CertificateError("cannot certify a sign for the zero polynomial")
-    if p.degree == 0:
-        return SignCertificate(p, a, b, a, b, witness, _sign(p, a), 0, False, False, "pass", case_id)
 
     chain = sturm_chain(p)
     sf = chain[0]

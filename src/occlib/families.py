@@ -551,8 +551,9 @@ def verify_family_claims(seed: int = 20260815, campaign_size: int = 1000) -> Ver
     rep.add("hoffman:subfamily-audits", ok_audit)
 
     # five vertices: bound check plus the extremal junta, no exhaustive search
-    rep.add("n5:lambda-min=-1/7", combined_lambda_min(5) == LAMBDA_MIN_UNIFORM)
-    nu = hoffman_bound(LAMBDA_MIN_UNIFORM).nu
+    lam_min = combined_lambda_min(5)
+    rep.add("n5:lambda-min=-1/7", lam_min == LAMBDA_MIN_UNIFORM)
+    nu = hoffman_bound(lam_min).nu
     rep.add("n5:size-bound-128", nu * (1 << 10) == 128)
     t5 = triangle_masks(5)[0]
     big = umvirate(5, t5)

@@ -14,12 +14,13 @@ f = sum_S (p(1-p))^|S| ghat(S) psi_S, and the squared orthonormal
 coefficients (p(1-p))^|S| ghat(S)^2, which are all a Hoffman bound reads,
 are rational for every p.
 
-Every transform runs one integer butterfly: with p = a/b the analysis rows
-of an edge are (b-a, a)/b and (1, -1), applied to values put on one common
-denominator, so each output is an integer times a rational scale that
-depends only on |S|; TensorOperator.apply runs the same kernel on the rows
-of its edge matrix.  At p = 1/2, ghat(S) is 2^|S| times the plain
-Walsh-Hadamard transform over 2^e.
+Every transform runs one integer butterfly, one constant-geometry pass per
+coordinate that pairs the even and odd entries at every size: with p = a/b
+the analysis rows of an edge are (b-a, a)/b and (1, -1), applied to values
+put on one common denominator, so each output is an integer times a
+rational scale that depends only on |S|; TensorOperator.apply runs the same
+kernel on the rows of its edge matrix.  At p = 1/2, ghat(S) is 2^|S| times
+the plain Walsh-Hadamard transform over 2^e.
 
 A family of graphs is transformed from its indicator, packed as one integer
 with bit m set when the graph of edge mask m is a member.  When the
@@ -59,24 +60,20 @@ _ZERO, _ONE = F(0), F(1)
 def _butterfly(vals: Sequence[int], rows, coords: int) -> list[int]:
     """The integer kernel: on every coordinate i in coords, each pair
     (lo, hi) = (v[m], v[m | 2^i]) with bit i clear in m becomes
-    (rows[0] . (lo, hi), rows[1] . (lo, hi))."""
+    (rows[0] . (lo, hi), rows[1] . (lo, hi)).
+
+    It runs in constant geometry (Pease): every pass pairs the even and odd
+    entries and writes the even results before the odd ones, which rotates
+    the index right by one bit.  So pass i meets coordinate i on the low bit,
+    and after the last pass every index is back in place."""
     (r00, r01), (r10, r11) = rows
     vals = list(vals)
-    size = len(vals)
-    for i in range(size.bit_length() - 1):
-        if not coords >> i & 1:
-            continue
-        h = 1 << i
-        step = 2 * h
-        # loop over whichever is fewer: offsets in a block or blocks
-        if 2 * h * h <= size:
-            halves = [(slice(j, size, step), slice(j + h, size, step)) for j in range(h)]
-        else:
-            halves = [(slice(k, k + h), slice(k + h, k + step)) for k in range(0, size, step)]
-        for lo_at, hi_at in halves:
-            lo, hi = vals[lo_at], vals[hi_at]
-            vals[lo_at] = [r00 * x + r01 * y for x, y in zip(lo, hi)]
-            vals[hi_at] = [r10 * x + r11 * y for x, y in zip(lo, hi)]
+    for i in range(len(vals).bit_length() - 1):
+        lo, hi = vals[0::2], vals[1::2]
+        if coords >> i & 1:
+            lo, hi = ([r00 * x + r01 * y for x, y in zip(lo, hi)],
+                      [r10 * x + r11 * y for x, y in zip(lo, hi)])
+        vals = lo + hi
     return vals
 
 

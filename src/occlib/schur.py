@@ -402,9 +402,10 @@ def verify_oldc_claims(seed: int = 20260815) -> VerificationReport:
     plus decider cross-checks, graph-lift consistency, and the dimension-two
     family exhaust.  The 2^15 subsets are scanned as planes (_scan_planes);
     they have few distinct cut records, and each (structural type, record)
-    pair that occurs is checked once.  The exhaust decides each pair of the 8
-    sets of dimension two once, in an 8x8 agreement table, and reads the
-    verdicts of all 256 families from it."""
+    pair that occurs is checked once.  Two of the 8 sets of dimension two
+    agree on a set fixed by their difference, so the exhaust makes 8 decider
+    calls, one per difference, and reads the verdicts of all 256 families
+    from the 8x8 agreement table they fill."""
     rep = VerificationReport("oldc-claims")
     rng = random.Random(seed)
     planes = _scan_planes(4, _boxes(4))
@@ -448,12 +449,12 @@ def verify_oldc_claims(seed: int = 20260815) -> VerificationReport:
     rep.add("lift:lambda2-matches", ok_l2)
     rep.add("lift:odd-cycle-iff-odd-dependency", ok_odd)
 
-    # dimension 2: the 256 families of the 8 sets.  Row i holds the sets whose
-    # agreement with set i has an odd dependency; a family is agreeing when
-    # each member's row holds it, as in families._every_pair
-    rows = [sum(1 << j for j in range(8)
-                if has_odd_dependency(VectorSet(2, ~(i ^ j) << 1 & 0b1110)))
-            for i in range(8)]
+    # dimension 2: the 256 families of the 8 sets.  Sets i and j agree on the
+    # set ~(i ^ j) << 1 & 0b1110, so agree[d] decides every pair at difference
+    # d; row i holds the sets j with agree[i ^ j], and a family is agreeing
+    # when each member's row holds it, as in families._every_pair
+    agree = [has_odd_dependency(VectorSet(2, ~d << 1 & 0b1110)) for d in range(8)]
+    rows = [sum(1 << j for j in range(8) if agree[i ^ j]) for i in range(8)]
     agreeing = [fam for fam in range(256)
                 if all(not fam & ~rows[i] for i in range(8) if fam >> i & 1)]
     rep.add("n2:agreeing-iff-at-most-one-member",

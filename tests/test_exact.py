@@ -14,6 +14,7 @@ from occlib.exact import (
     CertificateError,
     Polynomial,
     RationalFunction,
+    SignCertificate,
     certify_sign,
     count_roots,
     count_roots_above,
@@ -259,8 +260,15 @@ class TestCertificates:
         assert F(blob["interval"][1]) == F(1, 2)
 
     def test_constant_polynomial_certificate(self):
-        c = certify_sign(P([F(3, 7)]), 0, 1, F(1, 2))
-        assert c.passed and c.witness_sign == 1
+        # a constant takes the general path: chain (p,), no endpoint zero,
+        # the whole interval certified with the constant's sign and no root
+        for c, sign in ((F(3, 7), 1), (F(-3), -1)):
+            p = P([c])
+            assert sturm_chain(p) == (p,)
+            assert certify_sign(p, 0, 1, F(1, 2), "const") == SignCertificate(
+                p, F(0), F(1), F(0), F(1), F(1, 2), sign, 0, False, False, "pass", "const")
+            assert count_roots(p, -5, 5) == 0
+            assert count_roots_above(p, -5) == count_roots_above(p, 5) == 0
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(CertificateError):

@@ -533,6 +533,13 @@ class TestCampaign:
         assert h.hexdigest() == \
             "e09eb7c681f168e19e2c7f2de93aca192c07eb359e83718fb62e8284ffe5c8a9"
 
+    def test_n5_bound_reads_the_computed_minimum(self, monkeypatch):
+        # nu of the n = 5 bound is the Hoffman bound of the lambda_min that
+        # the campaign computes, not of the constant it is compared with
+        monkeypatch.setattr(families, "combined_lambda_min", lambda n: F(-1, 5))
+        failing = verify_family_claims(campaign_size=40).failing()
+        assert "n5:lambda-min=-1/7" in failing and "n5:size-bound-128" in failing
+
     def test_deterministic(self):
         a = verify_family_claims(campaign_size=40)
         b = verify_family_claims(campaign_size=40)

@@ -8,7 +8,9 @@ from occlib.cutstats import cut_distribution_bruteforce
 from occlib.families import Family, hoffman_audit, junta, triangle_masks, umvirate
 from occlib.graph import Graph, all_masks, edge_pairs
 from occlib.hypercube import (
+    _MAX_COORDS,
     TensorOperator,
+    _butterfly,
     indicator_bits,
     layer_masks,
     low_masks,
@@ -238,6 +240,26 @@ KERNEL_CASES = [(n, p, seed) for n in (3, 4) for p in (F(1, 2), F(1, 3), F(2, 5)
 
 
 class TestIntegerKernel:
+    @pytest.mark.parametrize("d", range(11))
+    def test_kernel_matches_reference_at_every_size(self, d):
+        # seeded integer rows on 2^d seeded integers, on a seeded coordinate
+        # subset and on every coordinate
+        rng = random.Random(d)
+        for _ in range(3):
+            rows = tuple(tuple(rng.randint(-5, 5) for _ in range(2)) for _ in range(2))
+            vals = [rng.randint(-9, 9) for _ in range(1 << d)]
+            for coords in (rng.getrandbits(d), (1 << d) - 1):
+                assert _butterfly(vals, rows, coords) == reference_butterfly(vals, rows, coords)
+
+    # all coordinates, and every other one, at the largest transform that
+    # walsh_support runs
+    @pytest.mark.parametrize("coords", [(1 << _MAX_COORDS) - 1, 0x5555])
+    def test_kernel_matches_reference_at_the_size_limit(self, coords):
+        rng = random.Random(15)
+        vals = [rng.randint(0, 1) for _ in range(1 << _MAX_COORDS)]
+        rows = ((3, 2), (1, -1))  # the analysis rows at p = 2/5
+        assert _butterfly(vals, rows, coords) == reference_butterfly(vals, rows, coords)
+
     @pytest.mark.parametrize("n,p,seed", KERNEL_CASES)
     def test_transforms_match_reference(self, n, p, seed):
         # the integer kernel behind TensorOperator.apply, on rational values,

@@ -399,9 +399,9 @@ class TestCampaign:
         calls = self.dimension_two_decider(monkeypatch)
         assert verify_oldc_claims().ok
         # the lift of K2 is the one set of dimension 2 decided outside the
-        # exhaust, whose table takes one call per ordered pair of sets
+        # exhaust, whose table takes one call per difference of two sets
         calls.remove(lift_graph(Graph(2, 1)).mask)
-        assert len(calls) <= 64
+        assert len(calls) <= 8
 
     def test_one_agreeing_pair_of_distinct_sets_fails_the_exhaust(self, monkeypatch):
         # the sets {2} and {3}, for one, agree on {1} alone, which has no
