@@ -317,9 +317,10 @@ def class_catalogue(max_vertices: int) -> dict[tuple[int, int], ClassEntry]:
 
 @lru_cache(maxsize=None)
 def _class_catalogue(max_vertices: int) -> dict[tuple[int, int], ClassEntry]:
+    reps = enumerate_unlabeled(max_vertices)  # refuses a size past 7 before any law is built
     laws = {v: _inherited_stats(v, _cores(v)) for v in range(2, max_vertices + 1)}
     out = {}
-    for g in enumerate_unlabeled(max_vertices):
+    for g in reps:
         # a representative is a core on its n vertices, or the empty graph
         key = (g.n, g.mask) if g.mask else (0, 0)
         out[key] = ClassEntry(g, laws[g.n][g.mask] if g.mask else cut_stats(g))

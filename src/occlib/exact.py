@@ -19,7 +19,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 __all__ = ["Polynomial", "RationalFunction", "CertificateError", "SignCertificate",
-           "sturm_chain", "count_roots", "count_roots_above", "certify_sign",
+           "sturm_chain", "count_roots", "certify_sign",
            "clear_denominators", "frac_str"]
 
 Coeffable = Union[int, Fraction]
@@ -183,12 +183,6 @@ class Polynomial:
         if self.degree == 0:
             return self
         return self // self.gcd(self.derivative())
-
-    def cauchy_root_bound(self) -> Fraction:
-        """B with every real root of the polynomial inside (-B, B)."""
-        if self.degree < 1:
-            return Fraction(1)
-        return 1 + Fraction(max(abs(z) for z in self.prim[:-1]), abs(self.prim[-1]))
 
     def coeff_strings(self) -> list[str]:
         return [frac_str(c) for c in self.coeffs]
@@ -424,15 +418,6 @@ def count_roots(p: Polynomial, a: Coeffable, b: Coeffable,
         raise ValueError("root counting on the zero polynomial")
     chain = sturm_chain(p) if chain is None else chain
     return _variations(chain, a) - _variations(chain, b)
-
-
-def count_roots_above(p: Polynomial, a: Coeffable) -> int:
-    """Distinct real roots of p in (a, +infinity), via the Cauchy bound."""
-    a = _frac(a)
-    if p.is_zero():
-        raise ValueError("root counting on the zero polynomial")
-    bound = p.cauchy_root_bound()
-    return count_roots(p, a, bound) if a < bound else 0
 
 
 class CertificateError(ValueError):

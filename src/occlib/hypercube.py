@@ -187,6 +187,9 @@ def walsh_support(n: int, p: Fraction, bits: int) -> tuple[int, list[tuple[int, 
     p = F(p)
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")
+    if not 1 <= n <= 7:
+        # low_masks of K_8's cube alone are 29 integers of 2^28 bits
+        raise ValueError(f"walsh_support needs 1 <= n <= 7, got n={n}")
     dim = n * (n - 1) // 2
     if bits < 0 or bits >> (1 << dim):
         raise ValueError(f"indicator out of range for n={n}")

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb
 from operator import mul
 from typing import NamedTuple
 
 from .exact import (
-    Polynomial,
     RationalFunction,
     SignCertificate,
     certify_sign,
     clear_denominators,
-    count_roots_above,
     frac_str,
 )
 from .cutstats import (
@@ -169,6 +167,19 @@ def case_constant(m: int) -> Fraction:
     if m < 0:
         raise ValueError("negative bridge count")
     return _d0(m, UNIFORM_COEFFS)
+
+
+def _forward_differences(f, k0: int, degree: int) -> list:
+    """[D^0 f(k0), ..., D^(degree+1) f(k0)], D f(k) = f(k+1) - f(k), for f of
+    an integer size k.  When f is a polynomial in k of degree at most
+    degree + 1, the last is 0 exactly when its degree is at most degree, and
+    then f(k0 + j) = sum_i C(j, i) D^i f(k0): positive for every j >= 0 when
+    D^0 .. D^degree at k0 are."""
+    row, out = [f(k0 + i) for i in range(degree + 2)], []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
 
 
 def _skew_bias(p: Fraction) -> Fraction:
@@ -487,16 +498,11 @@ def verify_uniform_claims() -> VerificationReport:
     rep.add("case-constants:r(6)=-23/448", case_constant(6) == F(-23, 448))
     rep.add("case-constants:r(7)=-13/512", case_constant(7) == F(-13, 512))
 
-    # r numerator sum_k w_k C(m, k) strictly increasing beyond 7: derivative
-    # positive on [7, inf)
-    x = Polynomial.x()
-    numer, falling = Polynomial.zero(), Polynomial.one()
-    for k, c in enumerate(UNIFORM_COEFFS):
-        numer = numer + falling * (c / factorial(k))
-        falling = falling * (x - k)
-    dn = numer.derivative()
-    rep.add("case-constants:numerator-increasing-m>=7",
-            dn(7) > 0 and count_roots_above(dn, 7) == 0)
+    # the numerator N(m) = 2^m r(m) = sum_k w_k C(m, k) is cubic in m; its
+    # differences at 7 past the first, 15/28, 17/28, 3/28 and then 0, make
+    # N(m+1) - N(m) positive for every m >= 7
+    _, *rises, top = _forward_differences(lambda m: 2 ** m * case_constant(m), 7, 3)
+    rep.add("case-constants:numerator-increasing-m>=7", all(d > 0 for d in rises) and top == 0)
     r7 = case_constant(7)
     rep.add("case-constants:r(m)>=r(7)-to-64", all(case_constant(m) >= r7 for m in range(7, 65)))
 
@@ -677,14 +683,16 @@ def verify_smallp() -> VerificationReport:
     # lambda_5 < 0:  p^5 (6 - 4p + p^2) style numerator, zero only at p = 0
     _certify(rep, "smallp:lambda5<0", -lam5, F(0), TAU, witness, at_lo=True)
 
-    # even sizes 4..100: eigenvalue nonnegative (bracket positive)
-    for k in range(4, 101, 2):
-        _certify(rep, f"smallp:even-bracket-{k}>0", _smallp_bracket(k, p), F(0), TAU, witness)
-
-    # odd sizes 5..97: magnitudes strictly decay two steps at a time
-    for k in range(5, 98, 2):
-        decay = _smallp_bracket(k, p) - ratio ** 2 * _smallp_bracket(k + 2, p)
-        _certify(rep, f"smallp:odd-decay-{k}", decay, F(0), TAU, witness, at_lo=None)
+    # every size k >= k0 at once: the even bracket (eigenvalue nonnegative)
+    # and the odd decay (magnitudes strictly decay two steps at a time) are
+    # quadratic in k
+    bracket = lambda k: _smallp_bracket(k, p)
+    for case, k0, size_fn in (("even-bracket", 4, bracket),
+                              ("odd-decay", 5, lambda k: bracket(k) - ratio ** 2 * bracket(k + 2))):
+        *diffs, top = _forward_differences(size_fn, k0, 2)
+        for j, d in enumerate(diffs):
+            _certify(rep, f"smallp:{case}-k>={k0}:diff{j}", d, F(0), TAU, witness)
+        rep.add(f"smallp:{case}-k>={k0}:diff3=0", top == 0)
 
     # sampled exact evaluations
     for ps in (F(1, 8), F(1, 5), TAU):

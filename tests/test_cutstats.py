@@ -23,7 +23,7 @@ from occlib.cutstats import (
 )
 from occlib.exact import Polynomial
 from occlib.graph import Graph, _cores, canonical_form, enumerate_unlabeled, random_graph
-from occlib.spectra import Spectrum
+from occlib.spectra import Spectrum, combined_lambda_min
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 K4_MINUS = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -340,3 +340,14 @@ class TestInheritedLaws:
         assert len(cores) == len(laws) == 11302
         sample = random.Random(8).sample(cores, 200)
         assert [m for m in sample if laws[m] != _enumerated_stats(Graph(8, m))] == []
+
+
+def test_catalogue_refuses_eight_vertices_before_any_law(monkeypatch):
+    # the size is checked first: no core of any size is listed for a refused
+    # catalogue, and none through the combined minimum that reads it
+    def no_cores(v):
+        raise AssertionError(f"cores on {v} vertices listed for a refused size")
+    monkeypatch.setattr(cutstats, "_cores", no_cores)
+    for build in (class_catalogue, combined_lambda_min):
+        with pytest.raises(ValueError, match="1..7 vertices"):
+            build(8)

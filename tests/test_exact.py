@@ -17,7 +17,6 @@ from occlib.exact import (
     SignCertificate,
     certify_sign,
     count_roots,
-    count_roots_above,
     frac_str,
     sturm_chain,
 )
@@ -187,12 +186,6 @@ class TestSturm:
                 continue
             assert count_roots(p, a, b) + count_roots(p, b, c) == count_roots(p, a, c)
 
-    def test_count_roots_above(self):
-        p = from_roots([2, 10, -50])
-        assert count_roots_above(p, 0) == 2
-        assert count_roots_above(p, 10) == 0
-        assert count_roots_above(p, F(19, 2)) == 1
-
 
 class TestCertificates:
     def test_positive_certificate(self):
@@ -268,7 +261,6 @@ class TestCertificates:
             assert certify_sign(p, 0, 1, F(1, 2), "const") == SignCertificate(
                 p, F(0), F(1), F(0), F(1), F(1, 2), sign, 0, False, False, "pass", "const")
             assert count_roots(p, -5, 5) == 0
-            assert count_roots_above(p, -5) == count_roots_above(p, 5) == 0
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(CertificateError):

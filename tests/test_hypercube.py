@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from occlib import hypercube
 from occlib.cutstats import cut_distribution_bruteforce
 from occlib.families import Family, hoffman_audit, junta, triangle_masks, umvirate
 from occlib.graph import Graph, all_masks, edge_pairs
@@ -360,6 +361,21 @@ class TestWalshSupport:
             walsh_support(3, F(1, 3), 1 << 8)
         with pytest.raises(ValueError):
             walsh_support(3, F(1), 1 << 1)
+
+    def test_refuses_eight_vertices_before_the_cube_masks(self, monkeypatch):
+        # the masks of K8's cube are 29 integers of 2^28 bits: the size is
+        # refused before they are asked for
+        real = hypercube.low_masks
+
+        def guarded(d):
+            if d > 21:
+                raise AssertionError(f"masks of the cube of dimension {d} asked for")
+            return real(d)
+        monkeypatch.setattr(hypercube, "low_masks", guarded)
+        for n in (8, 0):
+            with pytest.raises(ValueError, match="1 <= n <= 7"):
+                walsh_support(n, F(1, 2), 1)
+        assert walsh_support(7, F(1, 2), 0) == (1, [])
 
     def test_refuses_more_than_fifteen_relevant_edges(self):
         # Family(7, [0]) depends on all 21 edges of K7; the refusal comes

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from occlib import spectra
+from occlib.cli import main
 from occlib.cutstats import class_catalogue, cut_stats
 from occlib.exact import RationalFunction, clear_denominators, frac_str
 from occlib.graph import Graph, canonical_key, edge_index, enumerate_unlabeled, write_graph6
@@ -256,6 +258,28 @@ class TestSmallBias:
             eval_lambda_smallp(-1, F(1, 8))
 
 
+class TestForwardDifferences:
+    """_forward_differences, the one rule behind every claim over all sizes,
+    against direct evaluation of seeded polynomials in the size."""
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_against_direct_evaluation(self, degree):
+        rng = random.Random(degree)
+        for _ in range(20):
+            coeffs = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(degree)]
+            coeffs.append(F(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 9)))
+            f = lambda k: sum(c * k ** i for i, c in enumerate(coeffs))
+            k0 = rng.randint(0, 20)
+            diffs = spectra._forward_differences(f, k0, degree)
+            assert len(diffs) == degree + 2 and diffs[-1] == 0
+            for j in range(31):
+                assert f(k0 + j) == sum(comb(j, i) * d for i, d in enumerate(diffs))
+            # one degree short, the top difference is degree! times the
+            # leading coefficient, never 0
+            top = spectra._forward_differences(f, k0, degree - 1)[-1]
+            assert top == factorial(degree) * coeffs[-1]
+
+
 class TestSpectrumAlgebra:
     def test_named_spectra_match_evaluators(self):
         # each named spectrum against its closed form in the cut law:
@@ -504,7 +528,38 @@ class TestCampaigns:
     def test_smallp_claims(self):
         rep = verify_smallp()
         assert rep.ok, rep.failing()
-        assert len(rep.certificates) == 99
+        assert len(rep.certificates) == 9
+
+    def test_smallp_bracket_with_a_changed_pair_term_fails(self, monkeypatch):
+        # C(k, 2)/8 in place of C(k, 2)/(1 + p + p^2): the bracket at k = 4
+        # is -9/4 at p = 0
+        monkeypatch.setattr(spectra, "_smallp_bracket",
+                            lambda k, p: 1 - k * (1 + p) / (1 + p + p * p) + F(comb(k, 2), 8))
+        assert "certificate:smallp:even-bracket-k>=4:diff0" in verify_smallp().failing()
+
+    def test_smallp_cubic_bracket_fails_the_degree_claims(self, monkeypatch, capsys):
+        # an extra -C(k, 3)/10^6 keeps every even bracket and odd decay up to
+        # k = 100 positive on [0, 31/125], which is all that one certificate
+        # per size up to 100 shows; only the degree claims see the cubic term
+        real = spectra._smallp_bracket
+        monkeypatch.setattr(spectra, "_smallp_bracket",
+                            lambda k, p: real(k, p) - F(comb(k, 3), 10 ** 6))
+        bracket, x = spectra._smallp_bracket, RationalFunction.x()
+        ratio2 = (x / (1 - x)) ** 2
+        per_size = spectra.VerificationReport("per-size")
+        for k in range(4, 101, 2):
+            spectra._certify(per_size, f"even-{k}", bracket(k, x), F(0), TAU, F(1, 8))
+        for k in range(5, 98, 2):
+            decay = bracket(k, x) - ratio2 * bracket(k + 2, x)
+            spectra._certify(per_size, f"odd-{k}", decay, F(0), TAU, F(1, 8), at_lo=None)
+        assert per_size.ok and len(per_size.certificates) == 96
+        # the k = 5 closed form and the gap identities built on it see the
+        # cubic term too; of the other claims, only the degree claims do
+        failing = [c for c in verify_smallp().failing() if "identity" not in c]
+        assert failing == ["smallp:even-bracket-k>=4:diff3=0", "smallp:odd-decay-k>=5:diff3=0"]
+        # a failed claim, not a usage error
+        assert main(["verify", "smallp"]) == 1
+        assert "FAIL smallp:even-bracket-k>=4:diff3=0" in capsys.readouterr().out
 
     def test_reports_serialize(self):
         rep = verify_skew_cases(F(3, 8), F(1, 2))
